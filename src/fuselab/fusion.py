@@ -239,12 +239,55 @@ def save_model(out_dir, model: FusionModel) -> None:
     (out_dir / MODEL_META).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value > 0
+
+
+def _is_shape(value) -> bool:
+    return isinstance(value, list) and len(value) == 3 and all(map(_is_count, value))
+
+
+def _is_weights(value) -> bool:
+    return value is None or (
+        isinstance(value, list) and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+    )
+
+
+# model.json key -> (test of its value, what the test asks for)
+_META_KEYS = {
+    "paradigm": (lambda v: isinstance(v, str) and v in PARADIGMS, f"one of {', '.join(PARADIGMS)}"),
+    "chip_shape_a": (_is_shape, "a list of 3 positive integers"),
+    "chip_shape_b": (_is_shape, "a list of 3 positive integers"),
+    "n_classes": (_is_count, "a positive integer"),
+    "checkpoints": (lambda v: isinstance(v, list) and len(v) > 0 and all(isinstance(n, str) for n in v),
+                    "a non-empty list of file names"),
+}
+_OPTIONAL_META_KEYS = {
+    "alpha": (_is_weights, "null or a list of numbers"),
+    "beta": (_is_weights, "null or a list of numbers"),
+}
+
+
 def load_model(model_dir) -> FusionModel:
     model_dir = Path(model_dir)
     meta_path = model_dir / MODEL_META
     if not meta_path.exists():
         raise DataError(f"{model_dir}: no {MODEL_META} found")
-    meta = json.loads(meta_path.read_text())
+    try:
+        meta = json.loads(meta_path.read_text())
+    except ValueError as exc:  # undecodable bytes or malformed JSON
+        raise DataError(f"{meta_path}: not valid JSON ({exc})") from exc
+    if not isinstance(meta, dict):
+        raise DataError(f"{meta_path}: expected a JSON object")
+    missing = sorted(_META_KEYS.keys() - meta.keys())
+    if missing:
+        raise DataError(f"{meta_path}: missing key(s) {', '.join(missing)}")
+    for key, (valid, wanted) in {**_META_KEYS, **_OPTIONAL_META_KEYS}.items():
+        if not valid(meta.get(key)):
+            raise DataError(f"{meta_path}: {key!r} must be {wanted}, got {meta[key]!r}")
+    n_nets = 2 if meta["paradigm"] in LATE_PARADIGMS else 1
+    if len(meta["checkpoints"]) != n_nets:
+        raise DataError(f"{meta_path}: {meta['paradigm']} needs {n_nets} checkpoint(s), got {len(meta['checkpoints'])}")
     nets = [nn.load_network(model_dir / name) for name in meta["checkpoints"]]
     model = FusionModel(
         paradigm=meta["paradigm"],
@@ -254,5 +297,8 @@ def load_model(model_dir) -> FusionModel:
         n_classes=meta["n_classes"],
     )
     if meta.get("alpha") is not None:
-        model.set_fusion_weights(meta["alpha"], meta["beta"])
+        try:
+            model.set_fusion_weights(meta["alpha"], meta["beta"])
+        except ValueError as exc:  # ShapeError included: the file's weights are bad data
+            raise DataError(f"{meta_path}: {exc}") from exc
     return model

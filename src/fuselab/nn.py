@@ -1,12 +1,15 @@
 """Trainable layers, sequential and two-branch networks, loss, gradient checks.
 
 Every layer follows the same protocol: forward(x) caches what backward needs,
-backward(dy) returns dx and fills per-parameter gradients. Shapes are batched,
-channel-last: images (N, H, W, C), features (N, D), predictions (N, C).
+backward(dy) returns dx and fills per-parameter gradients. Networks skip dx of
+the layer that reads the input chips: nothing uses a gradient of the data.
+Shapes are batched, channel-last: images (N, H, W, C), features (N, D),
+predictions (N, C).
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -54,7 +57,8 @@ class Conv:
         self._cache = (cols, xp.shape, x.shape)
         return out.reshape(x.shape[0], h_out, w_out, self.cout)
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
+        """Fill the parameter gradients; return dx, or None when need_dx is False."""
         if self._cache is None:
             raise StaleCacheError("Conv.backward before forward")
         cols, padded_shape, in_shape = self._cache
@@ -63,6 +67,8 @@ class Conv:
         dy_col = dy.reshape(-1, self.cout)
         self.grad_weights = (cols.T @ dy_col).reshape(self.weights.shape)
         self.grad_bias = dy_col.sum(axis=0)
+        if not need_dx:
+            return None
         dcols = dy_col @ self.weights.reshape(-1, self.cout).T
         dxp = tensor.col2im_add(dcols, padded_shape, self.k, 1)
         pad = self.k // 2
@@ -91,16 +97,16 @@ class MaxPool2:
         return ()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        out, idx = tensor.maxpool2(x)
-        self._cache = (idx, x.shape)
+        out = tensor.maxpool2(x)
+        self._cache = (x, out)
         return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise StaleCacheError("MaxPool2.backward before forward")
-        idx, in_shape = self._cache
+        x, out = self._cache
         self._cache = None
-        return tensor.maxpool2_scatter(dy, idx, in_shape)
+        return tensor.maxpool2_scatter(dy, x, out)
 
     def parameters(self):
         return []
@@ -195,15 +201,17 @@ class ReLU:
         return ()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = x
-        return tensor.relu(x)
+        # caching the output, not x, lets a following MaxPool2 share the buffer
+        y = tensor.relu(x)
+        self._cache = y
+        return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise StaleCacheError("ReLU.backward before forward")
-        x = self._cache
+        y = self._cache
         self._cache = None
-        return dy * tensor.relu_grad(x)
+        return dy * tensor.relu_grad(y)
 
     def parameters(self):
         return []
@@ -257,10 +265,17 @@ def _run_forward(layers, x):
     return x
 
 
-def _run_backward(layers, dy):
-    for layer in reversed(layers):
+def _run_backward(layers, dy, need_dx: bool = True):
+    """Backpropagate dy from the last layer to the first and return dx.
+
+    need_dx=False is for layers that read the input chips: a leading Conv
+    then fills its parameter gradients only, and None is returned.
+    """
+    for layer in reversed(layers[1:]):
         dy = layer.backward(dy)
-    return dy
+    if isinstance(layers[0], Conv):
+        return layers[0].backward(dy, need_dx=need_dx)
+    return layers[0].backward(dy)
 
 
 class Network:
@@ -278,7 +293,7 @@ class Network:
         return _run_forward(self.layers, inputs[0])
 
     def backward(self, dpred: np.ndarray) -> None:
-        _run_backward(self.layers, dpred)
+        _run_backward(self.layers, dpred, need_dx=False)
 
     def all_layers(self):
         return list(self.layers)
@@ -313,8 +328,8 @@ class TwoBranchNetwork:
         dfeat = _run_backward(self.head, dpred)
         split = self._split
         self._split = None
-        _run_backward(self.branch_a, dfeat[:, :split])
-        _run_backward(self.branch_b, dfeat[:, split:])
+        _run_backward(self.branch_a, dfeat[:, :split], need_dx=False)
+        _run_backward(self.branch_b, dfeat[:, split:], need_dx=False)
 
     def all_layers(self):
         return list(self.branch_a) + list(self.branch_b) + list(self.head)
@@ -491,6 +506,19 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
+def _param_shapes(path: str, kind: str, cfg: tuple) -> list[tuple[int, ...]]:
+    """Shapes of the parameters a `kind` layer built from `cfg` owns, found without building it."""
+    if kind == "conv" and len(cfg) == 3:
+        k, cin, cout = cfg
+        return [(k, k, cin, cout), (cout,)]
+    if kind == "dense" and len(cfg) == 2:
+        nin, nout = cfg
+        return [(nin, nout), (nout,)]
+    if kind not in ("conv", "dense") and not cfg:
+        return []
+    raise DataError(f"{path}: layer {kind} cannot take {len(cfg)} config value(s)")
+
+
 def _unpack_section(r: _Reader) -> list:
     (count,) = r.unpack("<I")
     layers = []
@@ -498,21 +526,22 @@ def _unpack_section(r: _Reader) -> list:
         tag, ncfg = r.unpack("<BB")
         if tag not in _TAG_KINDS:
             raise DataError(f"{r.path}: unknown layer kind tag {tag}")
+        kind = _TAG_KINDS[tag]
         cfg = r.unpack(f"<{ncfg}I") if ncfg else ()
-        layer = _LAYER_KINDS[_TAG_KINDS[tag]](*cfg)
+        expected = _param_shapes(r.path, kind, cfg)
         (nparams,) = r.unpack("<B")
         params = []
         for _ in range(nparams):
             (ndim,) = r.unpack("<B")
             shape = r.unpack(f"<{ndim}I")
-            n = int(np.prod(shape)) if shape else 1
-            params.append(np.frombuffer(r.take(4 * n), dtype="<f4").reshape(shape).copy())
-        own = layer.parameters()
-        if len(own) != len(params):
-            raise DataError(f"{r.path}: layer {layer.kind} expects {len(own)} params, file has {len(params)}")
-        for dst, src in zip(own, params):
-            if dst.shape != src.shape:
-                raise DataError(f"{r.path}: param shape {src.shape} != expected {dst.shape}")
+            params.append(np.frombuffer(r.take(4 * math.prod(shape)), dtype="<f4").reshape(shape))
+        if [p.shape for p in params] != expected:
+            raise DataError(
+                f"{r.path}: layer {kind}{cfg} expects params {expected}, file has {[p.shape for p in params]}"
+            )
+        # the layer's zeroed parameters are only allocated once the file has shown their bytes
+        layer = _LAYER_KINDS[kind](*cfg)
+        for dst, src in zip(layer.parameters(), params):
             dst[...] = src
         layers.append(layer)
     return layers

@@ -128,11 +128,22 @@ def col2im_add(
     return out
 
 
-def maxpool2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """2x2 stride-2 per-channel max pool.
+def _pad_even(x: np.ndarray) -> np.ndarray:
+    """Pad odd trailing H/W edges of (N, H, W, C) with -inf, so every window is 2x2."""
+    n, h, w, c = x.shape
+    if h % 2 == 0 and w % 2 == 0:
+        return x
+    xp = np.full((n, h + h % 2, w + w % 2, c), -np.inf, dtype=x.dtype)
+    xp[:, :h, :w] = x
+    return xp
 
-    Odd trailing edges are padded with -inf. Returns (pooled, idx) where idx
-    holds the flat within-window argmax (0..3) kept for the backward pass.
+
+def maxpool2(x: np.ndarray) -> np.ndarray:
+    """2x2 stride-2 per-channel max pool of (N, H, W, C) or (H, W, C).
+
+    Odd trailing edges are padded with -inf. The maximum is taken over the
+    four strided views x[:, r::2, s::2], so no window index is stored;
+    maxpool2_scatter recovers it from x and the pooled output.
     """
     x = np.asarray(x)
     single = x.ndim == 3
@@ -140,42 +151,47 @@ def maxpool2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x = x[None]
     if x.ndim != 4:
         raise ShapeError(f"maxpool2 expects (N,H,W,C) or (H,W,C), got {x.shape}")
-    n, h, w, c = x.shape
-    h2, w2 = -(-h // 2), -(-w // 2)
-    if h % 2 or w % 2:
-        xp = np.full((n, h2 * 2, w2 * 2, c), -np.inf, dtype=x.dtype)
-        xp[:, :h, :w] = x
-    else:
-        xp = x
-    win = xp.reshape(n, h2, 2, w2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, h2, w2, 4, c)
-    idx = win.argmax(axis=3)
-    out = np.take_along_axis(win, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+    xp = _pad_even(x)
+    out = np.maximum(xp[:, 0::2, 0::2], xp[:, 0::2, 1::2])
+    np.maximum(out, xp[:, 1::2, 0::2], out=out)
+    np.maximum(out, xp[:, 1::2, 1::2], out=out)
     _check_finite(out, "maxpool2")
-    if single:
-        return out[0], idx[0]
-    return out, idx
-
-
-def maxpool2_scatter(grad: np.ndarray, idx: np.ndarray, in_shape: tuple[int, ...]) -> np.ndarray:
-    """Route pooled gradients back to the argmax positions recorded by maxpool2."""
-    single = len(in_shape) == 3
-    if single:
-        grad, idx, in_shape = grad[None], idx[None], (1, *in_shape)
-    n, h, w, c = in_shape
-    h2, w2 = -(-h // 2), -(-w // 2)
-    win = np.zeros((n, h2, w2, 4, c), dtype=grad.dtype)
-    np.put_along_axis(win, idx[:, :, :, None, :], grad[:, :, :, None, :], axis=3)
-    full = win.reshape(n, h2, w2, 2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, h2 * 2, w2 * 2, c)
-    out = full[:, :h, :w]
     return out[0] if single else out
+
+
+def maxpool2_scatter(grad: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Route pooled gradients back to the input of maxpool2.
+
+    x is the pooled input and out = maxpool2(x). Each window's gradient goes
+    to the first position equal to its maximum, in the order (0,0), (0,1),
+    (1,0), (1,1); every other position gets +0.
+    """
+    single = x.ndim == 3
+    if single:
+        grad, x, out = grad[None], x[None], out[None]
+    h, w = x.shape[1:3]
+    xp = _pad_even(x)
+    dx = np.empty(xp.shape, dtype=grad.dtype)  # the four strided views below cover it exactly once
+    # An integer multiply by the 0/1 mask keeps grad's bits or writes +0; a float
+    # multiply would write -0 under a negative gradient.
+    bits = f"i{grad.itemsize}"
+    free = np.ones(out.shape, dtype=bool)  # windows whose maximum is not yet routed
+    for r, s in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        hit = xp[:, r::2, s::2] == out
+        hit &= free
+        free ^= hit
+        np.multiply(grad.view(bits), hit, out=dx[:, r::2, s::2].view(bits))
+    dx = dx[:, :h, :w]
+    return dx[0] if single else dx
 
 
 def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0)
 
 
-def relu_grad(x: np.ndarray) -> np.ndarray:
-    return (x > 0).astype(x.dtype)
+def relu_grad(y: np.ndarray) -> np.ndarray:
+    """ReLU derivative mask; y may be the ReLU's input or its output (same mask)."""
+    return (y > 0).astype(y.dtype)
 
 
 _BINARY = {

@@ -1,4 +1,6 @@
 import json
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +187,66 @@ def test_eval_split_choice_and_augment_opt_out(tiny_dataset_dir, tmp_path):
 def test_eval_missing_dataset_is_data_error(tmp_path, capsys):
     assert main(["eval", "--data", str(tmp_path / "nope"), "--model", str(tmp_path), "--out", str(tmp_path / "o")]) == 3
     assert "error[data]" in capsys.readouterr().err
+
+
+def saved_model_dir(tmp_path):
+    model_dir = tmp_path / "model"
+    model = fusion.build_model("single-a", 16, 16, 2, 3, 5, seed=0, conv_channels=(2,), dense_units=4)
+    fusion.save_model(model_dir, model)
+    return model_dir
+
+
+def one_layer_fnet(kind, cfg, nparams=0):
+    """A sequential .fnet header holding one layer of `kind` with config `cfg`."""
+    return b"".join([
+        nn.NET_MAGIC,
+        struct.pack("<HHB", nn.NET_VERSION, 0, 0),
+        struct.pack("<IBB", 1, nn._KIND_TAGS[kind], len(cfg)),
+        struct.pack(f"<{len(cfg)}I", *cfg),
+        struct.pack("<B", nparams),
+    ])
+
+
+def eval_is_one_data_error(model_dir, tmp_path, capsys):
+    """eval exits 3 with one error[data] line, raised by the model (it is loaded before the data)."""
+    code = main(["eval", "--data", str(tmp_path / "data"), "--model", str(model_dir), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.strip().splitlines()
+    return code == 3 and len(err) == 1 and err[0].startswith("error[data]:") and str(model_dir) in err[0]
+
+
+def test_eval_fnet_wrong_config_count_is_data_error(tmp_path, capsys):
+    model_dir = saved_model_dir(tmp_path)
+    (model_dir / "net_0.fnet").write_bytes(one_layer_fnet("conv", (3, 2)))
+    assert eval_is_one_data_error(model_dir, tmp_path, capsys)
+
+
+def test_eval_fnet_huge_layer_header_allocates_nothing(tmp_path, capsys):
+    model_dir = saved_model_dir(tmp_path)
+    (model_dir / "net_0.fnet").write_bytes(one_layer_fnet("dense", (40000, 40000), nparams=2) + b"\x02\x40\x9c")
+    tracemalloc.start()
+    try:
+        assert eval_is_one_data_error(model_dir, tmp_path, capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6  # the layer's 6.4 GB of weights is never allocated
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("n_classes", None), ("paradigm", None), ("checkpoints", None), ("chip_shape_b", None),
+     ("n_classes", "five"), ("chip_shape_a", [16, 16]), ("checkpoints", "net_0.fnet"),
+     ("paradigm", "late-mean"), ("alpha", [1, 0, 1, 0, 2])],
+)
+def test_eval_bad_model_json_is_data_error(tmp_path, capsys, key, value):
+    model_dir = saved_model_dir(tmp_path)
+    meta = json.loads((model_dir / "model.json").read_text())
+    if value is None:
+        del meta[key]
+    else:
+        meta[key] = value
+    (model_dir / "model.json").write_text(json.dumps(meta))
+    assert eval_is_one_data_error(model_dir, tmp_path, capsys)
 
 
 # --- weights derive -----------------------------------------------------------------

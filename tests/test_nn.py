@@ -170,6 +170,63 @@ def test_backward_matches_finite_differences():
         assert rel.max() < 1e-4
 
 
+def backward_with_input_gradient(layers, dy):
+    """Reference backward that also computes the first layer's dx."""
+    for layer in reversed(layers):
+        dy = layer.backward(dy)
+    return dy
+
+
+def test_network_backward_skips_only_the_input_gradient():
+    rng = np.random.default_rng(13)
+    net = small_net(rng)
+    x = rng.normal(size=(3, 6, 6, 2)).astype(np.float32)
+    dpred = rng.normal(size=(3, 5)).astype(np.float32)
+    net.forward_batch([x])
+    net.backward(dpred)
+    skipped = [g.copy() for g in nn.gradients(net)]
+    net.forward_batch([x])
+    dx = backward_with_input_gradient(net.layers, dpred)
+    assert dx.shape == x.shape
+    for a, b in zip(skipped, nn.gradients(net)):
+        assert np.array_equal(a, b)
+
+
+def test_two_branch_backward_skips_only_the_input_gradients():
+    rng = np.random.default_rng(14)
+    net = nn.TwoBranchNetwork(
+        [nn.Conv(3, 2, 3, rng), nn.ReLU(), nn.MaxPool2(), nn.Flatten()],
+        [nn.Conv(3, 4, 3, rng), nn.ReLU(), nn.MaxPool2(), nn.Flatten()],
+        [nn.Dense(2 * 3 * 3 * 3, 6, rng), nn.ReLU(), nn.Dense(6, 5, rng), nn.Softmax()],
+    )
+    xa = rng.normal(size=(3, 6, 6, 2)).astype(np.float32)
+    xb = rng.normal(size=(3, 6, 6, 4)).astype(np.float32)
+    dpred = rng.normal(size=(3, 5)).astype(np.float32)
+    net.forward_batch([xa, xb])
+    net.backward(dpred)
+    skipped = [g.copy() for g in nn.gradients(net)]
+    net.forward_batch([xa, xb])
+    dfeat = backward_with_input_gradient(net.head, dpred)
+    assert backward_with_input_gradient(net.branch_a, dfeat[:, :27]).shape == xa.shape
+    assert backward_with_input_gradient(net.branch_b, dfeat[:, 27:]).shape == xb.shape
+    for a, b in zip(skipped, nn.gradients(net)):
+        assert np.array_equal(a, b)
+
+
+def test_conv_backward_returns_dx_unless_told_not_to():
+    rng = np.random.default_rng(15)
+    layer = nn.Conv(3, 2, 3, rng)
+    x = rng.normal(size=(1, 5, 5, 2)).astype(np.float32)
+    dy = rng.normal(size=(1, 5, 5, 3)).astype(np.float32)
+    layer.forward(x)
+    assert layer.backward(dy).shape == x.shape
+    full = [g.copy() for g in layer.gradients()]
+    layer.forward(x)
+    assert layer.backward(dy, need_dx=False) is None
+    for a, b in zip(full, layer.gradients()):
+        assert np.array_equal(a, b)
+
+
 # --- gradient_check -----------------------------------------------------------------
 
 

@@ -54,6 +54,22 @@ def maxpool_oracle(x):
     return out
 
 
+def maxpool_scatter_oracle(grad, x):
+    """Each window's gradient goes to its first maximum in (0,0), (0,1), (1,0), (1,1) order."""
+    h, w, c = x.shape
+    back = np.zeros((h, w, c))
+    for i in range(grad.shape[0]):
+        for j in range(grad.shape[1]):
+            for ch in range(c):
+                best = None
+                for r, s in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                    row, col = 2 * i + r, 2 * j + s
+                    if row < h and col < w and (best is None or x[row, col, ch] > x[best[0], best[1], ch]):
+                        best = (row, col)
+                back[best[0], best[1], ch] = grad[i, j, ch]
+    return back
+
+
 # --- matmul -------------------------------------------------------------------
 
 
@@ -189,15 +205,16 @@ def test_conv2d_errors():
 
 def test_maxpool2_single_window():
     x = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32).reshape(2, 2, 1)
-    out, idx = tensor.maxpool2(x)
+    out = tensor.maxpool2(x)
     assert out.shape == (1, 1, 1)
     assert out[0, 0, 0] == 4.0
-    assert idx[0, 0, 0] == 3
+    back = tensor.maxpool2_scatter(np.ones_like(out), x, out)
+    assert np.array_equal(back[:, :, 0], [[0.0, 0.0], [0.0, 1.0]])  # lands at (1, 1)
 
 
 def test_maxpool2_constant():
     x = np.full((6, 6, 2), 2.5, dtype=np.float32)
-    out, _ = tensor.maxpool2(x)
+    out = tensor.maxpool2(x)
     assert out.shape == (3, 3, 2)
     assert np.all(out == 2.5)
 
@@ -206,7 +223,7 @@ def test_maxpool2_ramp_hand_case():
     x = np.arange(1.0, 17.0, dtype=np.float32).reshape(4, 4, 1)
     expected = np.array([[6.0, 8.0], [14.0, 16.0]]).reshape(2, 2, 1)
     assert np.array_equal(maxpool_oracle(x), expected)
-    out, _ = tensor.maxpool2(x)
+    out = tensor.maxpool2(x)
     assert np.array_equal(out, expected.astype(np.float32))
 
 
@@ -220,7 +237,7 @@ def test_maxpool2_ramp_hand_case():
 def test_maxpool2_properties(seed, h, w, c):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(h, w, c)).astype(np.float32)
-    out, _ = tensor.maxpool2(x)
+    out = tensor.maxpool2(x)
     assert out.shape == (-(-h // 2), -(-w // 2), c)
     assert np.allclose(out, maxpool_oracle(x).astype(np.float32))
     # pooled never exceeds the global max, and every pooled value exists in its window
@@ -235,13 +252,38 @@ def test_maxpool2_properties(seed, h, w, c):
 def test_maxpool2_scatter_inverts_selection():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(4, 6, 2)).astype(np.float32)
-    out, idx = tensor.maxpool2(x)
+    out = tensor.maxpool2(x)
     grad = np.ones_like(out)
-    back = tensor.maxpool2_scatter(grad, idx, x.shape)
+    back = tensor.maxpool2_scatter(grad, x, out)
     assert back.shape == x.shape
     # exactly one unit of gradient lands per window
     assert back.sum() == out.size
     assert np.all((back == 0) | (back == 1))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 2),
+    h=st.integers(1, 7),
+    w=st.integers(1, 7),
+    c=st.integers(1, 3),
+    dtype=st.sampled_from([np.float32, np.float64]),
+)
+@settings(max_examples=80, deadline=None)
+def test_maxpool2_scatter_matches_loop_oracle_on_ties(seed, n, h, w, c, dtype):
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-2, 3, size=(n, h, w, c)).astype(dtype)  # few values: ties in most windows
+    out = tensor.maxpool2(x)
+    grad = rng.integers(-4, 5, size=out.shape).astype(dtype)
+    back = tensor.maxpool2_scatter(grad, x, out)
+    assert back.shape == x.shape and back.dtype == dtype
+    for b in range(n):
+        assert np.array_equal(out[b], maxpool_oracle(x[b]))
+        assert np.array_equal(back[b], maxpool_scatter_oracle(grad[b], x[b]))
+    assert not np.signbit(back[back == 0]).any()  # unrouted positions hold +0, never -0
+    ones = tensor.maxpool2_scatter(np.ones_like(out), x, out)
+    assert ones.sum() == out.size  # exactly one unit per window
+    assert np.all((ones == 0) | (ones == 1))
 
 
 # --- elementwise ----------------------------------------------------------------
