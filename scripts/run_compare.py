@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
-"""Desk-scale experiment: synthesize the default dataset, train all six
-paradigms, and emit the ranked report.
+"""Desk-scale experiment: synthesize the default dataset, train the four
+paradigms that own networks (single-a, single-b, early, joint), build the two
+late paradigms from the single-a and single-b networks, and emit the ranked
+report over all six.
 
 Equivalent to:
     fuselab dataset synth --out runs/dataset --seed 0

@@ -9,10 +9,9 @@ output directory receives the fully resolved run-config.json.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import data, evaluation, fusion, train as training
 from .config import Resolver, parse_bool, parse_fractions
@@ -89,7 +88,11 @@ def build_parser() -> argparse.ArgumentParser:
     derive.add_argument("--cm-b", dest="cm_b", required=True, help="confusion CSV for the modality-B model")
     derive.set_defaults(func=cmd_weights_derive)
 
-    cp = sub.add_parser("compare", help="train and rank all six paradigms (or rank supplied tables)")
+    cp = sub.add_parser(
+        "compare",
+        help="train and rank all six paradigms, late fusion over the single-modality networks "
+        "(or rank supplied tables)",
+    )
     _add_common(cp)
     cp.add_argument("--data")
     cp.add_argument("--from-tables", dest="from_tables", help="metrics CSV to rank instead of training")
@@ -138,9 +141,7 @@ def _split_samples(dsplit: data.DatasetSplit, name: str):
 
 
 def _evaluate_model(model, samples, class_names):
-    preds = training._model_predictions(model, samples)
-    truths = training._labels(samples)
-    cm = evaluation.confusion_matrix(preds, truths, class_names)
+    cm = training.confusion(model, samples, class_names)
     return cm, evaluation.metrics_from_cm(cm)
 
 
@@ -238,6 +239,10 @@ def cmd_eval(args) -> int:
             f"dataset chips {probe.chip_a.shape}/{probe.chip_b.shape} do not match "
             f"model spec {model.chip_shape_a}/{model.chip_shape_b}"
         )
+    if model.n_classes != len(dsplit.class_names):
+        raise ShapeError(
+            f"model {args.model} has {model.n_classes} classes, dataset {args.data} has {len(dsplit.class_names)}"
+        )
     cm, table = _evaluate_model(model, samples, dsplit.class_names)
     out.mkdir(parents=True, exist_ok=True)
     _write_eval_files(out, model.paradigm, cm, table)
@@ -252,7 +257,7 @@ def cmd_weights_derive(args) -> int:
     resolver.get("quiet", parse_bool, False)
     cm_a = evaluation.parse_confusion_csv(args.cm_a)
     cm_b = evaluation.parse_confusion_csv(args.cm_b)
-    alpha, beta = fusion.derive_weights(np.diag(cm_a.row_normalized), np.diag(cm_b.row_normalized))
+    alpha, beta = fusion.weights_from_confusions(cm_a, cm_b)
     line = '{"alpha": %s, "beta": %s}' % ([float(v) for v in alpha], [float(v) for v in beta])
     out = resolver.get("out", str, None)
     if out is not None:
@@ -282,18 +287,20 @@ def cmd_compare(args) -> int:
         cfg_probe = _train_config(resolver, COMPARE_EPOCHS_DEFAULT, seed)
         dsplit = _load_and_augment(resolver, args.data)
         tables = {}
+        trained = {}  # single-a / single-b: (model, history), which the late paradigms aggregate
         for idx, paradigm in enumerate(fusion.PARADIGMS):
             pdir = out / paradigm
             pdir.mkdir(parents=True, exist_ok=True)
-            cfg = training.TrainConfig(
-                epochs=cfg_probe.epochs,
-                batch_size=cfg_probe.batch_size,
-                learning_rate=cfg_probe.learning_rate,
-                optimizer=cfg_probe.optimizer,
-                seed=seed + 10 * (idx + 1),
-            )
-            model = _model_for_dataset(paradigm, dsplit, seed + idx)
-            history = training.train(model, dsplit, cfg)
+            if paradigm in fusion.LATE_PARADIGMS:
+                (model_a, history_a), (model_b, history_b) = trained["single-a"], trained["single-b"]
+                model = fusion.late_model(paradigm, model_a, model_b)
+                history = training.fuse_late(model, [history_a, history_b], dsplit)
+            else:
+                cfg = dataclasses.replace(cfg_probe, seed=seed + 10 * (idx + 1))
+                model = _model_for_dataset(paradigm, dsplit, seed + idx)
+                history = training.train(model, dsplit, cfg)
+                if paradigm in ("single-a", "single-b"):
+                    trained[paradigm] = model, history
             fusion.save_model(pdir, model)
             training.save_history(pdir / "history.csv", history)
             cm, table = _evaluate_model(model, dsplit.val, dsplit.class_names)

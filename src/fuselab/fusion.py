@@ -5,13 +5,16 @@ Paradigms:
   early                one backbone over the channel-concatenated chips
   joint                per-modality conv branches, features concatenated
                        into one shared fully connected head
-  late-mean            two independent backbones, predictions averaged
-  late-weighted        two independent backbones, predictions combined
-                       per class with binary complementary weights
+  late-mean            the single-a and single-b backbones, predictions
+                       averaged
+  late-weighted        the single-a and single-b backbones, predictions
+                       combined per class with binary complementary weights
 
 Modality A is the SAR-like input (speckled, few channels), modality B the
 multispectral-like input (many bands). The weighted variant picks, class by
 class, whichever single-modality model validated better; see derive_weights.
+A late model adds no network of its own: its two networks are a single-a and a
+single-b model's (see late_model and late_members).
 """
 
 from __future__ import annotations
@@ -113,7 +116,7 @@ def build_model(
         flat = _pooled_extent(height, stages) * _pooled_extent(width, stages) * conv_channels[-1]
         head = _head(2 * flat, dense_units, n_classes, rng)
         nets = [nn.TwoBranchNetwork(branch_a, branch_b, head)]
-    else:  # late-mean / late-weighted: two full, independently trained backbones
+    else:  # late-mean / late-weighted: a single-a backbone, then a single-b one
         nets = [
             _backbone(height, width, channels_a, *args),
             _backbone(height, width, channels_b, *args),
@@ -124,6 +127,22 @@ def build_model(
         chip_shape_a=(height, width, channels_a),
         chip_shape_b=(height, width, channels_b),
         n_classes=n_classes,
+    )
+
+
+def late_model(paradigm: str, single_a: FusionModel, single_b: FusionModel) -> FusionModel:
+    """The late model over a single-a and a single-b model; it shares their networks."""
+    if paradigm not in LATE_PARADIGMS or (single_a.paradigm, single_b.paradigm) != ("single-a", "single-b"):
+        raise ValueError(f"cannot build {paradigm} from {single_a.paradigm} and {single_b.paradigm} models")
+    return FusionModel(paradigm, single_a.nets + single_b.nets, single_a.chip_shape_a, single_a.chip_shape_b,
+                       single_a.n_classes)
+
+
+def late_members(model: FusionModel) -> tuple[FusionModel, FusionModel]:
+    """The single-a and single-b models whose networks a late model aggregates (shared, not copied)."""
+    return tuple(
+        FusionModel(paradigm, [net], model.chip_shape_a, model.chip_shape_b, model.n_classes)
+        for paradigm, net in zip(("single-a", "single-b"), model.nets)
     )
 
 
@@ -185,23 +204,32 @@ def derive_weights(recall_a, recall_b) -> tuple[np.ndarray, np.ndarray]:
     return alpha, 1.0 - alpha
 
 
+def weights_from_confusions(cm_a, cm_b) -> tuple[np.ndarray, np.ndarray]:
+    """derive_weights over the per-class recalls (row-normalized diagonals) of
+    the two models' confusion matrices, e.g. on the validation split."""
+    return derive_weights(np.diag(cm_a.row_normalized), np.diag(cm_b.row_normalized))
+
+
 def predict_batch(model: FusionModel, chips_a: np.ndarray, chips_b: np.ndarray) -> np.ndarray:
-    """Route a batch of paired chips through the model; returns (N, C) decisions."""
+    """Route a batch of paired chips through the model; returns (N, C) decisions.
+
+    Forward only: the networks keep no layer cache (see nn.Network.infer).
+    """
     if chips_a.shape[1:] != model.chip_shape_a:
         raise ShapeError(f"modality-A chips {chips_a.shape[1:]} != model spec {model.chip_shape_a}")
     if chips_b.shape[1:] != model.chip_shape_b:
         raise ShapeError(f"modality-B chips {chips_b.shape[1:]} != model spec {model.chip_shape_b}")
     p = model.paradigm
     if p == "single-a":
-        return model.nets[0].forward_batch([chips_a])
+        return model.nets[0].infer([chips_a])
     if p == "single-b":
-        return model.nets[0].forward_batch([chips_b])
+        return model.nets[0].infer([chips_b])
     if p == "early":
-        return model.nets[0].forward_batch([np.concatenate([chips_a, chips_b], axis=-1)])
+        return model.nets[0].infer([np.concatenate([chips_a, chips_b], axis=-1)])
     if p == "joint":
-        return model.nets[0].forward_batch([chips_a, chips_b])
-    pred_a = model.nets[0].forward_batch([chips_a])
-    pred_b = model.nets[1].forward_batch([chips_b])
+        return model.nets[0].infer([chips_a, chips_b])
+    pred_a = model.nets[0].infer([chips_a])
+    pred_b = model.nets[1].infer([chips_b])
     if p == "late-mean":
         return late_aggregate_mean(pred_a, pred_b)
     if model.alpha is None or model.beta is None:

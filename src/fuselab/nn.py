@@ -3,6 +3,7 @@
 Every layer follows the same protocol: forward(x) caches what backward needs,
 backward(dy) returns dx and fills per-parameter gradients. Networks skip dx of
 the layer that reads the input chips: nothing uses a gradient of the data.
+A network's infer() is the forward-only pass and leaves no layer cache.
 Shapes are batched, channel-last: images (N, H, W, C), features (N, D),
 predictions (N, C).
 """
@@ -259,9 +260,17 @@ class Softmax:
 _LAYER_KINDS = {cls.kind: cls for cls in (Conv, MaxPool2, Flatten, Dense, ReLU, Softmax)}
 
 
-def _run_forward(layers, x):
+def _run_forward(layers, x, keep_cache: bool = True):
+    """Run x through the layers and return the output.
+
+    keep_cache=False is the forward-only path: each layer's cache is dropped
+    as soon as the layer has returned, so the pass keeps no intermediates for
+    a backward that will not come and leaves none behind for the next batch.
+    """
     for layer in layers:
         x = layer.forward(x)
+        if not keep_cache:
+            layer._cache = None
     return x
 
 
@@ -278,7 +287,28 @@ def _run_backward(layers, dy, need_dx: bool = True):
     return layers[0].backward(dy)
 
 
-class Network:
+class _Net:
+    """Entry points shared by the two network kinds; each supplies n_inputs and _forward."""
+
+    n_inputs: int
+
+    def forward_batch(self, inputs) -> np.ndarray:
+        """Batched forward pass; every layer keeps what backward needs."""
+        return self._forward(self._input_list(inputs), keep_cache=True)
+
+    def infer(self, inputs) -> np.ndarray:
+        """Batched forward pass for prediction only: no layer keeps a cache,
+        so backward cannot follow it. Outputs equal forward_batch's."""
+        return self._forward(self._input_list(inputs), keep_cache=False)
+
+    def _input_list(self, inputs) -> list:
+        inputs = _as_input_list(inputs)
+        if len(inputs) != self.n_inputs:
+            raise ShapeError(f"this network takes {self.n_inputs} input(s), got {len(inputs)}")
+        return inputs
+
+
+class Network(_Net):
     """Single-input sequential classifier ending in Softmax."""
 
     n_inputs = 1
@@ -286,11 +316,8 @@ class Network:
     def __init__(self, layers: list):
         self.layers = layers
 
-    def forward_batch(self, inputs) -> np.ndarray:
-        inputs = _as_input_list(inputs)
-        if len(inputs) != 1:
-            raise ShapeError(f"this network takes 1 input, got {len(inputs)}")
-        return _run_forward(self.layers, inputs[0])
+    def _forward(self, inputs, keep_cache: bool) -> np.ndarray:
+        return _run_forward(self.layers, inputs[0], keep_cache)
 
     def backward(self, dpred: np.ndarray) -> None:
         _run_backward(self.layers, dpred, need_dx=False)
@@ -302,7 +329,7 @@ class Network:
         return Network([l.astype(dtype) for l in self.layers])
 
 
-class TwoBranchNetwork:
+class TwoBranchNetwork(_Net):
     """Two convolutional feature branches concatenated into a shared head."""
 
     n_inputs = 2
@@ -313,14 +340,11 @@ class TwoBranchNetwork:
         self.head = head
         self._split = None
 
-    def forward_batch(self, inputs) -> np.ndarray:
-        inputs = _as_input_list(inputs)
-        if len(inputs) != 2:
-            raise ShapeError(f"this network takes 2 inputs, got {len(inputs)}")
-        fa = _run_forward(self.branch_a, inputs[0])
-        fb = _run_forward(self.branch_b, inputs[1])
-        self._split = fa.shape[1]
-        return _run_forward(self.head, np.concatenate([fa, fb], axis=1))
+    def _forward(self, inputs, keep_cache: bool) -> np.ndarray:
+        fa = _run_forward(self.branch_a, inputs[0], keep_cache)
+        fb = _run_forward(self.branch_b, inputs[1], keep_cache)
+        self._split = fa.shape[1] if keep_cache else None
+        return _run_forward(self.head, np.concatenate([fa, fb], axis=1), keep_cache)
 
     def backward(self, dpred: np.ndarray) -> None:
         if self._split is None:
@@ -368,10 +392,7 @@ def n_params(net) -> int:
 
 def forward(net, inputs) -> np.ndarray:
     """Run one unbatched sample through the network, returning a length-C vector."""
-    inputs = _as_input_list(inputs)
-    if len(inputs) != net.n_inputs:
-        raise ShapeError(f"network takes {net.n_inputs} input(s), got {len(inputs)}")
-    return net.forward_batch([x[None] for x in inputs])[0]
+    return net.infer([x[None] for x in _as_input_list(inputs)])[0]
 
 
 def _validate_one_hot(truth: np.ndarray) -> None:

@@ -1,4 +1,4 @@
-"""Dense tensor kernels: matmul, 2-D convolution, pooling, elementwise ops.
+"""Dense tensor kernels: matmul, 2-D convolution, pooling, ReLU.
 
 Layout convention, used everywhere in this package: arrays are row-major
 (C order), channel-last. Images are (H, W, C), batches are (N, H, W, C),
@@ -193,28 +193,3 @@ def relu_grad(y: np.ndarray) -> np.ndarray:
     """ReLU derivative mask; y may be the ReLU's input or its output (same mask)."""
     return (y > 0).astype(y.dtype)
 
-
-_BINARY = {
-    "add": np.add,
-    "sub": np.subtract,
-    "mul": np.multiply,
-}
-
-
-def elementwise(op: str, a: np.ndarray, b: np.ndarray | float | None = None) -> np.ndarray:
-    """Pointwise op dispatcher: add | sub | mul | scale | relu | relu_grad."""
-    a = np.asarray(a)
-    if op in _BINARY:
-        b = np.asarray(b)
-        if a.shape != b.shape:
-            raise ShapeError(f"elementwise {op}: shapes {a.shape} and {b.shape} differ")
-        return _check_finite(_BINARY[op](a, b), op)
-    if op == "scale":
-        if b is None or np.ndim(b) != 0:
-            raise ShapeError("elementwise scale needs a scalar second operand")
-        return _check_finite(a * a.dtype.type(b), op)
-    if op == "relu":
-        return relu(a)
-    if op == "relu_grad":
-        return relu_grad(a)
-    raise ShapeError(f"unknown elementwise op {op!r}")

@@ -1,10 +1,12 @@
 """Supervised training for any fusion model, plus the SGD/Adam update rules.
 
-Late paradigms train their two single-modality networks independently (each
-network only ever sees its own modality); epochs are interleaved so the
-history can track the fused predictor as it forms. The weighted variant
-derives its per-class binary weights from validation recalls after the last
-epoch, leaving the test split untouched.
+A late model is the aggregation of a single-a and a single-b model (see
+fusion.late_model): each of its two networks trains as that single-modality
+model, on its own RNG stream, and only ever sees its own modality. The late
+history pools the two networks' training tallies, and its validation columns
+score the mean of the two networks' predictions after each epoch. The weighted
+variant derives its per-class binary weights from the two networks' validation
+recalls, leaving the test split untouched.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import fusion, nn
 from .errors import NumericError
-from .evaluation import confusion_matrix
+from .evaluation import ConfusionMatrix, confusion_matrix
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -48,10 +50,20 @@ class TrainConfig:
 @dataclass
 class EpochRecord:
     epoch: int
-    train_loss: float
-    train_accuracy: float
+    train_loss_sum: float  # per-sample losses summed over the epoch
+    train_correct: int
+    train_seen: int
     val_loss: float
     val_accuracy: float
+    val_predictions: np.ndarray | None = field(default=None, repr=False)  # what the val columns score
+
+    @property
+    def train_loss(self) -> float:
+        return self.train_loss_sum / self.train_seen
+
+    @property
+    def train_accuracy(self) -> float:
+        return self.train_correct / self.train_seen
 
 
 @dataclass
@@ -159,102 +171,100 @@ def _net_inputs(paradigm: str, samples):
 
 
 def _model_predictions(model: fusion.FusionModel, samples) -> np.ndarray:
-    """Fused decision vectors in fixed order (late-weighted falls back to the
-    mean while its weights are still underived)."""
-    out = []
-    for i in range(0, len(samples), EVAL_BATCH):
-        chunk = samples[i : i + EVAL_BATCH]
-        a, b = _stack_a(chunk), _stack_b(chunk)
-        if model.paradigm == "late-weighted" and model.alpha is None:
-            pred = fusion.late_aggregate_mean(
-                model.nets[0].forward_batch([a]), model.nets[1].forward_batch([b])
-            )
-        else:
-            pred = fusion.predict_batch(model, a, b)
-        out.append(pred)
-    return np.concatenate(out)
+    """Decision vectors in sample order, computed forward-only in EVAL_BATCH chunks."""
+    return np.concatenate([
+        fusion.predict_batch(model, _stack_a(chunk), _stack_b(chunk))
+        for chunk in (samples[i : i + EVAL_BATCH] for i in range(0, len(samples), EVAL_BATCH))
+    ])
 
 
-def _net_predictions(net, extract, samples) -> np.ndarray:
-    out = []
-    for i in range(0, len(samples), EVAL_BATCH):
-        chunk = samples[i : i + EVAL_BATCH]
-        out.append(net.forward_batch(extract(chunk)))
-    return np.concatenate(out)
+def confusion(model: fusion.FusionModel, samples, class_names) -> ConfusionMatrix:
+    """Confusion matrix of the model's decisions on the samples."""
+    return confusion_matrix(_model_predictions(model, samples), _labels(samples), class_names)
 
 
-def per_class_recall(predictions, truths, n_classes: int) -> np.ndarray:
-    cm = confusion_matrix(predictions, truths, [str(i) for i in range(n_classes)])
-    return np.diag(cm.row_normalized)
-
-
-def train(model: fusion.FusionModel, dsplit, config: TrainConfig) -> TrainHistory:
-    """Train the model in place; deterministic given config.seed.
-
-    Raises NumericError with a diagnostic if the loss goes non-finite.
-    """
-    if not dsplit.train:
-        raise ValueError("training split is empty")
-    if model.paradigm in fusion.LATE_PARADIGMS:
-        jobs = [(model.nets[0], lambda s: [_stack_a(s)]), (model.nets[1], lambda s: [_stack_b(s)])]
+def _record(epoch, loss_sum, correct, seen, val_pred, dsplit) -> EpochRecord:
+    if val_pred is None:
+        val_loss, val_acc = float("nan"), float("nan")
     else:
-        jobs = [(model.nets[0], lambda s: _net_inputs(model.paradigm, s))]
-    optimizers = [_make_optimizer(net, config) for net, _ in jobs]
-    rngs = [np.random.default_rng([config.seed, j]) for j in range(len(jobs))]
+        val_truth = _labels(dsplit.val)
+        val_loss = nn.cross_entropy(val_pred, val_truth)
+        val_acc = float((val_pred.argmax(axis=1) == val_truth.argmax(axis=1)).mean())
+    return EpochRecord(epoch, loss_sum, correct, seen, val_loss, val_acc, val_pred)
 
+
+def _fit(model: fusion.FusionModel, dsplit, config: TrainConfig, stream: int) -> TrainHistory:
+    """Train a one-network model in place, shuffling with RNG stream [config.seed, stream]."""
+    net = model.nets[0]
+    optimizer = _make_optimizer(net, config)
+    rng = np.random.default_rng([config.seed, stream])
     n = len(dsplit.train)
     history = TrainHistory()
     for epoch in range(config.epochs):
         loss_sum = 0.0
         correct = 0
-        seen = 0
-        for j, (net, extract) in enumerate(jobs):
-            perm = rngs[j].permutation(n)
-            for start in range(0, n, config.batch_size):
-                batch = [dsplit.train[i] for i in perm[start : start + config.batch_size]]
-                xs = extract(batch)
-                y = _labels(batch)
-                pred = net.forward_batch(xs)
-                loss = nn.cross_entropy(pred, y)
-                if not math.isfinite(loss):
-                    raise NumericError(
-                        f"non-finite training loss at epoch {epoch}, batch {start // config.batch_size} "
-                        f"(paradigm {model.paradigm}, net {j}); try a lower learning rate"
-                    )
-                net.backward(nn.cross_entropy_grad(pred, y))
-                optimizers[j].step(nn.gradients(net))
-                loss_sum += loss * len(batch)
-                correct += int((pred.argmax(axis=1) == y.argmax(axis=1)).sum())
-                seen += len(batch)
-        if dsplit.val:
-            val_pred = _model_predictions(model, dsplit.val)
-            val_truth = _labels(dsplit.val)
-            val_loss = nn.cross_entropy(val_pred, val_truth)
-            val_acc = float((val_pred.argmax(axis=1) == val_truth.argmax(axis=1)).mean())
-        else:
-            val_loss, val_acc = float("nan"), float("nan")
-        history.records.append(
-            EpochRecord(
-                epoch=epoch,
-                train_loss=loss_sum / seen,
-                train_accuracy=correct / seen,
-                val_loss=val_loss,
-                val_accuracy=val_acc,
-            )
-        )
+        perm = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            batch = [dsplit.train[i] for i in perm[start : start + config.batch_size]]
+            xs = _net_inputs(model.paradigm, batch)
+            y = _labels(batch)
+            pred = net.forward_batch(xs)
+            loss = nn.cross_entropy(pred, y)
+            if not math.isfinite(loss):
+                raise NumericError(
+                    f"non-finite training loss at epoch {epoch}, batch {start // config.batch_size} "
+                    f"({model.paradigm} network, RNG stream {stream}); try a lower learning rate"
+                )
+            net.backward(nn.cross_entropy_grad(pred, y))
+            optimizer.step(nn.gradients(net))
+            loss_sum += loss * len(batch)
+            correct += int((pred.argmax(axis=1) == y.argmax(axis=1)).sum())
+        val_pred = _model_predictions(model, dsplit.val) if dsplit.val else None
+        history.records.append(_record(epoch, loss_sum, correct, n, val_pred, dsplit))
+    return history
 
+
+def fuse_late(model: fusion.FusionModel, histories, dsplit) -> TrainHistory:
+    """Finish a late model whose two networks are trained; return its history.
+
+    histories are the training histories of fusion.late_members(model).
+    late-weighted derives its weights from the members' validation confusion
+    matrices, the ones `weights derive` reads. The late history pools the
+    members' training tallies epoch by epoch, and scores the mean of their
+    validation predictions.
+    """
     if model.paradigm == "late-weighted":
         if not dsplit.val:
             raise ValueError("late-weighted needs a validation split to derive its weights")
-        truths = _labels(dsplit.val)
-        recall_a = per_class_recall(
-            _net_predictions(model.nets[0], lambda s: [_stack_a(s)], dsplit.val), truths, model.n_classes
-        )
-        recall_b = per_class_recall(
-            _net_predictions(model.nets[1], lambda s: [_stack_b(s)], dsplit.val), truths, model.n_classes
-        )
-        model.set_fusion_weights(*fusion.derive_weights(recall_a, recall_b))
-    return history
+        cms = [confusion(member, dsplit.val, dsplit.class_names) for member in fusion.late_members(model)]
+        model.set_fusion_weights(*fusion.weights_from_confusions(*cms))
+    pooled = TrainHistory()
+    for ra, rb in zip(histories[0].records, histories[1].records):
+        val_pred = None
+        if ra.val_predictions is not None:
+            val_pred = fusion.late_aggregate_mean(ra.val_predictions, rb.val_predictions)
+        pooled.records.append(_record(
+            ra.epoch, ra.train_loss_sum + rb.train_loss_sum, ra.train_correct + rb.train_correct,
+            ra.train_seen + rb.train_seen, val_pred, dsplit,
+        ))
+    return pooled
+
+
+def train(model: fusion.FusionModel, dsplit, config: TrainConfig) -> TrainHistory:
+    """Train the model in place; deterministic given config.seed.
+
+    A late model's networks train one after the other as its single-a and
+    single-b members, on RNG streams [seed, 0] and [seed, 1]; fuse_late then
+    aggregates them. Raises NumericError with a diagnostic if the loss goes
+    non-finite.
+    """
+    if not dsplit.train:
+        raise ValueError("training split is empty")
+    if model.paradigm not in fusion.LATE_PARADIGMS:
+        return _fit(model, dsplit, config, stream=0)
+    members = fusion.late_members(model)
+    histories = [_fit(member, dsplit, config, stream) for stream, member in enumerate(members)]
+    return fuse_late(model, histories, dsplit)
 
 
 def save_history(path, history: TrainHistory) -> None:

@@ -119,6 +119,17 @@ def test_train_late_weighted_writes_two_checkpoints_and_weights(tiny_dataset_dir
     assert (out / "history.csv").exists()
 
 
+def test_train_late_net_0_equals_single_a(tiny_dataset_dir, tmp_path):
+    outs = {}
+    for paradigm in ("single-a", "late-mean"):
+        outs[paradigm] = tmp_path / paradigm
+        assert main(
+            ["train", "--data", str(tiny_dataset_dir), "--paradigm", paradigm,
+             "--out", str(outs[paradigm]), "--epochs", "1", "--seed", "7", "--quiet"]
+        ) == 0
+    assert (outs["late-mean"] / "net_0.fnet").read_bytes() == (outs["single-a"] / "net_0.fnet").read_bytes()
+
+
 def test_train_early_first_layer_spans_modalities(tiny_dataset_dir, tmp_path):
     out = tmp_path / "model"
     assert main(
@@ -187,6 +198,24 @@ def test_eval_split_choice_and_augment_opt_out(tiny_dataset_dir, tmp_path):
 def test_eval_missing_dataset_is_data_error(tmp_path, capsys):
     assert main(["eval", "--data", str(tmp_path / "nope"), "--model", str(tmp_path), "--out", str(tmp_path / "o")]) == 3
     assert "error[data]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model_classes, data_classes", [(4, 5), (5, 4)])
+def test_eval_class_count_mismatch_is_data_error(tmp_path, capsys, model_classes, data_classes):
+    dirs = {}
+    for n in {model_classes, data_classes}:
+        dirs[n] = tmp_path / f"data{n}"
+        assert main(synth_args(dirs[n], per_class=4, extra=("--classes", str(n)))) == 0
+    model_dir = tmp_path / "model"
+    assert main(["train", "--data", str(dirs[model_classes]), "--paradigm", "single-a",
+                 "--out", str(model_dir), "--epochs", "0", "--quiet"]) == 0
+    capsys.readouterr()
+    code = main(["eval", "--data", str(dirs[data_classes]), "--model", str(model_dir), "--split", "train",
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 3
+    assert len(err) == 1 and err[0].startswith("error[data]:") and "classes" in err[0]
+    assert not (tmp_path / "o" / "confusion.csv").exists()
 
 
 def saved_model_dir(tmp_path):
@@ -298,6 +327,32 @@ def test_compare_training_runs_are_byte_identical(tmp_path):
         outs.append(out)
     for rel in ["report.csv"] + [f"{p}/metrics.csv" for p in fusion.PARADIGMS] + [f"{p}/history.csv" for p in fusion.PARADIGMS]:
         assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
+
+
+@pytest.fixture(scope="module")
+def small_compare(tmp_path_factory):
+    root = tmp_path_factory.mktemp("compare")
+    assert main(synth_args(root / "d", per_class=10, size=16)) == 0
+    assert main(["compare", "--data", str(root / "d"), "--out", str(root / "c"), "--epochs", "1",
+                 "--seed", "2", "--quiet"]) == 0
+    return root / "c"
+
+
+def test_compare_late_models_reuse_the_single_networks(small_compare):
+    for late in fusion.LATE_PARADIGMS:
+        meta = json.loads((small_compare / late / "model.json").read_text())
+        assert meta["checkpoints"] == ["net_0.fnet", "net_1.fnet"]
+        for name, single in zip(meta["checkpoints"], ("single-a", "single-b")):
+            assert (small_compare / late / name).read_bytes() == (small_compare / single / "net_0.fnet").read_bytes()
+
+
+def test_compare_late_weights_match_weights_derive(small_compare, capsys):
+    capsys.readouterr()
+    assert main(["weights", "derive", "--cm-a", str(small_compare / "single-a" / "confusion.csv"),
+                 "--cm-b", str(small_compare / "single-b" / "confusion.csv")]) == 0
+    printed = json.loads(capsys.readouterr().out.strip())
+    meta = json.loads((small_compare / "late-weighted" / "model.json").read_text())
+    assert printed == {"alpha": meta["alpha"], "beta": meta["beta"]}
 
 
 # --- config precedence -----------------------------------------------------------------

@@ -218,6 +218,16 @@ def test_predict_rejects_wrong_chip_shape(rng):
         fusion.predict(model, sample)
 
 
+def test_predict_batch_leaves_no_layer_cache(rng):
+    chips_a = rng.normal(size=(2, 8, 8, 2)).astype(np.float32)
+    chips_b = rng.normal(size=(2, 8, 8, 3)).astype(np.float32)
+    for paradigm, model in _tiny_models(seed=4).items():
+        if paradigm == "late-weighted":
+            model.set_fusion_weights(np.ones(5), np.zeros(5))
+        fusion.predict_batch(model, chips_a, chips_b)
+        assert all(layer._cache is None for net in model.nets for layer in net.all_layers()), paradigm
+
+
 def test_late_weighted_predict_requires_weights(rng):
     model = _tiny_models()["late-weighted"]
     chips_a = rng.normal(size=(1, 8, 8, 2)).astype(np.float32)

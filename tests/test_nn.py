@@ -334,3 +334,33 @@ def test_checkpoint_version_mismatch(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(VersionMismatchError):
         nn.load_network(path)
+
+
+def two_branch_net(rng):
+    return nn.TwoBranchNetwork(
+        [nn.Conv(3, 2, 3, rng), nn.ReLU(), nn.MaxPool2(), nn.Flatten()],
+        [nn.Conv(3, 4, 3, rng), nn.ReLU(), nn.MaxPool2(), nn.Flatten()],
+        [nn.Dense(2 * 3 * 3 * 3, 6, rng), nn.ReLU(), nn.Dense(6, 5, rng), nn.Softmax()],
+    )
+
+
+@pytest.mark.parametrize("make, channels", [(small_net, (2,)), (two_branch_net, (2, 4))])
+def test_infer_keeps_no_cache_and_leaves_training_unchanged(make, channels):
+    rng = np.random.default_rng(15)
+    xs = [rng.normal(size=(3, 6, 6, c)).astype(np.float32) for c in channels]
+    others = [rng.normal(size=(4, 6, 6, c)).astype(np.float32) for c in channels]
+    dpred = rng.normal(size=(3, 5)).astype(np.float32)
+    reference = make(np.random.default_rng(16))
+    reference.forward_batch(xs)
+    reference.backward(dpred)
+
+    net = make(np.random.default_rng(16))
+    assert np.array_equal(net.infer(xs), net.forward_batch(xs))
+    net.infer(others)
+    assert all(layer._cache is None for layer in net.all_layers())
+    with pytest.raises(StaleCacheError):
+        net.backward(dpred)
+    net.forward_batch(xs)
+    net.backward(dpred)
+    for a, b in zip(nn.gradients(reference), nn.gradients(net)):
+        assert np.array_equal(a, b)

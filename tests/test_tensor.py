@@ -286,30 +286,13 @@ def test_maxpool2_scatter_matches_loop_oracle_on_ties(seed, n, h, w, c, dtype):
     assert np.all((ones == 0) | (ones == 1))
 
 
-# --- elementwise ----------------------------------------------------------------
+
+# --- relu ------------------------------------------------------------------------
 
 
-def test_elementwise_relu():
-    assert np.array_equal(tensor.elementwise("relu", np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
+def test_relu():
+    assert np.array_equal(tensor.relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
 
 
-def test_elementwise_add_identity():
-    x = np.array([1.5, -2.0, 3.0], dtype=np.float32)
-    assert np.array_equal(tensor.elementwise("add", x, np.zeros(3, dtype=np.float32)), x)
-
-
-def test_elementwise_scale():
-    assert np.allclose(tensor.elementwise("scale", np.array([1.0, 2.0, 3.0]), 0.5), [0.5, 1.0, 1.5])
-
-
-def test_elementwise_relu_grad():
-    assert np.array_equal(tensor.elementwise("relu_grad", np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 1.0])
-
-
-def test_elementwise_shape_mismatch():
-    with pytest.raises(ShapeError):
-        tensor.elementwise("add", np.zeros(3), np.zeros(4))
-    with pytest.raises(ShapeError):
-        tensor.elementwise("scale", np.zeros(3), np.zeros(3))
-    with pytest.raises(ShapeError):
-        tensor.elementwise("nope", np.zeros(3))
+def test_relu_grad():
+    assert np.array_equal(tensor.relu_grad(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 1.0])
