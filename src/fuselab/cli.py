@@ -286,6 +286,7 @@ def cmd_compare(args) -> int:
             raise ValueError("compare needs --data (or --from-tables)")
         cfg_probe = _train_config(resolver, COMPARE_EPOCHS_DEFAULT, seed)
         dsplit = _load_and_augment(resolver, args.data)
+        stats = training.input_stats(dsplit.train)  # the same for every model, so measured once
         tables = {}
         trained = {}  # single-a / single-b: (model, history), which the late paradigms aggregate
         for idx, paradigm in enumerate(fusion.PARADIGMS):
@@ -298,6 +299,7 @@ def cmd_compare(args) -> int:
             else:
                 cfg = dataclasses.replace(cfg_probe, seed=seed + 10 * (idx + 1))
                 model = _model_for_dataset(paradigm, dsplit, seed + idx)
+                model.set_input_stats(*stats)
                 history = training.train(model, dsplit, cfg)
                 if paradigm in ("single-a", "single-b"):
                     trained[paradigm] = model, history

@@ -15,6 +15,10 @@ multispectral-like input (many bands). The weighted variant picks, class by
 class, whichever single-modality model validated better; see derive_weights.
 A late model adds no network of its own: its two networks are a single-a and a
 single-b model's (see late_model and late_members).
+
+Every model standardizes its input chips per channel with the mean and
+standard deviation of its training chips (InputStats, set by training and
+stored in model.json); a model that has none sees the raw chips.
 """
 
 from __future__ import annotations
@@ -35,6 +39,24 @@ DEFAULT_CONV_CHANNELS = (16, 32, 64)
 DEFAULT_DENSE_UNITS = 128
 
 
+@dataclass(frozen=True)
+class InputStats:
+    """Per-channel mean and standard deviation (float32) of each modality's training chips."""
+
+    mean_a: np.ndarray
+    std_a: np.ndarray
+    mean_b: np.ndarray
+    std_b: np.ndarray
+
+    def check(self, channels_a: int, channels_b: int) -> None:
+        for name, value, n in (("mean_a", self.mean_a, channels_a), ("std_a", self.std_a, channels_a),
+                               ("mean_b", self.mean_b, channels_b), ("std_b", self.std_b, channels_b)):
+            if value.shape != (n,) or not np.isfinite(value).all():
+                raise ValueError(f"input stats {name} must be {n} finite values, got {value.tolist()}")
+        if not ((self.std_a > 0).all() and (self.std_b > 0).all()):
+            raise ValueError("input stats std_a and std_b must be positive")
+
+
 @dataclass
 class FusionModel:
     paradigm: str
@@ -44,12 +66,40 @@ class FusionModel:
     n_classes: int
     alpha: np.ndarray | None = None  # late-weighted only, set after training
     beta: np.ndarray | None = None
+    input_stats: InputStats | None = None  # set by training
 
     def set_fusion_weights(self, alpha, beta) -> None:
         alpha = np.asarray(alpha, dtype=np.float32)
         beta = np.asarray(beta, dtype=np.float32)
         validate_fusion_weights(alpha, beta, self.n_classes)
         self.alpha, self.beta = alpha, beta
+
+    def set_input_stats(self, mean_a, std_a, mean_b, std_b) -> None:
+        stats = InputStats(*(np.asarray(v, dtype=np.float32) for v in (mean_a, std_a, mean_b, std_b)))
+        stats.check(self.chip_shape_a[2], self.chip_shape_b[2])
+        self.input_stats = stats
+
+    def inputs_a(self, chips_a: np.ndarray) -> np.ndarray:
+        """Modality-A chips as the networks see them: standardized per channel."""
+        s = self.input_stats
+        return chips_a if s is None else _standardized(chips_a, s.mean_a, s.std_a)
+
+    def inputs_b(self, chips_b: np.ndarray) -> np.ndarray:
+        """Modality-B chips as the networks see them: standardized per channel."""
+        s = self.input_stats
+        return chips_b if s is None else _standardized(chips_b, s.mean_b, s.std_b)
+
+
+def _standardized(chips: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
+    """(chips - mean) / std over (N, H, W, C) chips, in one new array.
+
+    The per-channel vectors are tiled along image rows, so numpy's inner loop
+    runs over W*C elements instead of C; the values are the same.
+    """
+    n, h, w, c = chips.shape
+    out = np.subtract(chips.reshape(n * h, w * c), np.tile(mean, w))
+    out /= np.tile(std, w)
+    return out.reshape(chips.shape)
 
 
 def _pooled_extent(size: int, stages: int) -> int:
@@ -131,17 +181,23 @@ def build_model(
 
 
 def late_model(paradigm: str, single_a: FusionModel, single_b: FusionModel) -> FusionModel:
-    """The late model over a single-a and a single-b model; it shares their networks."""
+    """The late model over a single-a and a single-b model; it shares their
+    networks and takes each one's input stats for its own modality."""
     if paradigm not in LATE_PARADIGMS or (single_a.paradigm, single_b.paradigm) != ("single-a", "single-b"):
         raise ValueError(f"cannot build {paradigm} from {single_a.paradigm} and {single_b.paradigm} models")
-    return FusionModel(paradigm, single_a.nets + single_b.nets, single_a.chip_shape_a, single_a.chip_shape_b,
-                       single_a.n_classes)
+    model = FusionModel(paradigm, single_a.nets + single_b.nets, single_a.chip_shape_a, single_a.chip_shape_b,
+                        single_a.n_classes)
+    sa, sb = single_a.input_stats, single_b.input_stats
+    if sa is not None and sb is not None:
+        model.set_input_stats(sa.mean_a, sa.std_a, sb.mean_b, sb.std_b)
+    return model
 
 
 def late_members(model: FusionModel) -> tuple[FusionModel, FusionModel]:
     """The single-a and single-b models whose networks a late model aggregates (shared, not copied)."""
     return tuple(
-        FusionModel(paradigm, [net], model.chip_shape_a, model.chip_shape_b, model.n_classes)
+        FusionModel(paradigm, [net], model.chip_shape_a, model.chip_shape_b, model.n_classes,
+                    input_stats=model.input_stats)
         for paradigm, net in zip(("single-a", "single-b"), model.nets)
     )
 
@@ -221,15 +277,15 @@ def predict_batch(model: FusionModel, chips_a: np.ndarray, chips_b: np.ndarray) 
         raise ShapeError(f"modality-B chips {chips_b.shape[1:]} != model spec {model.chip_shape_b}")
     p = model.paradigm
     if p == "single-a":
-        return model.nets[0].infer([chips_a])
+        return model.nets[0].infer([model.inputs_a(chips_a)])
     if p == "single-b":
-        return model.nets[0].infer([chips_b])
+        return model.nets[0].infer([model.inputs_b(chips_b)])
     if p == "early":
-        return model.nets[0].infer([np.concatenate([chips_a, chips_b], axis=-1)])
+        return model.nets[0].infer([np.concatenate([model.inputs_a(chips_a), model.inputs_b(chips_b)], axis=-1)])
     if p == "joint":
-        return model.nets[0].infer([chips_a, chips_b])
-    pred_a = model.nets[0].infer([chips_a])
-    pred_b = model.nets[1].infer([chips_b])
+        return model.nets[0].infer([model.inputs_a(chips_a), model.inputs_b(chips_b)])
+    pred_a = model.nets[0].infer([model.inputs_a(chips_a)])
+    pred_b = model.nets[1].infer([model.inputs_b(chips_b)])
     if p == "late-mean":
         return late_aggregate_mean(pred_a, pred_b)
     if model.alpha is None or model.beta is None:
@@ -263,6 +319,9 @@ def save_model(out_dir, model: FusionModel) -> None:
         "checkpoints": names,
         "alpha": None if model.alpha is None else [float(v) for v in model.alpha],
         "beta": None if model.beta is None else [float(v) for v in model.beta],
+        "input_stats": None if model.input_stats is None else {
+            name: [float(v) for v in getattr(model.input_stats, name)] for name in INPUT_STATS_KEYS
+        },
     }
     (out_dir / MODEL_META).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
@@ -275,9 +334,20 @@ def _is_shape(value) -> bool:
     return isinstance(value, list) and len(value) == 3 and all(map(_is_count, value))
 
 
+def _is_numbers(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+
+
 def _is_weights(value) -> bool:
+    return value is None or _is_numbers(value)
+
+
+INPUT_STATS_KEYS = ("mean_a", "std_a", "mean_b", "std_b")
+
+
+def _is_input_stats(value) -> bool:
     return value is None or (
-        isinstance(value, list) and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+        isinstance(value, dict) and set(value) == set(INPUT_STATS_KEYS) and all(map(_is_numbers, value.values()))
     )
 
 
@@ -293,6 +363,7 @@ _META_KEYS = {
 _OPTIONAL_META_KEYS = {
     "alpha": (_is_weights, "null or a list of numbers"),
     "beta": (_is_weights, "null or a list of numbers"),
+    "input_stats": (_is_input_stats, f"null or an object of number lists {', '.join(INPUT_STATS_KEYS)}"),
 }
 
 
@@ -328,5 +399,10 @@ def load_model(model_dir) -> FusionModel:
         try:
             model.set_fusion_weights(meta["alpha"], meta["beta"])
         except ValueError as exc:  # ShapeError included: the file's weights are bad data
+            raise DataError(f"{meta_path}: {exc}") from exc
+    if meta.get("input_stats") is not None:
+        try:
+            model.set_input_stats(*(meta["input_stats"][name] for name in INPUT_STATS_KEYS))
+        except ValueError as exc:
             raise DataError(f"{meta_path}: {exc}") from exc
     return model

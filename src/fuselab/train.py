@@ -7,6 +7,10 @@ history pools the two networks' training tallies, and its validation columns
 score the mean of the two networks' predictions after each epoch. The weighted
 variant derives its per-class binary weights from the two networks' validation
 recalls, leaving the test split untouched.
+
+Training first gives a model without input stats those of its training split:
+the per-channel mean and standard deviation of each modality, with which the
+model standardizes every chip it sees (see fusion.InputStats).
 """
 
 from __future__ import annotations
@@ -158,16 +162,42 @@ def _labels(samples):
     return np.stack([s.label for s in samples])
 
 
-def _net_inputs(paradigm: str, samples):
+def _net_inputs(model: fusion.FusionModel, samples):
+    """The standardized input list of a one-network model's network for a batch."""
+    paradigm = model.paradigm
     if paradigm == "single-a":
-        return [_stack_a(samples)]
+        return [model.inputs_a(_stack_a(samples))]
     if paradigm == "single-b":
-        return [_stack_b(samples)]
+        return [model.inputs_b(_stack_b(samples))]
     if paradigm == "early":
-        return [np.concatenate([_stack_a(samples), _stack_b(samples)], axis=-1)]
+        return [np.concatenate([model.inputs_a(_stack_a(samples)), model.inputs_b(_stack_b(samples))], axis=-1)]
     if paradigm == "joint":
-        return [_stack_a(samples), _stack_b(samples)]
+        return [model.inputs_a(_stack_a(samples)), model.inputs_b(_stack_b(samples))]
     raise ValueError(f"no single-network input routing for {paradigm!r}")
+
+
+def _channel_stats(chips) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel mean and standard deviation over (H, W, C) chips.
+
+    One pass, accumulating sums and sums of squares in float64. A channel
+    whose standard deviation is below float32 resolution of its mean is
+    constant in the chips and is scaled by 1.
+    """
+    channels = chips[0].shape[2]
+    total, total_sq, n = np.zeros(channels), np.zeros(channels), 0
+    for chip in chips:
+        x = chip.reshape(-1, channels).astype(np.float64)
+        total += x.sum(axis=0)
+        total_sq += np.einsum("ij,ij->j", x, x)
+        n += x.shape[0]
+    mean = total / n
+    std = np.sqrt(np.maximum(total_sq / n - mean**2, 0.0))
+    return mean, np.where(std > 1e-6 * np.abs(mean), std, 1.0)
+
+
+def input_stats(samples) -> tuple:
+    """(mean_a, std_a, mean_b, std_b) of the samples' chips, for FusionModel.set_input_stats."""
+    return (*_channel_stats([s.chip_a for s in samples]), *_channel_stats([s.chip_b for s in samples]))
 
 
 def _model_predictions(model: fusion.FusionModel, samples) -> np.ndarray:
@@ -206,7 +236,7 @@ def _fit(model: fusion.FusionModel, dsplit, config: TrainConfig, stream: int) ->
         perm = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             batch = [dsplit.train[i] for i in perm[start : start + config.batch_size]]
-            xs = _net_inputs(model.paradigm, batch)
+            xs = _net_inputs(model, batch)
             y = _labels(batch)
             pred = net.forward_batch(xs)
             loss = nn.cross_entropy(pred, y)
@@ -229,14 +259,17 @@ def fuse_late(model: fusion.FusionModel, histories, dsplit) -> TrainHistory:
 
     histories are the training histories of fusion.late_members(model).
     late-weighted derives its weights from the members' validation confusion
-    matrices, the ones `weights derive` reads. The late history pools the
-    members' training tallies epoch by epoch, and scores the mean of their
-    validation predictions.
+    matrices, the ones `weights derive` reads: those of their last epoch's
+    validation predictions, or of a fresh pass after 0 epochs. The late
+    history pools the members' training tallies epoch by epoch, and scores the
+    mean of their validation predictions.
     """
     if model.paradigm == "late-weighted":
         if not dsplit.val:
             raise ValueError("late-weighted needs a validation split to derive its weights")
-        cms = [confusion(member, dsplit.val, dsplit.class_names) for member in fusion.late_members(model)]
+        preds = [h.records[-1].val_predictions if h.records else _model_predictions(member, dsplit.val)
+                 for h, member in zip(histories, fusion.late_members(model))]
+        cms = [confusion_matrix(pred, _labels(dsplit.val), dsplit.class_names) for pred in preds]
         model.set_fusion_weights(*fusion.weights_from_confusions(*cms))
     pooled = TrainHistory()
     for ra, rb in zip(histories[0].records, histories[1].records):
@@ -253,13 +286,16 @@ def fuse_late(model: fusion.FusionModel, histories, dsplit) -> TrainHistory:
 def train(model: fusion.FusionModel, dsplit, config: TrainConfig) -> TrainHistory:
     """Train the model in place; deterministic given config.seed.
 
-    A late model's networks train one after the other as its single-a and
-    single-b members, on RNG streams [seed, 0] and [seed, 1]; fuse_late then
+    A model without input stats first gets those of the training split. A late
+    model's networks train one after the other as its single-a and single-b
+    members, on RNG streams [seed, 0] and [seed, 1]; fuse_late then
     aggregates them. Raises NumericError with a diagnostic if the loss goes
     non-finite.
     """
     if not dsplit.train:
         raise ValueError("training split is empty")
+    if model.input_stats is None:
+        model.set_input_stats(*input_stats(dsplit.train))
     if model.paradigm not in fusion.LATE_PARADIGMS:
         return _fit(model, dsplit, config, stream=0)
     members = fusion.late_members(model)

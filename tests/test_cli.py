@@ -265,7 +265,10 @@ def test_eval_fnet_huge_layer_header_allocates_nothing(tmp_path, capsys):
     "key, value",
     [("n_classes", None), ("paradigm", None), ("checkpoints", None), ("chip_shape_b", None),
      ("n_classes", "five"), ("chip_shape_a", [16, 16]), ("checkpoints", "net_0.fnet"),
-     ("paradigm", "late-mean"), ("alpha", [1, 0, 1, 0, 2])],
+     ("paradigm", "late-mean"), ("alpha", [1, 0, 1, 0, 2]), ("input_stats", [0.0, 1.0]),
+     ("input_stats", {"mean_a": [0, 0], "std_a": [1, 1], "mean_b": [0, 0, 0]}),
+     ("input_stats", {"mean_a": [0, 0], "std_a": [1, 0], "mean_b": [0, 0, 0], "std_b": [1, 1, 1]}),
+     ("input_stats", {"mean_a": [0], "std_a": [1], "mean_b": [0, 0, 0], "std_b": [1, 1, 1]})],
 )
 def test_eval_bad_model_json_is_data_error(tmp_path, capsys, key, value):
     model_dir = saved_model_dir(tmp_path)

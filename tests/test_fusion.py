@@ -274,6 +274,38 @@ def test_model_save_load_round_trip(tmp_path, rng):
     assert np.array_equal(before, after)
 
 
+def test_input_stats_round_trip_and_standardize(tmp_path, rng):
+    model = _tiny_models(seed=3)["early"]
+    model.set_input_stats([1.0, 2.0], [0.5, 2.0], [0.0, 1.0, -1.0], [1.0, 4.0, 0.25])
+    chips_a = rng.normal(size=(2, 8, 8, 2)).astype(np.float32)
+    chips_b = rng.normal(size=(2, 8, 8, 3)).astype(np.float32)
+    assert np.array_equal(model.inputs_a(chips_a), (chips_a - np.float32([1, 2])) / np.float32([0.5, 2]))
+    raw = model.nets[0].infer([np.concatenate([model.inputs_a(chips_a), model.inputs_b(chips_b)], axis=-1)])
+    before = fusion.predict_batch(model, chips_a, chips_b)
+    assert np.array_equal(before, raw)
+    fusion.save_model(tmp_path, model)
+    loaded = fusion.load_model(tmp_path)
+    assert np.array_equal(loaded.input_stats.std_b, model.input_stats.std_b)
+    assert np.array_equal(fusion.predict_batch(loaded, chips_a, chips_b), before)
+
+
+def test_input_stats_are_checked():
+    model = _tiny_models(seed=3)["early"]
+    with pytest.raises(ValueError):
+        model.set_input_stats([0.0], [1.0, 1.0], [0.0] * 3, [1.0] * 3)  # wrong channel count
+    with pytest.raises(ValueError):
+        model.set_input_stats([0.0] * 2, [1.0, 0.0], [0.0] * 3, [1.0] * 3)  # zero scale
+
+
+def test_late_model_takes_each_members_input_stats():
+    models = _tiny_models(seed=4)
+    single_a, single_b = models["single-a"], models["single-b"]
+    single_a.set_input_stats([1.0, 1.0], [1.0, 1.0], [0.0] * 3, [1.0] * 3)
+    single_b.set_input_stats([0.0, 0.0], [1.0, 1.0], [2.0] * 3, [3.0] * 3)
+    stats = fusion.late_model("late-mean", single_a, single_b).input_stats
+    assert stats.mean_a.tolist() == [1.0, 1.0] and stats.std_b.tolist() == [3.0] * 3
+
+
 def test_joint_model_round_trip(tmp_path, rng):
     model = _tiny_models(seed=2)["joint"]
     chips_a = rng.normal(size=(2, 8, 8, 2)).astype(np.float32)

@@ -136,17 +136,55 @@ def test_late_training_keeps_modalities_isolated():
     seen = {0: set(), 1: set()}
     model = tiny_model("late-mean", seed=8)
     for j, net in enumerate(model.nets):
-        original = net.forward_batch
+        for method in ("forward_batch", "infer"):  # training steps, then validation passes
+            original = getattr(net, method)
 
-        def spying(inputs, _j=j, _orig=original):
-            for x in inputs if isinstance(inputs, list) else [inputs]:
-                seen[_j].add(x.shape[-1])
-            return _orig(inputs)
+            def spying(inputs, _j=j, _orig=original, _method=method):
+                for x in inputs if isinstance(inputs, list) else [inputs]:
+                    seen[_j].add((_method, x.shape[-1]))
+                return _orig(inputs)
 
-        net.forward_batch = spying
+            setattr(net, method, spying)
     tr.train(model, tiny_dataset(), tr.TrainConfig(epochs=1, batch_size=8, seed=3))
-    assert seen[0] == {2}  # modality A channels only
-    assert seen[1] == {3}  # modality B channels only
+    assert seen[0] == {("forward_batch", 2), ("infer", 2)}  # modality A channels only
+    assert seen[1] == {("forward_batch", 3), ("infer", 3)}  # modality B channels only
+
+
+def test_training_sets_per_channel_input_stats():
+    ds = tiny_dataset()
+    model = tiny_model("joint", seed=12)
+    tr.train(model, ds, tr.TrainConfig(epochs=0))
+    chips_a = np.stack([s.chip_a for s in ds.train]).astype(np.float64)
+    chips_b = np.stack([s.chip_b for s in ds.train]).astype(np.float64)
+    stats = model.input_stats
+    np.testing.assert_allclose(stats.mean_a, chips_a.mean(axis=(0, 1, 2)), rtol=1e-6)
+    np.testing.assert_allclose(stats.std_a, chips_a.std(axis=(0, 1, 2)), rtol=1e-6)
+    np.testing.assert_allclose(stats.mean_b, chips_b.mean(axis=(0, 1, 2)), rtol=1e-6)
+    np.testing.assert_allclose(stats.std_b, chips_b.std(axis=(0, 1, 2)), rtol=1e-6)
+    standardized = model.inputs_a(np.stack([s.chip_a for s in ds.train]))
+    np.testing.assert_allclose(standardized.mean(axis=(0, 1, 2)), 0.0, atol=1e-5)
+    np.testing.assert_allclose(standardized.std(axis=(0, 1, 2)), 1.0, rtol=1e-5)
+
+
+def test_constant_channel_is_scaled_by_one():
+    chips = [np.full((4, 4, 2), 3.0, dtype=np.float32) for _ in range(3)]
+    chips[0][..., 1] = 5.0
+    mean, std = tr._channel_stats(chips)
+    assert mean[0] == 3.0 and std[0] == 1.0
+    assert std[1] > 0 and std[1] != 1.0
+
+
+def test_training_keeps_input_stats_already_set():
+    model = tiny_model("single-a", seed=14)
+    model.set_input_stats([1.0, 2.0], [3.0, 4.0], [0.0] * 3, [1.0] * 3)
+    tr.train(model, tiny_dataset(), tr.TrainConfig(epochs=0))
+    assert model.input_stats.std_a.tolist() == [3.0, 4.0]
+
+
+def test_late_members_share_the_late_models_input_stats():
+    model = tiny_model("late-mean", seed=13)
+    tr.train(model, tiny_dataset(), tr.TrainConfig(epochs=0))
+    assert all(member.input_stats is model.input_stats for member in fusion.late_members(model))
 
 
 def test_late_weighted_derives_binary_weights_from_val():
