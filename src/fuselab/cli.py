@@ -286,6 +286,11 @@ def cmd_compare(args) -> int:
             raise ValueError("compare needs --data (or --from-tables)")
         cfg_probe = _train_config(resolver, COMPARE_EPOCHS_DEFAULT, seed)
         dsplit = _load_and_augment(resolver, args.data)
+        for name in ("train", "val"):  # every paradigm trains on the one and is scored on the other
+            if not _split_samples(dsplit, name):
+                raise DataError(
+                    f"compare needs non-empty train and val splits; split {name!r} of {args.data} is empty"
+                )
         stats = training.input_stats(dsplit.train)  # the same for every model, so measured once
         tables = {}
         trained = {}  # single-a / single-b: (model, history), which the late paradigms aggregate

@@ -28,10 +28,46 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int, d
     return rng.uniform(-lim, lim, size=shape).astype(dtype)
 
 
-class Conv:
-    """3x3-style convolution, stride 1, `same` zero padding."""
+class Layer:
+    """What every layer shares: the cache slot, config, parameters and dtype casts.
+
+    A layer with parameters lists their attribute names in _param_names; its
+    backward stores each one's gradient as grad_<name>. config() gives the
+    constructor arguments, which the .fnet format stores.
+    """
+
+    kind: str
+    _param_names: tuple[str, ...] = ()
+    _cache = None  # what forward keeps for backward; None outside a forward/backward pair
+
+    def config(self) -> tuple:
+        return ()
+
+    def parameters(self) -> list:
+        return [getattr(self, name) for name in self._param_names]
+
+    def gradients(self) -> list:
+        return [getattr(self, "grad_" + name) for name in self._param_names]
+
+    def astype(self, dtype):
+        clone = type(self)(*self.config())
+        for name in self._param_names:
+            setattr(clone, name, getattr(self, name).astype(dtype))
+        return clone
+
+    def _take_cache(self):
+        """Return what forward cached and clear it, so a second backward raises."""
+        if self._cache is None:
+            raise StaleCacheError(f"{type(self).__name__}.backward before forward")
+        cache, self._cache = self._cache, None
+        return cache
+
+
+class Conv(Layer):
+    """3x3-style convolution, stride 1, `same` zero padding: pad, im2col, one GEMM."""
 
     kind = "conv"
+    _param_names = ("weights", "bias")
 
     def __init__(self, k: int, cin: int, cout: int, rng: np.random.Generator | None = None):
         if k % 2 == 0:
@@ -43,7 +79,6 @@ class Conv:
         else:
             self.weights = glorot_uniform(rng, (k, k, cin, cout), fan * cin, fan * cout)
         self.bias = np.zeros(cout, dtype=self.weights.dtype)
-        self._cache = None
 
     def config(self):
         return (self.k, self.cin, self.cout)
@@ -53,17 +88,14 @@ class Conv:
             raise ShapeError(f"Conv({self.cin}->{self.cout}) got input {x.shape}")
         pad = self.k // 2
         xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-        cols, h_out, w_out = tensor.im2col(xp, self.k, 1)
+        cols, h_out, w_out = tensor.im2col(xp, self.k)
         out = cols @ self.weights.reshape(-1, self.cout) + self.bias
         self._cache = (cols, xp.shape, x.shape)
         return out.reshape(x.shape[0], h_out, w_out, self.cout)
 
     def backward(self, dy: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
         """Fill the parameter gradients; return dx, or None when need_dx is False."""
-        if self._cache is None:
-            raise StaleCacheError("Conv.backward before forward")
-        cols, padded_shape, in_shape = self._cache
-        self._cache = None
+        cols, padded_shape, in_shape = self._take_cache()
         n, h, w, _ = in_shape
         dy_col = dy.reshape(-1, self.cout)
         self.grad_weights = (cols.T @ dy_col).reshape(self.weights.shape)
@@ -71,31 +103,13 @@ class Conv:
         if not need_dx:
             return None
         dcols = dy_col @ self.weights.reshape(-1, self.cout).T
-        dxp = tensor.col2im_add(dcols, padded_shape, self.k, 1)
+        dxp = tensor.col2im_add(dcols, padded_shape, self.k)
         pad = self.k // 2
         return dxp[:, pad : pad + h, pad : pad + w, :]
 
-    def parameters(self):
-        return [self.weights, self.bias]
 
-    def gradients(self):
-        return [self.grad_weights, self.grad_bias]
-
-    def astype(self, dtype):
-        clone = Conv(self.k, self.cin, self.cout)
-        clone.weights = self.weights.astype(dtype)
-        clone.bias = self.bias.astype(dtype)
-        return clone
-
-
-class MaxPool2:
+class MaxPool2(Layer):
     kind = "maxpool2"
-
-    def __init__(self):
-        self._cache = None
-
-    def config(self):
-        return ()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = tensor.maxpool2(x)
@@ -103,54 +117,24 @@ class MaxPool2:
         return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise StaleCacheError("MaxPool2.backward before forward")
-        x, out = self._cache
-        self._cache = None
+        x, out = self._take_cache()
         return tensor.maxpool2_scatter(dy, x, out)
 
-    def parameters(self):
-        return []
 
-    def gradients(self):
-        return []
-
-    def astype(self, dtype):
-        return MaxPool2()
-
-
-class Flatten:
+class Flatten(Layer):
     kind = "flatten"
-
-    def __init__(self):
-        self._cache = None
-
-    def config(self):
-        return ()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise StaleCacheError("Flatten.backward before forward")
-        shape = self._cache
-        self._cache = None
-        return dy.reshape(shape)
-
-    def parameters(self):
-        return []
-
-    def gradients(self):
-        return []
-
-    def astype(self, dtype):
-        return Flatten()
+        return dy.reshape(self._take_cache())
 
 
-class Dense:
+class Dense(Layer):
     kind = "dense"
+    _param_names = ("weights", "bias")
 
     def __init__(self, nin: int, nout: int, rng: np.random.Generator | None = None):
         self.nin, self.nout = nin, nout
@@ -159,7 +143,6 @@ class Dense:
         else:
             self.weights = glorot_uniform(rng, (nin, nout), nin, nout)
         self.bias = np.zeros(nout, dtype=self.weights.dtype)
-        self._cache = None
 
     def config(self):
         return (self.nin, self.nout)
@@ -171,35 +154,14 @@ class Dense:
         return tensor.matmul(x, self.weights) + self.bias
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise StaleCacheError("Dense.backward before forward")
-        x = self._cache
-        self._cache = None
+        x = self._take_cache()
         self.grad_weights = tensor.matmul(x.T, dy)
         self.grad_bias = dy.sum(axis=0)
         return tensor.matmul(dy, self.weights.T)
 
-    def parameters(self):
-        return [self.weights, self.bias]
 
-    def gradients(self):
-        return [self.grad_weights, self.grad_bias]
-
-    def astype(self, dtype):
-        clone = Dense(self.nin, self.nout)
-        clone.weights = self.weights.astype(dtype)
-        clone.bias = self.bias.astype(dtype)
-        return clone
-
-
-class ReLU:
+class ReLU(Layer):
     kind = "relu"
-
-    def __init__(self):
-        self._cache = None
-
-    def config(self):
-        return ()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         # caching the output, not x, lets a following MaxPool2 share the buffer
@@ -208,30 +170,11 @@ class ReLU:
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise StaleCacheError("ReLU.backward before forward")
-        y = self._cache
-        self._cache = None
-        return dy * tensor.relu_grad(y)
-
-    def parameters(self):
-        return []
-
-    def gradients(self):
-        return []
-
-    def astype(self, dtype):
-        return ReLU()
+        return dy * tensor.relu_grad(self._take_cache())
 
 
-class Softmax:
+class Softmax(Layer):
     kind = "softmax"
-
-    def __init__(self):
-        self._cache = None
-
-    def config(self):
-        return ()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         z = x - x.max(axis=-1, keepdims=True)
@@ -241,20 +184,8 @@ class Softmax:
         return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise StaleCacheError("Softmax.backward before forward")
-        s = self._cache
-        self._cache = None
+        s = self._take_cache()
         return s * (dy - (dy * s).sum(axis=-1, keepdims=True))
-
-    def parameters(self):
-        return []
-
-    def gradients(self):
-        return []
-
-    def astype(self, dtype):
-        return Softmax()
 
 
 _LAYER_KINDS = {cls.kind: cls for cls in (Conv, MaxPool2, Flatten, Dense, ReLU, Softmax)}

@@ -1,4 +1,5 @@
-"""Dense tensor kernels: matmul, 2-D convolution, pooling, ReLU.
+"""Dense tensor kernels: matmul, the im2col/col2im_add unfolding that nn.Conv
+builds its GEMMs on, pooling, ReLU.
 
 Layout convention, used everywhere in this package: arrays are row-major
 (C order), channel-last. Images are (H, W, C), batches are (N, H, W, C),
@@ -6,8 +7,9 @@ so flat index = ((n*H + row)*W + col)*C + ch. Storage dtype is float32;
 the same kernels run in float64 when handed float64 arrays (the gradient
 checker relies on this).
 
-All kernels are pure functions of their inputs and raise NumericError
-instead of silently returning NaN/Inf.
+All kernels are pure functions of their inputs. matmul and maxpool2 raise
+NumericError instead of returning NaN/Inf; the others pass values through
+unchecked.
 """
 
 from __future__ import annotations
@@ -40,91 +42,29 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _check_finite(out, "matmul")
 
 
-def _same_pad_amounts(size: int, k: int, stride: int) -> tuple[int, int]:
-    # output size ceil(size/stride); total pad split low/high, extra on the high side
-    out = -(-size // stride)
-    total = max((out - 1) * stride + k - size, 0)
-    lo = total // 2
-    return lo, total - lo
+def im2col(xp: np.ndarray, k: int) -> tuple[np.ndarray, int, int]:
+    """Unfold a padded (N, Hp, Wp, C) array into stride-1 GEMM columns.
 
-
-def conv2d(
-    x: np.ndarray,
-    kernels: np.ndarray,
-    bias: np.ndarray | None = None,
-    padding: str = "same",
-    stride: int = 1,
-) -> np.ndarray:
-    """Cross-correlation of x with a kernel bank (no kernel flip).
-
-    x: (H, W, Cin) or (N, H, W, Cin); kernels: (k, k, Cin, Cout);
-    bias: (Cout,) or None. `same` zero-pads so H' = ceil(H/stride) (k must
-    be odd); `valid` gives H' = floor((H-k)/stride)+1.
-    """
-    x = np.asarray(x)
-    kernels = np.asarray(kernels)
-    single = x.ndim == 3
-    if single:
-        x = x[None]
-    if x.ndim != 4 or kernels.ndim != 4 or kernels.shape[0] != kernels.shape[1]:
-        raise ShapeError(f"conv2d expects (N,H,W,Cin) x (k,k,Cin,Cout), got {x.shape} x {kernels.shape}")
-    n, h, w, cin = x.shape
-    k, _, kcin, cout = kernels.shape
-    if kcin != cin:
-        raise ShapeError(f"conv2d channel mismatch: input {x.shape} vs kernels {kernels.shape}")
-    if stride < 1:
-        raise ShapeError(f"conv2d stride must be >= 1, got {stride}")
-    if padding == "same":
-        if k % 2 == 0:
-            raise ShapeError(f"`same` padding requires an odd kernel, got k={k}")
-        ph = _same_pad_amounts(h, k, stride)
-        pw = _same_pad_amounts(w, k, stride)
-        xp = np.pad(x, ((0, 0), ph, pw, (0, 0)))
-    elif padding == "valid":
-        if k > h or k > w:
-            raise ShapeError(f"`valid` conv kernel k={k} exceeds input {h}x{w}")
-        xp = x
-    else:
-        raise ShapeError(f"unknown padding {padding!r} (use 'same' or 'valid')")
-
-    cols, h_out, w_out = im2col(xp, k, stride)
-    out = cols @ kernels.reshape(k * k * cin, cout).astype(cols.dtype, copy=False)
-    if bias is not None:
-        bias = np.asarray(bias)
-        if bias.shape != (cout,):
-            raise ShapeError(f"conv2d bias shape {bias.shape} != ({cout},)")
-        out = out + bias.astype(out.dtype, copy=False)
-    out = out.reshape(n, h_out, w_out, cout)
-    _check_finite(out, "conv2d")
-    return out[0] if single else out
-
-
-def im2col(xp: np.ndarray, k: int, stride: int) -> tuple[np.ndarray, int, int]:
-    """Unfold a padded (N, Hp, Wp, C) array into GEMM columns.
-
-    Returns (cols, H', W') with cols of shape (N*H'*W', k*k*C); column order
-    matches kernels.reshape(k*k*Cin, Cout).
+    Returns (cols, H', W') with H' = Hp-k+1, W' = Wp-k+1 and cols of shape
+    (N*H'*W', k*k*C); column order matches kernels.reshape(k*k*Cin, Cout).
     """
     n, hp, wp, c = xp.shape
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
-    windows = windows[:, ::stride, ::stride]  # (N, H', W', C, k, k)
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))  # (N, H', W', C, k, k)
     h_out, w_out = windows.shape[1], windows.shape[2]
     cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * h_out * w_out, k * k * c)
     return np.ascontiguousarray(cols), h_out, w_out
 
 
-def col2im_add(
-    dcols: np.ndarray, padded_shape: tuple[int, ...], k: int, stride: int
-) -> np.ndarray:
+def col2im_add(dcols: np.ndarray, padded_shape: tuple[int, ...], k: int) -> np.ndarray:
     """Scatter-add im2col gradients back onto the padded input. Inverse of im2col."""
     n, hp, wp, c = padded_shape
-    h_out = (hp - k) // stride + 1
-    w_out = (wp - k) // stride + 1
+    h_out = hp - k + 1
+    w_out = wp - k + 1
     d = dcols.reshape(n, h_out, w_out, k, k, c)
     out = np.zeros(padded_shape, dtype=dcols.dtype)
     for i in range(k):
         for j in range(k):
-            out[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += d[:, :, :, i, j]
+            out[:, i : i + h_out, j : j + w_out] += d[:, :, :, i, j]
     return out
 
 

@@ -1,4 +1,4 @@
-"""Supervised training for any fusion model, plus the SGD/Adam update rules.
+"""Supervised training for any fusion model, plus the SGD/Adam optimizers.
 
 A late model is the aggregation of a single-a and a single-b model (see
 fusion.late_model): each of its two networks trains as that single-modality
@@ -11,6 +11,11 @@ recalls, leaving the test split untouched.
 Training first gives a model without input stats those of its training split:
 the per-channel mean and standard deviation of each modality, with which the
 model standardizes every chip it sees (see fusion.InputStats).
+
+A training step runs a network's forward pass, in which each convolution is
+nn.Conv (zero padding, tensor.im2col, one float32 GEMM), backpropagates the
+cross-entropy gradient and applies one step of the optimizer that
+TrainConfig.optimizer names in OPTIMIZERS.
 """
 
 from __future__ import annotations
@@ -22,14 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fusion, nn
-from .errors import NumericError
+from .errors import DataError, NumericError
 from .evaluation import ConfusionMatrix, confusion_matrix
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-OPTIMIZERS = ("sgd", "adam")
 
 
 @dataclass
@@ -48,7 +51,7 @@ class TrainConfig:
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
+            raise ValueError(f"optimizer must be one of {tuple(OPTIMIZERS)}, got {self.optimizer!r}")
 
 
 @dataclass
@@ -78,71 +81,44 @@ class TrainHistory:
         return len(self.records)
 
 
-# --- update rules ------------------------------------------------------------
-
-
-def sgd_step(params, grads, state, learning_rate: float):
-    """Vanilla SGD: p <- p - lr * g. state is unused (kept for symmetry)."""
-    for p, g in zip(params, grads):
-        p -= (learning_rate * g).astype(p.dtype, copy=False)
-    return state
-
-
-def adam_step(
-    params,
-    grads,
-    state,
-    learning_rate: float,
-    beta1: float = ADAM_BETA1,
-    beta2: float = ADAM_BETA2,
-    eps: float = ADAM_EPS,
-):
-    """Adam with bias-corrected first/second moments kept per parameter."""
-    if state is None:
-        state = {
-            "t": 0,
-            "m": [np.zeros_like(p) for p in params],
-            "v": [np.zeros_like(p) for p in params],
-        }
-    state["t"] += 1
-    t = state["t"]
-    c1 = 1.0 - beta1**t
-    c2 = 1.0 - beta2**t
-    for p, g, m, v in zip(params, grads, state["m"], state["v"]):
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p -= (learning_rate * (m / c1) / (np.sqrt(v / c2) + eps)).astype(p.dtype, copy=False)
-    return state
+# --- optimizers --------------------------------------------------------------
 
 
 class SGD:
+    """Vanilla SGD: p <- p - lr * g."""
+
     def __init__(self, params, learning_rate: float):
         self.params = list(params)
         self.learning_rate = learning_rate
-        self.state = None
 
     def step(self, grads):
-        self.state = sgd_step(self.params, grads, self.state, self.learning_rate)
+        for p, g in zip(self.params, grads):
+            p -= (self.learning_rate * g).astype(p.dtype, copy=False)
 
 
 class Adam:
-    def __init__(self, params, learning_rate: float, beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_EPS):
+    """Adam with bias-corrected first/second moments kept per parameter."""
+
+    def __init__(self, params, learning_rate: float):
         self.params = list(params)
         self.learning_rate = learning_rate
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.state = None
+        self.t = 0
+        self.m = [np.zeros_like(p) for p in self.params]
+        self.v = [np.zeros_like(p) for p in self.params]
 
     def step(self, grads):
-        self.state = adam_step(
-            self.params, grads, self.state, self.learning_rate, self.beta1, self.beta2, self.eps
-        )
+        self.t += 1
+        c1 = 1.0 - ADAM_BETA1**self.t
+        c2 = 1.0 - ADAM_BETA2**self.t
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            p -= (self.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)).astype(p.dtype, copy=False)
 
 
-def _make_optimizer(net, config: TrainConfig):
-    cls = Adam if config.optimizer == "adam" else SGD
-    return cls(nn.parameters(net), config.learning_rate)
+OPTIMIZERS = {"sgd": SGD, "adam": Adam}
 
 
 # --- batching ----------------------------------------------------------------
@@ -226,7 +202,7 @@ def _record(epoch, loss_sum, correct, seen, val_pred, dsplit) -> EpochRecord:
 def _fit(model: fusion.FusionModel, dsplit, config: TrainConfig, stream: int) -> TrainHistory:
     """Train a one-network model in place, shuffling with RNG stream [config.seed, stream]."""
     net = model.nets[0]
-    optimizer = _make_optimizer(net, config)
+    optimizer = OPTIMIZERS[config.optimizer](nn.parameters(net), config.learning_rate)
     rng = np.random.default_rng([config.seed, stream])
     n = len(dsplit.train)
     history = TrainHistory()
@@ -266,7 +242,7 @@ def fuse_late(model: fusion.FusionModel, histories, dsplit) -> TrainHistory:
     """
     if model.paradigm == "late-weighted":
         if not dsplit.val:
-            raise ValueError("late-weighted needs a validation split to derive its weights")
+            raise DataError("late-weighted needs a non-empty validation split to derive its weights")
         preds = [h.records[-1].val_predictions if h.records else _model_predictions(member, dsplit.val)
                  for h, member in zip(histories, fusion.late_members(model))]
         cms = [confusion_matrix(pred, _labels(dsplit.val), dsplit.class_names) for pred in preds]
@@ -293,7 +269,7 @@ def train(model: fusion.FusionModel, dsplit, config: TrainConfig) -> TrainHistor
     non-finite.
     """
     if not dsplit.train:
-        raise ValueError("training split is empty")
+        raise DataError("training split is empty")
     if model.input_stats is None:
         model.set_input_stats(*input_stats(dsplit.train))
     if model.paradigm not in fusion.LATE_PARADIGMS:

@@ -318,6 +318,25 @@ def test_compare_needs_data_or_tables(tmp_path, capsys):
     assert "error[usage]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("empty", ["val", "train"])
+@pytest.mark.parametrize("command", [["compare"], ["train", "--paradigm", "late-weighted"]])
+def test_empty_split_is_one_data_error(tmp_path, capsys, command, empty):
+    ds = tmp_path / "d"
+    assert main(synth_args(ds, per_class=4)) == 0  # so few samples that val and test are empty
+    if empty == "train":
+        manifest = ds / "manifest.jsonl"
+        manifest.write_text(manifest.read_text().replace('"split": "train"', '"split": "val"'))
+    assert data.load_dataset(ds).sizes() == ((20, 0, 0) if empty == "val" else (0, 20, 0))
+    capsys.readouterr()
+    out = tmp_path / "o"
+    code = main([*command, "--data", str(ds), "--out", str(out), "--epochs", "1", "--quiet"])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 3
+    assert len(err) == 1 and err[0].startswith("error[data]:") and empty in err[0]
+    assert not any((out / p).exists() for p in fusion.PARADIGMS)
+    assert not (out / "model.json").exists()
+
+
 def test_compare_training_runs_are_byte_identical(tmp_path):
     ds = tmp_path / "d"
     assert main(synth_args(ds, per_class=10, size=16)) == 0

@@ -246,12 +246,6 @@ def test_gradient_check_detects_sign_flip():
             self.grad_weights = -self.grad_weights
             return dx
 
-        def astype(self, dtype):
-            clone = BrokenDense(self.nin, self.nout)
-            clone.weights = self.weights.astype(dtype)
-            clone.bias = self.bias.astype(dtype)
-            return clone
-
     rng = np.random.default_rng(7)
     net = nn.Network([nn.Flatten(), BrokenDense(8, 3, rng), nn.Softmax()])
     x = rng.normal(size=(2, 2, 2)).astype(np.float32)
@@ -278,19 +272,55 @@ def test_gradient_check_refuses_large_nets():
 # --- cache discipline ----------------------------------------------------------------
 
 
-def test_backward_before_forward_raises():
-    layer = nn.Dense(3, 2)
-    with pytest.raises(StaleCacheError):
+LAYER_CASES = {  # kind -> (config, input shape)
+    "conv": ((3, 2, 3), (1, 4, 4, 2)),
+    "maxpool2": ((), (1, 4, 4, 2)),
+    "flatten": ((), (1, 4, 4, 2)),
+    "dense": ((3, 2), (1, 3)),
+    "relu": ((), (1, 4, 4, 2)),
+    "softmax": ((), (1, 5)),
+}
+
+
+def make_layer(kind, rng):
+    """A `kind` layer with random parameters, and an input for it."""
+    cfg, shape = LAYER_CASES[kind]
+    layer = nn._LAYER_KINDS[kind](*cfg)
+    for p in layer.parameters():
+        p[...] = rng.normal(size=p.shape)
+    return layer, rng.normal(size=shape).astype(np.float32)
+
+
+@pytest.mark.parametrize("kind", list(nn._LAYER_KINDS))
+def test_backward_before_forward_raises(kind):
+    layer, _ = make_layer(kind, np.random.default_rng(9))
+    with pytest.raises(StaleCacheError, match=rf"^{type(layer).__name__}\.backward before forward$"):
         layer.backward(np.zeros((1, 2)))
 
 
-def test_double_backward_raises():
-    rng = np.random.default_rng(9)
-    layer = nn.Dense(3, 2, rng)
-    layer.forward(np.zeros((1, 3), dtype=np.float32))
-    layer.backward(np.zeros((1, 2), dtype=np.float32))
-    with pytest.raises(StaleCacheError):
-        layer.backward(np.zeros((1, 2), dtype=np.float32))
+@pytest.mark.parametrize("kind", list(nn._LAYER_KINDS))
+def test_double_backward_raises(kind):
+    layer, x = make_layer(kind, np.random.default_rng(9))
+    dy = np.ones_like(layer.forward(x))
+    layer.backward(dy)
+    with pytest.raises(StaleCacheError, match=rf"^{type(layer).__name__}\.backward before forward$"):
+        layer.backward(dy)
+
+
+@pytest.mark.parametrize("kind", list(nn._LAYER_KINDS))
+def test_layer_astype_copies_every_kind(kind):
+    layer, _ = make_layer(kind, np.random.default_rng(11))
+    before = [p.copy() for p in layer.parameters()]
+    clone = layer.astype(np.float64)
+    assert type(clone) is type(layer) and clone.kind == kind
+    assert clone.config() == layer.config() == LAYER_CASES[kind][0]
+    assert len(clone.parameters()) == len(before) == (2 if kind in ("conv", "dense") else 0)
+    for p, q in zip(layer.parameters(), clone.parameters()):
+        assert q.dtype == np.float64 and np.array_equal(q, p.astype(np.float64))
+        assert not np.shares_memory(p, q)
+        q += 1.0
+    for p, b in zip(layer.parameters(), before):
+        assert p.dtype == np.float32 and np.array_equal(p, b)
 
 
 # --- checkpoint round trip -------------------------------------------------------------

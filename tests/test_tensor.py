@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuselab import tensor
+from fuselab import nn, tensor
 from fuselab.errors import NumericError, ShapeError
 
 
@@ -114,7 +114,17 @@ def test_matmul_matches_triple_loop_oracle(seed):
     assert np.max(np.abs(got - want) / denom) < 1e-6
 
 
-# --- conv2d -------------------------------------------------------------------
+# --- conv (nn.Conv, the program's only convolution) ----------------------------
+
+
+def conv_forward(x, kernels, bias=None):
+    """nn.Conv.forward with the given kernels on one (H, W, Cin) image or a batch."""
+    k, _, cin, cout = kernels.shape
+    conv = nn.Conv(k, cin, cout)
+    conv.weights = kernels
+    if bias is not None:
+        conv.bias = bias
+    return conv.forward(x[None])[0] if x.ndim == 3 else conv.forward(x)
 
 
 def test_conv2d_delta_kernel_is_identity():
@@ -122,7 +132,7 @@ def test_conv2d_delta_kernel_is_identity():
     x = rng.normal(size=(5, 5, 1)).astype(np.float32)
     k = np.zeros((3, 3, 1, 1), dtype=np.float32)
     k[1, 1, 0, 0] = 1.0
-    out = tensor.conv2d(x, k, np.zeros(1, dtype=np.float32), padding="same", stride=1)
+    out = conv_forward(x, k, np.zeros(1, dtype=np.float32))
     assert np.array_equal(out, x)
 
 
@@ -130,17 +140,8 @@ def test_conv2d_zero_kernel_annihilates():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(6, 7, 3)).astype(np.float32)
     k = np.zeros((3, 3, 3, 2), dtype=np.float32)
-    out = tensor.conv2d(x, k, np.zeros(2, dtype=np.float32))
+    out = conv_forward(x, k, np.zeros(2, dtype=np.float32))
     assert np.array_equal(out, np.zeros_like(out))
-
-
-def test_conv2d_valid_hand_case():
-    x = np.arange(1.0, 10.0, dtype=np.float32).reshape(3, 3, 1)
-    k = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32).reshape(2, 2, 1, 1)
-    expected = np.array([[6.0, 8.0], [12.0, 14.0]]).reshape(2, 2, 1)
-    assert np.allclose(conv2d_oracle(x, k, np.zeros(1), "valid", 1), expected)
-    out = tensor.conv2d(x, k, np.zeros(1, dtype=np.float32), padding="valid", stride=1)
-    assert np.array_equal(out, expected.astype(np.float32))
 
 
 @given(
@@ -150,17 +151,15 @@ def test_conv2d_valid_hand_case():
     cin=st.integers(1, 3),
     cout=st.integers(1, 3),
     k=st.sampled_from([1, 3]),
-    stride=st.integers(1, 2),
-    padding=st.sampled_from(["same", "valid"]),
 )
 @settings(max_examples=60, deadline=None)
-def test_conv2d_matches_sliding_window_oracle(seed, h, w, cin, cout, k, stride, padding):
+def test_conv2d_matches_sliding_window_oracle(seed, h, w, cin, cout, k):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(h, w, cin)).astype(np.float32)
     kern = rng.normal(size=(k, k, cin, cout)).astype(np.float32)
     bias = rng.normal(size=cout).astype(np.float32)
-    got = tensor.conv2d(x, kern, bias, padding=padding, stride=stride).astype(np.float64)
-    want = conv2d_oracle(x.astype(np.float64), kern.astype(np.float64), bias.astype(np.float64), padding, stride)
+    got = conv_forward(x, kern, bias).astype(np.float64)
+    want = conv2d_oracle(x.astype(np.float64), kern.astype(np.float64), bias.astype(np.float64), "same", 1)
     assert got.shape == want.shape
     assert np.allclose(got, want, rtol=1e-5, atol=1e-5)
 
@@ -173,8 +172,8 @@ def test_conv2d_is_linear(seed):
     y = rng.normal(size=(6, 6, 2)).astype(np.float32)
     kern = rng.normal(size=(3, 3, 2, 2)).astype(np.float32)
     a, b = 0.7, -1.3
-    lhs = tensor.conv2d((a * x + b * y).astype(np.float32), kern)
-    rhs = a * tensor.conv2d(x, kern) + b * tensor.conv2d(y, kern)
+    lhs = conv_forward((a * x + b * y).astype(np.float32), kern)
+    rhs = a * conv_forward(x, kern) + b * conv_forward(y, kern)
     assert np.allclose(lhs, rhs, rtol=1e-5, atol=1e-5)
 
 
@@ -183,21 +182,17 @@ def test_conv2d_batched_matches_per_image():
     xs = rng.normal(size=(3, 5, 5, 2)).astype(np.float32)
     kern = rng.normal(size=(3, 3, 2, 4)).astype(np.float32)
     bias = rng.normal(size=4).astype(np.float32)
-    batched = tensor.conv2d(xs, kern, bias)
+    batched = conv_forward(xs, kern, bias)
     for i in range(3):
-        assert np.allclose(batched[i], tensor.conv2d(xs[i], kern, bias), rtol=1e-6, atol=1e-6)
+        assert np.allclose(batched[i], conv_forward(xs[i], kern, bias), rtol=1e-6, atol=1e-6)
 
 
 def test_conv2d_errors():
-    x = np.zeros((4, 4, 2), dtype=np.float32)
-    with pytest.raises(ShapeError):  # kernel larger than input under valid
-        tensor.conv2d(x, np.zeros((5, 5, 2, 1), dtype=np.float32), padding="valid")
+    x = np.zeros((1, 4, 4, 2), dtype=np.float32)
     with pytest.raises(ShapeError):  # even kernel under same
-        tensor.conv2d(x, np.zeros((2, 2, 2, 1), dtype=np.float32), padding="same")
+        nn.Conv(2, 2, 1)
     with pytest.raises(ShapeError):  # channel mismatch
-        tensor.conv2d(x, np.zeros((3, 3, 3, 1), dtype=np.float32))
-    with pytest.raises(ShapeError):
-        tensor.conv2d(x, np.zeros((3, 3, 2, 1), dtype=np.float32), stride=0)
+        nn.Conv(3, 3, 1).forward(x)
 
 
 # --- maxpool2 -----------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fuselab import data, fusion, nn, train as tr
-from fuselab.errors import NumericError
+from fuselab.errors import DataError, NumericError
 
 TINY = dict(conv_channels=(4, 8, 8), dense_units=16)
 
@@ -41,21 +41,21 @@ def test_train_config_validation(kwargs):
 
 def test_sgd_zero_gradient_is_noop():
     p = np.array([1.0, -2.0], dtype=np.float32)
-    tr.sgd_step([p], [np.zeros_like(p)], None, 0.1)
+    tr.SGD([p], 0.1).step([np.zeros_like(p)])
     assert np.array_equal(p, [1.0, -2.0])
 
 
 def test_sgd_definition():
     p = np.array([1.0], dtype=np.float32)
-    tr.sgd_step([p], [np.array([0.25], dtype=np.float32)], None, 1.0)
+    tr.SGD([p], 1.0).step([np.array([0.25], dtype=np.float32)])
     assert p[0] == 0.75
 
 
 def test_adam_zero_gradient_drift_below_1e12():
     p = np.array([1.0, -3.0], dtype=np.float64)
-    state = None
+    opt = tr.Adam([p], 1e-3)
     for _ in range(5):
-        state = tr.adam_step([p], [np.zeros_like(p)], state, 1e-3)
+        opt.step([np.zeros_like(p)])
     assert np.max(np.abs(p - [1.0, -3.0])) < 1e-12
 
 
@@ -64,7 +64,7 @@ def test_adam_first_step_is_sign_scaled_unit_step(g):
     # closed form at t=1: update = lr * g / (|g| + eps) ~= lr * sign(g)
     lr = 1e-3
     p = np.array([0.0], dtype=np.float64)
-    tr.adam_step([p], [np.array([g])], None, lr)
+    tr.Adam([p], lr).step([np.array([g])])
     expected = -lr * g / (abs(g) + tr.ADAM_EPS)
     assert abs(p[0] - expected) < 1e-12
     assert abs(abs(p[0]) - lr) < lr * 1e-3
@@ -73,10 +73,11 @@ def test_adam_first_step_is_sign_scaled_unit_step(g):
 def test_adam_state_tracks_moments():
     p = np.array([1.0])
     g = np.array([0.5])
-    state = tr.adam_step([p], [g], None, 1e-3)
-    assert state["t"] == 1
-    assert np.allclose(state["m"][0], 0.05)  # (1-beta1)*g
-    assert np.allclose(state["v"][0], 0.00025)  # (1-beta2)*g^2
+    opt = tr.Adam([p], 1e-3)
+    opt.step([g])
+    assert opt.t == 1
+    assert np.allclose(opt.m[0], 0.05)  # (1-beta1)*g
+    assert np.allclose(opt.v[0], 0.00025)  # (1-beta2)*g^2
 
 
 # --- train loop -------------------------------------------------------------------
@@ -94,7 +95,7 @@ def test_zero_epochs_is_noop():
 def test_empty_training_set_rejected():
     model = tiny_model("single-a")
     ds = data.DatasetSplit([], [], [], data.class_names_for(5))
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="training split is empty"):
         tr.train(model, ds, tr.TrainConfig(epochs=1))
 
 
@@ -200,7 +201,7 @@ def test_late_weighted_without_val_split_rejected():
     model = tiny_model("late-weighted", seed=10)
     samples = data.synth_generate(4, width=16, height=16, channels_a=2, channels_b=3, n_classes=5, seed=1)
     ds = data.DatasetSplit(samples, [], [], data.class_names_for(5))
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="validation split"):
         tr.train(model, ds, tr.TrainConfig(epochs=1, batch_size=4))
 
 
