@@ -140,11 +140,6 @@ def _split_samples(dsplit: data.DatasetSplit, name: str):
     return {"train": dsplit.train, "val": dsplit.val, "test": dsplit.test}[name]
 
 
-def _evaluate_model(model, samples, class_names):
-    cm = training.confusion(model, samples, class_names)
-    return cm, evaluation.metrics_from_cm(cm)
-
-
 def _write_eval_files(out_dir: Path, paradigm: str, cm, table) -> None:
     report = evaluation.compare_paradigms({paradigm: table})
     (out_dir / "confusion.csv").write_text(evaluation.confusion_csv_text(cm))
@@ -243,7 +238,8 @@ def cmd_eval(args) -> int:
         raise ShapeError(
             f"model {args.model} has {model.n_classes} classes, dataset {args.data} has {len(dsplit.class_names)}"
         )
-    cm, table = _evaluate_model(model, samples, dsplit.class_names)
+    cm = training.confusion(model, samples, dsplit.class_names)
+    table = evaluation.metrics_from_cm(cm)
     out.mkdir(parents=True, exist_ok=True)
     _write_eval_files(out, model.paradigm, cm, table)
     resolver.write_record(out)
@@ -297,10 +293,12 @@ def cmd_compare(args) -> int:
         for idx, paradigm in enumerate(fusion.PARADIGMS):
             pdir = out / paradigm
             pdir.mkdir(parents=True, exist_ok=True)
+            members = ()
             if paradigm in fusion.LATE_PARADIGMS:
                 (model_a, history_a), (model_b, history_b) = trained["single-a"], trained["single-b"]
                 model = fusion.late_model(paradigm, model_a, model_b)
-                history = training.fuse_late(model, [history_a, history_b], dsplit)
+                members = (history_a, history_b)
+                history = training.fuse_late(model, members, dsplit)
             else:
                 cfg = dataclasses.replace(cfg_probe, seed=seed + 10 * (idx + 1))
                 model = _model_for_dataset(paradigm, dsplit, seed + idx)
@@ -310,7 +308,8 @@ def cmd_compare(args) -> int:
                     trained[paradigm] = model, history
             fusion.save_model(pdir, model)
             training.save_history(pdir / "history.csv", history)
-            cm, table = _evaluate_model(model, dsplit.val, dsplit.class_names)
+            cm = training.val_confusion(model, history, dsplit, members)  # scores training's last val pass
+            table = evaluation.metrics_from_cm(cm)
             _write_eval_files(pdir, paradigm, cm, table)
             tables[paradigm] = table
             _say(resolver, f"[{idx + 1}/{len(fusion.PARADIGMS)}] {paradigm}: macro F1 {table.macro_f1:.3f}")

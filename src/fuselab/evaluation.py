@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from functools import cmp_to_key
 from pathlib import Path
@@ -339,6 +340,18 @@ def confusion_csv_text(cm: ConfusionMatrix) -> str:
     return buf.getvalue()
 
 
+def _count_cell(path, ln: int, text: str) -> float:
+    """One confusion cell as a float in [0, 2**53], so that it, or it scaled
+    by 1000 as a fraction, fits an int64 count."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value <= 2**53:  # also rejects nan
+        raise DataError(f"{path}:{ln}: confusion cell {text!r} is not a number in [0, 2**53]")
+    return value
+
+
 def parse_confusion_csv(path) -> ConfusionMatrix:
     """Read a truth-by-prediction table; accepts raw counts or fractions."""
     rows = list(csv.reader(Path(path).read_text().splitlines()))
@@ -349,7 +362,7 @@ def parse_confusion_csv(path) -> ConfusionMatrix:
     for ln, row in enumerate(rows[1:], 2):
         if len(row) != len(names) + 1:
             raise DataError(f"{path}:{ln}: expected {len(names) + 1} fields, got {len(row)}")
-        values.append([float(v) for v in row[1:]])
+        values.append([_count_cell(path, ln, v) for v in row[1:]])
     values = np.asarray(values)
     if values.shape != (len(names), len(names)):
         raise DataError(f"{path}: confusion table must be square")

@@ -89,7 +89,8 @@ class Conv(Layer):
         pad = self.k // 2
         xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
         cols, h_out, w_out = tensor.im2col(xp, self.k)
-        out = cols @ self.weights.reshape(-1, self.cout) + self.bias
+        out = cols @ self.weights.reshape(-1, self.cout)
+        out += self.bias
         self._cache = (cols, xp.shape, x.shape)
         return out.reshape(x.shape[0], h_out, w_out, self.cout)
 
@@ -99,11 +100,12 @@ class Conv(Layer):
         n, h, w, _ = in_shape
         dy_col = dy.reshape(-1, self.cout)
         self.grad_weights = (cols.T @ dy_col).reshape(self.weights.shape)
-        self.grad_bias = dy_col.sum(axis=0)
+        # einsum reduces in one contiguous pass; sum(axis=0) loops over rows only Cout long
+        self.grad_bias = np.einsum("ij->j", dy_col)
         if not need_dx:
             return None
-        dcols = dy_col @ self.weights.reshape(-1, self.cout).T
-        dxp = tensor.col2im_add(dcols, padded_shape, self.k)
+        taps = self.weights.reshape(self.k * self.k, self.cin, self.cout).transpose(0, 2, 1)
+        dxp = tensor.col2im_add(np.matmul(dy_col, taps), padded_shape, self.k)  # tap-major dcols
         pad = self.k // 2
         return dxp[:, pad : pad + h, pad : pad + w, :]
 
@@ -170,7 +172,7 @@ class ReLU(Layer):
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        return dy * tensor.relu_grad(self._take_cache())
+        return np.multiply(dy, tensor.relu_grad(self._take_cache()))
 
 
 class Softmax(Layer):

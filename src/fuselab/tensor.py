@@ -56,15 +56,21 @@ def im2col(xp: np.ndarray, k: int) -> tuple[np.ndarray, int, int]:
 
 
 def col2im_add(dcols: np.ndarray, padded_shape: tuple[int, ...], k: int) -> np.ndarray:
-    """Scatter-add im2col gradients back onto the padded input. Inverse of im2col."""
+    """Scatter-add im2col gradients back onto the padded (N, Hp, Wp, C) input.
+
+    dcols is tap-major, shape (k*k, N*H'*W', C): dcols[i*k + j] holds the
+    gradient that tap (i, j) of every window sends to the input pixel it read,
+    in window order. Each tap is one add of a contiguous block onto the
+    shifted view out[:, i:i+H', j:j+W'], taps in row-major order.
+    """
     n, hp, wp, c = padded_shape
     h_out = hp - k + 1
     w_out = wp - k + 1
-    d = dcols.reshape(n, h_out, w_out, k, k, c)
+    d = dcols.reshape(k, k, n, h_out, w_out, c)
     out = np.zeros(padded_shape, dtype=dcols.dtype)
     for i in range(k):
         for j in range(k):
-            out[:, i : i + h_out, j : j + w_out] += d[:, :, :, i, j]
+            out[:, i : i + h_out, j : j + w_out] += d[i, j]
     return out
 
 
@@ -130,6 +136,7 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def relu_grad(y: np.ndarray) -> np.ndarray:
-    """ReLU derivative mask; y may be the ReLU's input or its output (same mask)."""
-    return (y > 0).astype(y.dtype)
+    """ReLU derivative as a boolean mask; y may be the ReLU's input or its output
+    (same mask). Multiplying a gradient by it casts True/False to 1/0."""
+    return y > 0
 

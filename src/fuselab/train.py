@@ -189,6 +189,24 @@ def confusion(model: fusion.FusionModel, samples, class_names) -> ConfusionMatri
     return confusion_matrix(_model_predictions(model, samples), _labels(samples), class_names)
 
 
+def val_confusion(model: fusion.FusionModel, history: TrainHistory, dsplit, member_histories=()) -> ConfusionMatrix:
+    """Confusion matrix of the trained model's decisions on the validation split.
+
+    Training predicted the split after its last step, so the history's last
+    record already holds those decisions; only after 0 epochs is the split
+    predicted afresh. A late history holds the mean of its members'
+    predictions, so late-weighted combines member_histories' last
+    predictions with its own weights.
+    """
+    if not history.records:
+        return confusion(model, dsplit.val, dsplit.class_names)
+    pred = history.records[-1].val_predictions
+    if model.paradigm == "late-weighted":
+        pred_a, pred_b = (h.records[-1].val_predictions for h in member_histories)
+        pred = fusion.late_aggregate_weighted(pred_a, pred_b, model.alpha, model.beta)
+    return confusion_matrix(pred, _labels(dsplit.val), dsplit.class_names)
+
+
 def _record(epoch, loss_sum, correct, seen, val_pred, dsplit) -> EpochRecord:
     if val_pred is None:
         val_loss, val_acc = float("nan"), float("nan")
@@ -234,15 +252,15 @@ def fuse_late(model: fusion.FusionModel, histories, dsplit) -> TrainHistory:
     """Finish a late model whose two networks are trained; return its history.
 
     histories are the training histories of fusion.late_members(model).
-    late-weighted derives its weights from the members' validation confusion
-    matrices, the ones `weights derive` reads: those of their last epoch's
-    validation predictions, or of a fresh pass after 0 epochs. The late
+    late-weighted needs a non-empty validation split, which train and compare
+    check before training anything. It derives its weights from the members'
+    validation confusion matrices, the ones `weights derive` reads: those of
+    their last epoch's validation predictions, or of a fresh pass after 0
+    epochs. The late
     history pools the members' training tallies epoch by epoch, and scores the
     mean of their validation predictions.
     """
     if model.paradigm == "late-weighted":
-        if not dsplit.val:
-            raise DataError("late-weighted needs a non-empty validation split to derive its weights")
         preds = [h.records[-1].val_predictions if h.records else _model_predictions(member, dsplit.val)
                  for h, member in zip(histories, fusion.late_members(model))]
         cms = [confusion_matrix(pred, _labels(dsplit.val), dsplit.class_names) for pred in preds]
@@ -266,10 +284,12 @@ def train(model: fusion.FusionModel, dsplit, config: TrainConfig) -> TrainHistor
     model's networks train one after the other as its single-a and single-b
     members, on RNG streams [seed, 0] and [seed, 1]; fuse_late then
     aggregates them. Raises NumericError with a diagnostic if the loss goes
-    non-finite.
+    non-finite, and DataError before any training if a split it needs is empty.
     """
     if not dsplit.train:
         raise DataError("training split is empty")
+    if model.paradigm == "late-weighted" and not dsplit.val:
+        raise DataError("late-weighted needs a non-empty validation split to derive its weights")
     if model.input_stats is None:
         model.set_input_stats(*input_stats(dsplit.train))
     if model.paradigm not in fusion.LATE_PARADIGMS:

@@ -298,6 +298,25 @@ def test_weights_derive_reproduces_reference(tmp_path, capsys):
     assert saved == printed
 
 
+@pytest.mark.parametrize("cell", ["abc", "nan", "inf", "-3", "1e300"])
+def test_weights_derive_bad_confusion_cell_is_data_error(tmp_path, capsys, cell):
+    cm = ev.confusion_from_fractions(REFERENCE_CONFUSION["single-a"], 1000, CLASS_NAMES)
+    lines = ev.confusion_csv_text(cm).splitlines()
+    fields = lines[3].split(",")
+    fields[2] = cell
+    lines[3] = ",".join(fields)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    good = tmp_path / "good.csv"
+    good.write_text(ev.confusion_csv_text(cm))
+    capsys.readouterr()
+    assert main(["weights", "derive", "--cm-a", str(bad), "--cm-b", str(good)]) == 3
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error[data]: {bad}:4:") and repr(cell) in err[0]
+    assert captured.out == ""
+
+
 # --- compare -----------------------------------------------------------------------
 
 
@@ -318,9 +337,15 @@ def test_compare_needs_data_or_tables(tmp_path, capsys):
     assert "error[usage]" in capsys.readouterr().err
 
 
+def no_forward(self, inputs):
+    raise AssertionError("a network ran forward")
+
+
 @pytest.mark.parametrize("empty", ["val", "train"])
 @pytest.mark.parametrize("command", [["compare"], ["train", "--paradigm", "late-weighted"]])
-def test_empty_split_is_one_data_error(tmp_path, capsys, command, empty):
+def test_empty_split_is_one_data_error(tmp_path, capsys, monkeypatch, command, empty):
+    for cls in (nn.Network, nn.TwoBranchNetwork):  # the split is checked before any training
+        monkeypatch.setattr(cls, "forward_batch", no_forward)
     ds = tmp_path / "d"
     assert main(synth_args(ds, per_class=4)) == 0  # so few samples that val and test are empty
     if empty == "train":
@@ -375,6 +400,14 @@ def test_compare_late_weights_match_weights_derive(small_compare, capsys):
     printed = json.loads(capsys.readouterr().out.strip())
     meta = json.loads((small_compare / "late-weighted" / "model.json").read_text())
     assert printed == {"alpha": meta["alpha"], "beta": meta["beta"]}
+
+
+def test_compare_scores_equal_eval_of_saved_models(small_compare, tmp_path):
+    for paradigm in fusion.PARADIGMS:
+        out = tmp_path / paradigm
+        assert main(["eval", "--data", str(small_compare.parent / "d"), "--model", str(small_compare / paradigm),
+                     "--split", "val", "--out", str(out), "--quiet"]) == 0
+        assert (out / "confusion.csv").read_bytes() == (small_compare / paradigm / "confusion.csv").read_bytes(), paradigm
 
 
 # --- config precedence -----------------------------------------------------------------

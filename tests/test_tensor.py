@@ -187,6 +187,50 @@ def test_conv2d_batched_matches_per_image():
         assert np.allclose(batched[i], conv_forward(xs[i], kern, bias), rtol=1e-6, atol=1e-6)
 
 
+def conv_backward_oracle(x, kernels, dy):
+    """dx, kernel and bias gradients of a stride-1 `same` convolution, one pixel and tap at a time."""
+    n, h, w, _ = x.shape
+    k = kernels.shape[0]
+    pad = k // 2
+    dx = np.zeros_like(x)
+    dkernels = np.zeros_like(kernels)
+    for b in range(n):
+        for r in range(h):
+            for c in range(w):
+                for i in range(k):
+                    for j in range(k):
+                        rr, cc = r + i - pad, c + j - pad
+                        if 0 <= rr < h and 0 <= cc < w:
+                            dx[b, rr, cc] += kernels[i, j] @ dy[b, r, c]
+                            dkernels[i, j] += np.outer(x[b, rr, cc], dy[b, r, c])
+    return dx, dkernels, dy.sum(axis=(0, 1, 2))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 3),
+    h=st.integers(1, 6),
+    w=st.integers(1, 6),
+    cin=st.integers(1, 4),
+    cout=st.integers(1, 4),
+    k=st.sampled_from([1, 3]),
+)
+@settings(max_examples=40, deadline=None)
+def test_conv_backward_matches_loop_oracle(seed, n, h, w, cin, cout, k):
+    rng = np.random.default_rng(seed)
+    conv = nn.Conv(k, cin, cout)
+    conv.weights = rng.normal(size=(k, k, cin, cout))
+    conv.bias = rng.normal(size=cout)
+    x = rng.normal(size=(n, h, w, cin))
+    dy = rng.normal(size=(n, h, w, cout))
+    conv.forward(x)
+    dx = conv.backward(dy)
+    want = conv_backward_oracle(x, conv.weights, dy)
+    for got, expected in zip((dx, conv.grad_weights, conv.grad_bias), want):
+        assert got.dtype == np.float64 and got.shape == expected.shape
+        assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+
 def test_conv2d_errors():
     x = np.zeros((1, 4, 4, 2), dtype=np.float32)
     with pytest.raises(ShapeError):  # even kernel under same
