@@ -293,22 +293,22 @@ def cmd_compare(args) -> int:
         for idx, paradigm in enumerate(fusion.PARADIGMS):
             pdir = out / paradigm
             pdir.mkdir(parents=True, exist_ok=True)
-            members = ()
             if paradigm in fusion.LATE_PARADIGMS:
                 (model_a, history_a), (model_b, history_b) = trained["single-a"], trained["single-b"]
                 model = fusion.late_model(paradigm, model_a, model_b)
-                members = (history_a, history_b)
-                history = training.fuse_late(model, members, dsplit)
+                net_histories = (history_a, history_b)
+                history = training.fuse_late(model, net_histories, dsplit)
             else:
                 cfg = dataclasses.replace(cfg_probe, seed=seed + 10 * (idx + 1))
                 model = _model_for_dataset(paradigm, dsplit, seed + idx)
                 model.set_input_stats(*stats)
                 history = training.train(model, dsplit, cfg)
+                net_histories = (history,)
                 if paradigm in ("single-a", "single-b"):
                     trained[paradigm] = model, history
             fusion.save_model(pdir, model)
             training.save_history(pdir / "history.csv", history)
-            cm = training.val_confusion(model, history, dsplit, members)  # scores training's last val pass
+            cm = training.val_confusion(model, net_histories, dsplit)  # scores training's last val pass
             table = evaluation.metrics_from_cm(cm)
             _write_eval_files(pdir, paradigm, cm, table)
             tables[paradigm] = table

@@ -308,7 +308,10 @@ def load_chip(path) -> np.ndarray:
         )
     if len(data) > expected:
         raise DataError(f"{path}: {len(data) - expected} trailing bytes after payload")
-    return np.frombuffer(data, dtype="<f4", offset=_HEADER.size).reshape(h, w, c).copy()
+    chip = np.frombuffer(data, dtype="<f4", offset=_HEADER.size).reshape(h, w, c)
+    if not np.isfinite(chip).all():
+        raise DataError(f"{path}: {chip.size - np.isfinite(chip).sum()} non-finite value(s) in the payload")
+    return chip.copy()
 
 
 # --- dataset directory: chips/ + manifest.jsonl -------------------------------
@@ -374,6 +377,16 @@ def load_dataset(dataset_dir) -> DatasetSplit:
     class_names = tuple(known + sorted(present - set(CLASS_NAMES)))
     index = {n: i for i, n in enumerate(class_names)}
     groups = {"train": [], "val": [], "test": []}
+    first = {}  # chip key -> (shape, path) of the modality's first chip
+
+    def chip(rec, key):
+        path = dataset_dir / rec[key]
+        arr = load_chip(path)
+        shape, first_path = first.setdefault(key, (arr.shape, path))
+        if arr.shape != shape:
+            raise DataError(f"{path}: chip shape {arr.shape} differs from {shape} of {first_path}")
+        return arr
+
     for rec in records:
         c = index[rec["class"]]
         groups[rec["split"]].append(
@@ -382,8 +395,8 @@ def load_dataset(dataset_dir) -> DatasetSplit:
                 lat=rec["lat"],
                 lon=rec["lon"],
                 class_index=c,
-                chip_a=load_chip(dataset_dir / rec["chip_a"]),
-                chip_b=load_chip(dataset_dir / rec["chip_b"]),
+                chip_a=chip(rec, "chip_a"),
+                chip_b=chip(rec, "chip_b"),
                 label=one_hot(c, len(class_names)),
             )
         )

@@ -16,6 +16,10 @@ class, whichever single-modality model validated better; see derive_weights.
 A late model adds no network of its own: its two networks are a single-a and a
 single-b model's (see late_model and late_members).
 
+NETWORK_INPUTS is the one statement of how each paradigm is wired: which
+networks it holds and what each network reads. build_model, network_inputs,
+decisions and load_model all follow it.
+
 Every model standardizes its input chips per channel with the mean and
 standard deviation of its training chips (InputStats, set by training and
 stored in model.json); a model that has none sees the raw chips.
@@ -32,7 +36,18 @@ import numpy as np
 from . import nn
 from .errors import DataError, ShapeError
 
-PARADIGMS = ("single-a", "single-b", "early", "joint", "late-mean", "late-weighted")
+# paradigm -> the inputs of each of its networks, in FusionModel.nets order:
+# "a" and "b" are one modality's chips, "ab" the channel-concatenated pair. A
+# network with two inputs has one conv branch per input and one shared head.
+NETWORK_INPUTS = {
+    "single-a": (("a",),),
+    "single-b": (("b",),),
+    "early": (("ab",),),
+    "joint": (("a", "b"),),
+    "late-mean": (("a",), ("b",)),
+    "late-weighted": (("a",), ("b",)),
+}
+PARADIGMS = tuple(NETWORK_INPUTS)
 LATE_PARADIGMS = ("late-mean", "late-weighted")
 
 DEFAULT_CONV_CHANNELS = (16, 32, 64)
@@ -126,12 +141,6 @@ def _head(n_features: int, dense_units: int, n_classes: int, rng) -> list:
     ]
 
 
-def _backbone(height, width, cin, n_classes, rng, conv_channels, dense_units) -> nn.Network:
-    stages = len(conv_channels)
-    flat = _pooled_extent(height, stages) * _pooled_extent(width, stages) * conv_channels[-1]
-    return nn.Network(_conv_stack(cin, conv_channels, rng) + _head(flat, dense_units, n_classes, rng))
-
-
 def build_model(
     paradigm: str,
     width: int,
@@ -143,7 +152,11 @@ def build_model(
     conv_channels=DEFAULT_CONV_CHANNELS,
     dense_units: int = DEFAULT_DENSE_UNITS,
 ) -> FusionModel:
-    """Construct an untrained model for the given paradigm; seeded, deterministic."""
+    """Construct an untrained model for the given paradigm; seeded, deterministic.
+
+    Parameters are drawn network by network, and within a network branch by
+    branch, then the head.
+    """
     if paradigm not in PARADIGMS:
         raise ValueError(f"unknown paradigm {paradigm!r}; valid: {', '.join(PARADIGMS)}")
     if min(width, height) < 2 ** len(conv_channels):
@@ -152,25 +165,13 @@ def build_model(
         )
     rng = np.random.default_rng(seed)
     stages = len(conv_channels)
-    args = (n_classes, rng, conv_channels, dense_units)
-
-    if paradigm == "single-a":
-        nets = [_backbone(height, width, channels_a, *args)]
-    elif paradigm == "single-b":
-        nets = [_backbone(height, width, channels_b, *args)]
-    elif paradigm == "early":
-        nets = [_backbone(height, width, channels_a + channels_b, *args)]
-    elif paradigm == "joint":
-        branch_a = _conv_stack(channels_a, conv_channels, rng)
-        branch_b = _conv_stack(channels_b, conv_channels, rng)
-        flat = _pooled_extent(height, stages) * _pooled_extent(width, stages) * conv_channels[-1]
-        head = _head(2 * flat, dense_units, n_classes, rng)
-        nets = [nn.TwoBranchNetwork(branch_a, branch_b, head)]
-    else:  # late-mean / late-weighted: a single-a backbone, then a single-b one
-        nets = [
-            _backbone(height, width, channels_a, *args),
-            _backbone(height, width, channels_b, *args),
-        ]
+    flat = _pooled_extent(height, stages) * _pooled_extent(width, stages) * conv_channels[-1]
+    cin = {"a": channels_a, "b": channels_b, "ab": channels_a + channels_b}
+    nets = []
+    for sources in NETWORK_INPUTS[paradigm]:
+        branches = [_conv_stack(cin[source], conv_channels, rng) for source in sources]
+        head = _head(len(branches) * flat, dense_units, n_classes, rng)
+        nets.append(nn.Network(branches[0] + head) if len(branches) == 1 else nn.TwoBranchNetwork(*branches, head))
     return FusionModel(
         paradigm=paradigm,
         nets=nets,
@@ -266,6 +267,32 @@ def weights_from_confusions(cm_a, cm_b) -> tuple[np.ndarray, np.ndarray]:
     return derive_weights(np.diag(cm_a.row_normalized), np.diag(cm_b.row_normalized))
 
 
+def _network_input(model: FusionModel, source: str, chips_a: np.ndarray, chips_b: np.ndarray) -> np.ndarray:
+    if source == "a":
+        return model.inputs_a(chips_a)
+    if source == "b":
+        return model.inputs_b(chips_b)
+    return np.concatenate([model.inputs_a(chips_a), model.inputs_b(chips_b)], axis=-1)
+
+
+def network_inputs(model: FusionModel, chips_a: np.ndarray, chips_b: np.ndarray) -> list[list[np.ndarray]]:
+    """Each network's standardized input list for a batch of paired chips, in model.nets order."""
+    return [[_network_input(model, source, chips_a, chips_b) for source in sources]
+            for sources in NETWORK_INPUTS[model.paradigm]]
+
+
+def decisions(model: FusionModel, preds) -> np.ndarray:
+    """The model's (N, C) decisions from its networks' outputs, one per network in model.nets order."""
+    if model.paradigm == "late-mean":
+        return late_aggregate_mean(*preds)
+    if model.paradigm == "late-weighted":
+        if model.alpha is None or model.beta is None:
+            raise ValueError("late-weighted model has no fusion weights yet; train it (or set them) first")
+        return late_aggregate_weighted(*preds, model.alpha, model.beta)
+    (pred,) = preds
+    return pred
+
+
 def predict_batch(model: FusionModel, chips_a: np.ndarray, chips_b: np.ndarray) -> np.ndarray:
     """Route a batch of paired chips through the model; returns (N, C) decisions.
 
@@ -275,22 +302,8 @@ def predict_batch(model: FusionModel, chips_a: np.ndarray, chips_b: np.ndarray) 
         raise ShapeError(f"modality-A chips {chips_a.shape[1:]} != model spec {model.chip_shape_a}")
     if chips_b.shape[1:] != model.chip_shape_b:
         raise ShapeError(f"modality-B chips {chips_b.shape[1:]} != model spec {model.chip_shape_b}")
-    p = model.paradigm
-    if p == "single-a":
-        return model.nets[0].infer([model.inputs_a(chips_a)])
-    if p == "single-b":
-        return model.nets[0].infer([model.inputs_b(chips_b)])
-    if p == "early":
-        return model.nets[0].infer([np.concatenate([model.inputs_a(chips_a), model.inputs_b(chips_b)], axis=-1)])
-    if p == "joint":
-        return model.nets[0].infer([model.inputs_a(chips_a), model.inputs_b(chips_b)])
-    pred_a = model.nets[0].infer([model.inputs_a(chips_a)])
-    pred_b = model.nets[1].infer([model.inputs_b(chips_b)])
-    if p == "late-mean":
-        return late_aggregate_mean(pred_a, pred_b)
-    if model.alpha is None or model.beta is None:
-        raise ValueError("late-weighted model has no fusion weights yet; train it (or set them) first")
-    return late_aggregate_weighted(pred_a, pred_b, model.alpha, model.beta)
+    inputs = network_inputs(model, chips_a, chips_b)
+    return decisions(model, [net.infer(xs) for net, xs in zip(model.nets, inputs)])
 
 
 def predict(model: FusionModel, sample) -> np.ndarray:
@@ -384,7 +397,7 @@ def load_model(model_dir) -> FusionModel:
     for key, (valid, wanted) in {**_META_KEYS, **_OPTIONAL_META_KEYS}.items():
         if not valid(meta.get(key)):
             raise DataError(f"{meta_path}: {key!r} must be {wanted}, got {meta[key]!r}")
-    n_nets = 2 if meta["paradigm"] in LATE_PARADIGMS else 1
+    n_nets = len(NETWORK_INPUTS[meta["paradigm"]])
     if len(meta["checkpoints"]) != n_nets:
         raise DataError(f"{meta_path}: {meta['paradigm']} needs {n_nets} checkpoint(s), got {len(meta['checkpoints'])}")
     nets = [nn.load_network(model_dir / name) for name in meta["checkpoints"]]

@@ -473,10 +473,10 @@ def _param_shapes(path: str, kind: str, cfg: tuple) -> list[tuple[int, ...]]:
     raise DataError(f"{path}: layer {kind} cannot take {len(cfg)} config value(s)")
 
 
-def _unpack_section(r: _Reader) -> list:
+def _unpack_section(r: _Reader, section: str) -> list:
     (count,) = r.unpack("<I")
     layers = []
-    for _ in range(count):
+    for index in range(count):
         tag, ncfg = r.unpack("<BB")
         if tag not in _TAG_KINDS:
             raise DataError(f"{r.path}: unknown layer kind tag {tag}")
@@ -493,6 +493,8 @@ def _unpack_section(r: _Reader) -> list:
             raise DataError(
                 f"{r.path}: layer {kind}{cfg} expects params {expected}, file has {[p.shape for p in params]}"
             )
+        if not all(np.isfinite(p).all() for p in params):
+            raise DataError(f"{r.path}: {section} layer {index} ({kind}) has non-finite parameters")
         # the layer's zeroed parameters are only allocated once the file has shown their bytes
         layer = _LAYER_KINDS[kind](*cfg)
         for dst, src in zip(layer.parameters(), params):
@@ -523,7 +525,7 @@ def load_network(path):
     if version != NET_VERSION:
         raise VersionMismatchError(f"{path}: checkpoint version {version}, expected {NET_VERSION}")
     if net_type == 0:
-        return Network(_unpack_section(r))
+        return Network(_unpack_section(r, "network"))
     if net_type == 1:
-        return TwoBranchNetwork(_unpack_section(r), _unpack_section(r), _unpack_section(r))
+        return TwoBranchNetwork(*(_unpack_section(r, section) for section in ("branch A", "branch B", "head")))
     raise DataError(f"{path}: unknown network type {net_type}")

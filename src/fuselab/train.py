@@ -138,20 +138,6 @@ def _labels(samples):
     return np.stack([s.label for s in samples])
 
 
-def _net_inputs(model: fusion.FusionModel, samples):
-    """The standardized input list of a one-network model's network for a batch."""
-    paradigm = model.paradigm
-    if paradigm == "single-a":
-        return [model.inputs_a(_stack_a(samples))]
-    if paradigm == "single-b":
-        return [model.inputs_b(_stack_b(samples))]
-    if paradigm == "early":
-        return [np.concatenate([model.inputs_a(_stack_a(samples)), model.inputs_b(_stack_b(samples))], axis=-1)]
-    if paradigm == "joint":
-        return [model.inputs_a(_stack_a(samples)), model.inputs_b(_stack_b(samples))]
-    raise ValueError(f"no single-network input routing for {paradigm!r}")
-
-
 def _channel_stats(chips) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel mean and standard deviation over (H, W, C) chips.
 
@@ -189,21 +175,17 @@ def confusion(model: fusion.FusionModel, samples, class_names) -> ConfusionMatri
     return confusion_matrix(_model_predictions(model, samples), _labels(samples), class_names)
 
 
-def val_confusion(model: fusion.FusionModel, history: TrainHistory, dsplit, member_histories=()) -> ConfusionMatrix:
+def val_confusion(model: fusion.FusionModel, histories, dsplit) -> ConfusionMatrix:
     """Confusion matrix of the trained model's decisions on the validation split.
 
-    Training predicted the split after its last step, so the history's last
-    record already holds those decisions; only after 0 epochs is the split
-    predicted afresh. A late history holds the mean of its members'
-    predictions, so late-weighted combines member_histories' last
-    predictions with its own weights.
+    histories hold one training history per network of the model. Training
+    predicted the split after its last step, so their last records already
+    hold each network's predictions, which fusion.decisions combines; only
+    after 0 epochs is the split predicted afresh.
     """
-    if not history.records:
+    if not all(h.records for h in histories):
         return confusion(model, dsplit.val, dsplit.class_names)
-    pred = history.records[-1].val_predictions
-    if model.paradigm == "late-weighted":
-        pred_a, pred_b = (h.records[-1].val_predictions for h in member_histories)
-        pred = fusion.late_aggregate_weighted(pred_a, pred_b, model.alpha, model.beta)
+    pred = fusion.decisions(model, [h.records[-1].val_predictions for h in histories])
     return confusion_matrix(pred, _labels(dsplit.val), dsplit.class_names)
 
 
@@ -230,7 +212,7 @@ def _fit(model: fusion.FusionModel, dsplit, config: TrainConfig, stream: int) ->
         perm = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             batch = [dsplit.train[i] for i in perm[start : start + config.batch_size]]
-            xs = _net_inputs(model, batch)
+            (xs,) = fusion.network_inputs(model, _stack_a(batch), _stack_b(batch))
             y = _labels(batch)
             pred = net.forward_batch(xs)
             loss = nn.cross_entropy(pred, y)

@@ -134,17 +134,8 @@ def test_c5_gradient_correctness_all_architectures():
     kinds_seen = set()
     for paradigm in fusion.PARADIGMS:
         model = fusion.build_model(paradigm, 8, 8, 2, 3, 5, **kw)
-        if paradigm == "single-a":
-            nets_inputs = [(model.nets[0], [xa])]
-        elif paradigm == "single-b":
-            nets_inputs = [(model.nets[0], [xb])]
-        elif paradigm == "early":
-            nets_inputs = [(model.nets[0], [np.concatenate([xa, xb], axis=-1)])]
-        elif paradigm == "joint":
-            nets_inputs = [(model.nets[0], [xa, xb])]
-        else:
-            nets_inputs = [(model.nets[0], [xa]), (model.nets[1], [xb])]
-        for net, inputs in nets_inputs:
+        for net, batch in zip(model.nets, fusion.network_inputs(model, xa[None], xb[None])):
+            inputs = [x[0] for x in batch]
             kinds_seen.update(type(l).__name__ for l in net.all_layers())
             rep = nn.gradient_check(net, inputs, truth, epsilon=1e-3, tolerance=1e-4)
             worst = max(worst, rep.max_rel_error)

@@ -48,6 +48,24 @@ def write_reference_metrics_csv(path):
     return path
 
 
+EXIT_CODES = {"usage": 2, "data": 3, "numeric": 4}
+
+
+def assert_one_error(capsys, argv, kind, *texts):
+    """Run the CLI on argv and assert the error contract: the exit code of `kind`
+    and exactly one stderr line, `error[kind]: ...`, that holds every text.
+    Returns what the run printed on stdout."""
+    capsys.readouterr()
+    code = main(argv)
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert code == EXIT_CODES[kind], err
+    assert len(err) == 1 and err[0].startswith(f"error[{kind}]:"), err
+    for text in texts:
+        assert text in err[0], (text, err[0])
+    return captured.out
+
+
 # --- dataset synth ---------------------------------------------------------------
 
 
@@ -209,12 +227,8 @@ def test_eval_class_count_mismatch_is_data_error(tmp_path, capsys, model_classes
     model_dir = tmp_path / "model"
     assert main(["train", "--data", str(dirs[model_classes]), "--paradigm", "single-a",
                  "--out", str(model_dir), "--epochs", "0", "--quiet"]) == 0
-    capsys.readouterr()
-    code = main(["eval", "--data", str(dirs[data_classes]), "--model", str(model_dir), "--split", "train",
-                 "--out", str(tmp_path / "o")])
-    err = capsys.readouterr().err.strip().splitlines()
-    assert code == 3
-    assert len(err) == 1 and err[0].startswith("error[data]:") and "classes" in err[0]
+    assert_one_error(capsys, ["eval", "--data", str(dirs[data_classes]), "--model", str(model_dir),
+                              "--split", "train", "--out", str(tmp_path / "o")], "data", "classes")
     assert not (tmp_path / "o" / "confusion.csv").exists()
 
 
@@ -236,17 +250,16 @@ def one_layer_fnet(kind, cfg, nparams=0):
     ])
 
 
-def eval_is_one_data_error(model_dir, tmp_path, capsys):
+def eval_is_one_data_error(model_dir, tmp_path, capsys, *texts):
     """eval exits 3 with one error[data] line, raised by the model (it is loaded before the data)."""
-    code = main(["eval", "--data", str(tmp_path / "data"), "--model", str(model_dir), "--out", str(tmp_path / "o")])
-    err = capsys.readouterr().err.strip().splitlines()
-    return code == 3 and len(err) == 1 and err[0].startswith("error[data]:") and str(model_dir) in err[0]
+    argv = ["eval", "--data", str(tmp_path / "data"), "--model", str(model_dir), "--out", str(tmp_path / "o")]
+    assert_one_error(capsys, argv, "data", str(model_dir), *texts)
 
 
 def test_eval_fnet_wrong_config_count_is_data_error(tmp_path, capsys):
     model_dir = saved_model_dir(tmp_path)
     (model_dir / "net_0.fnet").write_bytes(one_layer_fnet("conv", (3, 2)))
-    assert eval_is_one_data_error(model_dir, tmp_path, capsys)
+    eval_is_one_data_error(model_dir, tmp_path, capsys)
 
 
 def test_eval_fnet_huge_layer_header_allocates_nothing(tmp_path, capsys):
@@ -254,7 +267,7 @@ def test_eval_fnet_huge_layer_header_allocates_nothing(tmp_path, capsys):
     (model_dir / "net_0.fnet").write_bytes(one_layer_fnet("dense", (40000, 40000), nparams=2) + b"\x02\x40\x9c")
     tracemalloc.start()
     try:
-        assert eval_is_one_data_error(model_dir, tmp_path, capsys)
+        eval_is_one_data_error(model_dir, tmp_path, capsys)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -278,7 +291,50 @@ def test_eval_bad_model_json_is_data_error(tmp_path, capsys, key, value):
     else:
         meta[key] = value
     (model_dir / "model.json").write_text(json.dumps(meta))
-    assert eval_is_one_data_error(model_dir, tmp_path, capsys)
+    eval_is_one_data_error(model_dir, tmp_path, capsys)
+
+
+NON_FINITE = ["nan", "inf", "-inf"]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("param", [-1, 0], ids=["last-dense-bias", "first-conv-weight"])
+def test_eval_non_finite_checkpoint_is_data_error(tmp_path, capsys, param, value):
+    model_dir = saved_model_dir(tmp_path)
+    model = fusion.load_model(model_dir)
+    nn.parameters(model.nets[0])[param].flat[0] = float(value)
+    fusion.save_model(model_dir, model)
+    eval_is_one_data_error(model_dir, tmp_path, capsys, "net_0.fnet", "non-finite")
+    assert not (tmp_path / "o" / "confusion.csv").exists()
+
+
+def corrupted_dataset_args(command, tmp_path, corrupt):
+    """argv of `command` on a synthetic dataset whose last B chip `corrupt` rewrites; and that chip's path."""
+    ds = tmp_path / "d"
+    assert main(synth_args(ds, per_class=4)) == 0
+    chip = ds / json.loads((ds / "manifest.jsonl").read_text().splitlines()[-1])["chip_b"]
+    data.save_chip(chip, corrupt(data.load_chip(chip)))
+    out = str(tmp_path / "o")
+    if command == "train":
+        return ["train", "--data", str(ds), "--paradigm", "single-a", "--out", out, "--epochs", "1"], chip
+    return ["eval", "--data", str(ds), "--model", str(saved_model_dir(tmp_path)), "--split", "train", "--out", out], chip
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_non_finite_chip_is_one_data_error(tmp_path, capsys, command, value):
+    def corrupt(chip):
+        chip[1, 2, 0] = float(value)
+        return chip
+
+    argv, chip = corrupted_dataset_args(command, tmp_path, corrupt)
+    assert_one_error(capsys, argv, "data", str(chip), "non-finite")
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_odd_chip_shape_is_one_data_error(tmp_path, capsys, command):
+    argv, chip = corrupted_dataset_args(command, tmp_path, lambda c: np.ones((*c.shape[:2], 4), np.float32))
+    assert_one_error(capsys, argv, "data", str(chip), "(16, 16, 4)")
 
 
 # --- weights derive -----------------------------------------------------------------
@@ -309,12 +365,9 @@ def test_weights_derive_bad_confusion_cell_is_data_error(tmp_path, capsys, cell)
     bad.write_text("\n".join(lines) + "\n")
     good = tmp_path / "good.csv"
     good.write_text(ev.confusion_csv_text(cm))
-    capsys.readouterr()
-    assert main(["weights", "derive", "--cm-a", str(bad), "--cm-b", str(good)]) == 3
-    captured = capsys.readouterr()
-    err = captured.err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error[data]: {bad}:4:") and repr(cell) in err[0]
-    assert captured.out == ""
+    out = assert_one_error(capsys, ["weights", "derive", "--cm-a", str(bad), "--cm-b", str(good)], "data",
+                           f"error[data]: {bad}:4:", repr(cell))
+    assert out == ""
 
 
 # --- compare -----------------------------------------------------------------------
@@ -352,12 +405,8 @@ def test_empty_split_is_one_data_error(tmp_path, capsys, monkeypatch, command, e
         manifest = ds / "manifest.jsonl"
         manifest.write_text(manifest.read_text().replace('"split": "train"', '"split": "val"'))
     assert data.load_dataset(ds).sizes() == ((20, 0, 0) if empty == "val" else (0, 20, 0))
-    capsys.readouterr()
     out = tmp_path / "o"
-    code = main([*command, "--data", str(ds), "--out", str(out), "--epochs", "1", "--quiet"])
-    err = capsys.readouterr().err.strip().splitlines()
-    assert code == 3
-    assert len(err) == 1 and err[0].startswith("error[data]:") and empty in err[0]
+    assert_one_error(capsys, [*command, "--data", str(ds), "--out", str(out), "--epochs", "1", "--quiet"], "data", empty)
     assert not any((out / p).exists() for p in fusion.PARADIGMS)
     assert not (out / "model.json").exists()
 

@@ -17,10 +17,33 @@ def prediction_vectors(n=5):
 # --- build_model ------------------------------------------------------------------
 
 
-def test_early_first_conv_spans_both_modalities():
-    m = fusion.build_model("early", 16, 16, 2, 13, 5, seed=0, conv_channels=(4, 8, 8), dense_units=16)
-    first = m.nets[0].layers[0]
-    assert isinstance(first, nn.Conv) and first.cin == 15
+# Input channels of each network's conv branches, in FusionModel.nets order,
+# as the README's paradigm table describes the paradigms, for P=2 and B=13.
+BRANCH_CHANNELS = {
+    "single-a": [(2,)],
+    "single-b": [(13,)],
+    "early": [(15,)],
+    "joint": [(2, 13)],
+    "late-mean": [(2,), (13,)],
+    "late-weighted": [(2,), (13,)],
+}
+
+
+def first_conv_cin(net):
+    branches = [net.layers] if isinstance(net, nn.Network) else [net.branch_a, net.branch_b]
+    assert all(isinstance(branch[0], nn.Conv) for branch in branches)
+    return tuple(branch[0].cin for branch in branches)
+
+
+@pytest.mark.parametrize("paradigm", fusion.PARADIGMS)
+def test_networks_read_the_modalities_the_readme_states(paradigm, rng):
+    m = fusion.build_model(paradigm, 16, 16, 2, 13, 5, seed=1, conv_channels=(4, 8, 8), dense_units=16)
+    assert [first_conv_cin(net) for net in m.nets] == BRANCH_CHANNELS[paradigm]
+    assert len({id(net) for net in m.nets}) == len(m.nets)  # independent networks
+    chips_a = rng.normal(size=(1, 16, 16, 2)).astype(np.float32)
+    chips_b = rng.normal(size=(1, 16, 16, 13)).astype(np.float32)
+    routed = fusion.network_inputs(m, chips_a, chips_b)
+    assert [tuple(x.shape[-1] for x in xs) for xs in routed] == BRANCH_CHANNELS[paradigm]
 
 
 def test_joint_final_dense_outputs_n_classes():
@@ -59,12 +82,6 @@ def test_parameter_count_ordering():
         assert early_n > nn.n_params(s.nets[0])
     late_total = sum(nn.n_params(net) for net in late.nets)
     assert nn.n_params(joint.nets[0]) < late_total
-
-
-def test_late_holds_two_independent_networks():
-    m = fusion.build_model("late-weighted", 16, 16, 2, 3, 5, seed=1, conv_channels=(4, 8, 8), dense_units=16)
-    assert len(m.nets) == 2
-    assert m.nets[0] is not m.nets[1]
 
 
 # --- aggregation -----------------------------------------------------------------
@@ -280,7 +297,9 @@ def test_input_stats_round_trip_and_standardize(tmp_path, rng):
     chips_a = rng.normal(size=(2, 8, 8, 2)).astype(np.float32)
     chips_b = rng.normal(size=(2, 8, 8, 3)).astype(np.float32)
     assert np.array_equal(model.inputs_a(chips_a), (chips_a - np.float32([1, 2])) / np.float32([0.5, 2]))
-    raw = model.nets[0].infer([np.concatenate([model.inputs_a(chips_a), model.inputs_b(chips_b)], axis=-1)])
+    (inputs,) = fusion.network_inputs(model, chips_a, chips_b)
+    assert np.array_equal(inputs[0][..., 2:], (chips_b - np.float32([0, 1, -1])) / np.float32([1, 4, 0.25]))
+    raw = model.nets[0].infer(inputs)
     before = fusion.predict_batch(model, chips_a, chips_b)
     assert np.array_equal(before, raw)
     fusion.save_model(tmp_path, model)
