@@ -389,14 +389,18 @@ def load_dataset(dataset_dir) -> DatasetSplit:
 
     for rec in records:
         c = index[rec["class"]]
+        chip_a, chip_b = chip(rec, "chip_a"), chip(rec, "chip_b")
+        if chip_b.shape[:2] != chip_a.shape[:2]:  # the modalities observe one location on one grid
+            raise DataError(f"{dataset_dir / rec['chip_b']}: chip height and width {chip_b.shape[:2]} differ "
+                            f"from {chip_a.shape[:2]} of {dataset_dir / rec['chip_a']}")
         groups[rec["split"]].append(
             SamplePair(
                 id=rec["id"],
                 lat=rec["lat"],
                 lon=rec["lon"],
                 class_index=c,
-                chip_a=chip(rec, "chip_a"),
-                chip_b=chip(rec, "chip_b"),
+                chip_a=chip_a,
+                chip_b=chip_b,
                 label=one_hot(c, len(class_names)),
             )
         )

@@ -4,10 +4,10 @@ Counts are kept as integers and only turned into rounded decimals at display
 time, so identities like F1 being the harmonic mean of precision and recall
 hold exactly in rational arithmetic on the counts.
 
-Two accuracy flavours are reported per class: `accuracy` is the textbook
-one-vs-rest (Tp+Tn)/total, while `diagonal_accuracy` is the row-normalized
-confusion diagonal (numerically equal to recall), which is what published
-per-class accuracy tables in this domain usually contain.
+The per-class accuracy that reports write (their `accuracy` column) is
+`diagonal_accuracy`: the row-normalized confusion diagonal, numerically equal
+to recall, which is what published per-class accuracy tables in this domain
+usually contain.
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ def confusion_from_fractions(fractions, per_class: int, class_names) -> Confusio
 @dataclass
 class MetricsTable:
     class_names: tuple
-    accuracy: np.ndarray  # one-vs-rest (Tp+Tn)/total
     diagonal_accuracy: np.ndarray  # row-normalized diagonal, == recall
     precision: np.ndarray
     recall: np.ndarray
@@ -106,15 +105,13 @@ def metrics_from_cm(cm: ConfusionMatrix) -> MetricsTable:
     """
     counts = cm.counts
     c = len(cm.class_names)
-    total = cm.total
-    if total == 0:
+    if cm.total == 0:
         raise ValueError("empty confusion matrix")
     tp = np.diag(counts).astype(np.float64)
     row = counts.sum(axis=1).astype(np.float64)
     col = counts.sum(axis=0).astype(np.float64)
     fp = col - tp
     fn = row - tp
-    tn = total - tp - fp - fn
 
     degenerate = np.zeros(c, dtype=bool)
 
@@ -123,14 +120,12 @@ def metrics_from_cm(cm: ConfusionMatrix) -> MetricsTable:
         degenerate[bad] = True
         return np.where(bad, 0.0, num / np.where(bad, 1.0, den))
 
-    accuracy = (tp + tn) / total
     precision = safe_div(tp, tp + fp)
     recall = safe_div(tp, tp + fn)
     # harmonic mean of P and R, computed straight from counts: 2Tp/(2Tp+Fp+Fn)
     f1 = safe_div(2.0 * tp, 2.0 * tp + fp + fn)
     return MetricsTable(
         class_names=cm.class_names,
-        accuracy=accuracy,
         diagonal_accuracy=recall.copy(),
         precision=precision,
         recall=recall,
@@ -190,7 +185,7 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _ordered(tables: dict, ranking) -> list:
+def _ordered(ranking) -> list:
     return [e.paradigm for e in ranking]
 
 
@@ -198,7 +193,7 @@ def metrics_csv_text(report: ParadigmReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for paradigm in _ordered(report.tables, report.ranking):
+    for paradigm in _ordered(report.ranking):
         t = report.tables[paradigm]
         for i, cls in enumerate(t.class_names):
             writer.writerow(
@@ -213,7 +208,7 @@ def _md_cell(value: float, flagged: bool) -> str:
 
 def metrics_markdown_text(report: ParadigmReport) -> str:
     lines = []
-    for paradigm in _ordered(report.tables, report.ranking):
+    for paradigm in _ordered(report.ranking):
         t = report.tables[paradigm]
         lines.append(f"### {paradigm}")
         lines.append("| Metric | " + " | ".join(t.class_names) + " | Average |")
@@ -248,7 +243,7 @@ _BAR_COLORS = {"Accuracy": "#4c78a8", "Precision": "#f58518", "Recall": "#54a24b
 
 def metrics_svg_text(report: ParadigmReport) -> str:
     """Standalone grouped-bar chart: one group per paradigm, one bar per metric average."""
-    paradigms = _ordered(report.tables, report.ranking)
+    paradigms = _ordered(report.ranking)
     bar_w, gap, group_gap, left, top, plot_h = 22, 4, 30, 60, 30, 220
     group_w = 4 * bar_w + 3 * gap
     width = left + len(paradigms) * (group_w + group_gap) + 40
@@ -321,7 +316,6 @@ def parse_metrics_csv(path) -> dict:
         acc, prec, rec, f1 = (np.array([float(r[i]) for r in rws]) for i in (1, 2, 3, 4))
         tables[paradigm] = MetricsTable(
             class_names=names,
-            accuracy=acc.copy(),
             diagonal_accuracy=acc,
             precision=prec,
             recall=rec,

@@ -18,7 +18,8 @@ single-b model's (see late_model and late_members).
 
 NETWORK_INPUTS is the one statement of how each paradigm is wired: which
 networks it holds and what each network reads. build_model, network_inputs,
-decisions and load_model all follow it.
+decisions and load_model all follow it; load_model also checks every
+checkpoint against it.
 
 Every model standardizes its input chips per channel with the mean and
 standard deviation of its training chips (InputStats, set by training and
@@ -171,7 +172,7 @@ def build_model(
     for sources in NETWORK_INPUTS[paradigm]:
         branches = [_conv_stack(cin[source], conv_channels, rng) for source in sources]
         head = _head(len(branches) * flat, dense_units, n_classes, rng)
-        nets.append(nn.Network(branches[0] + head) if len(branches) == 1 else nn.TwoBranchNetwork(*branches, head))
+        nets.append(nn.Network(*branches, head=head))
     return FusionModel(
         paradigm=paradigm,
         nets=nets,
@@ -380,6 +381,26 @@ _OPTIONAL_META_KEYS = {
 }
 
 
+def _check_network(path, net, sources, meta) -> None:
+    """Raise DataError unless the network `path` holds is wired as its paradigm's
+    NETWORK_INPUTS row says: one branch per source, each branch's first Conv
+    reading that source's channels, and n_classes outputs."""
+    p, b = meta["chip_shape_a"][2], meta["chip_shape_b"][2]
+    want = [{"a": p, "b": b, "ab": p + b}[source] for source in sources]
+    if len(net.branches) != len(want):
+        raise DataError(f"{path}: {meta['paradigm']} needs a network with {len(want)} input branch(es), "
+                        f"the checkpoint has {len(net.branches)}")
+    for i, (branch, cin) in enumerate(zip(net.branches, want)):
+        conv = next((layer for layer in branch if isinstance(layer, nn.Conv)), None)
+        if conv is None or conv.cin != cin:
+            raise DataError(f"{path}: branch {i}'s first Conv must read the {cin} channel(s) of "
+                            f"{sources[i]!r} chips, got {'no Conv' if conv is None else conv.cin}")
+    dense = [layer for layer in net.all_layers() if isinstance(layer, nn.Dense)]
+    if not dense or dense[-1].nout != meta["n_classes"]:
+        raise DataError(f"{path}: the network must output {meta['n_classes']} classes, its last Dense gives "
+                        f"{dense[-1].nout if dense else 'none'}")
+
+
 def load_model(model_dir) -> FusionModel:
     model_dir = Path(model_dir)
     meta_path = model_dir / MODEL_META
@@ -400,7 +421,10 @@ def load_model(model_dir) -> FusionModel:
     n_nets = len(NETWORK_INPUTS[meta["paradigm"]])
     if len(meta["checkpoints"]) != n_nets:
         raise DataError(f"{meta_path}: {meta['paradigm']} needs {n_nets} checkpoint(s), got {len(meta['checkpoints'])}")
-    nets = [nn.load_network(model_dir / name) for name in meta["checkpoints"]]
+    nets = []
+    for name, sources in zip(meta["checkpoints"], NETWORK_INPUTS[meta["paradigm"]]):
+        nets.append(nn.load_network(model_dir / name))
+        _check_network(model_dir / name, nets[-1], sources, meta)
     model = FusionModel(
         paradigm=meta["paradigm"],
         nets=nets,

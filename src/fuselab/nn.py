@@ -1,9 +1,12 @@
-"""Trainable layers, sequential and two-branch networks, loss, gradient checks.
+"""Trainable layers, the network, loss, gradient checks.
 
 Every layer follows the same protocol: forward(x) caches what backward needs,
-backward(dy) returns dx and fills per-parameter gradients. Networks skip dx of
-the layer that reads the input chips: nothing uses a gradient of the data.
-A network's infer() is the forward-only pass and leaves no layer cache.
+backward(dy) returns dx and fills per-parameter gradients. A Network holds one
+layer branch per input and a shared head over the branches' concatenated
+outputs; a single-input network is one branch holding every layer. Networks
+skip dx of the layers that read the input chips: nothing uses a gradient of
+the data. A network's infer() is the forward-only pass and leaves no layer
+cache.
 Shapes are batched, channel-last: images (N, H, W, C), features (N, D),
 predictions (N, C).
 """
@@ -220,89 +223,52 @@ def _run_backward(layers, dy, need_dx: bool = True):
     return layers[0].backward(dy)
 
 
-class _Net:
-    """Entry points shared by the two network kinds; each supplies n_inputs and _forward."""
+class Network:
+    """One layer branch per input; the branches' outputs, concatenated, feed a
+    shared head ending in Softmax. Network(layers) is sequential: with one
+    branch the head is appended to it, so a single-input network is one list."""
 
-    n_inputs: int
+    def __init__(self, *branches: list, head: list = ()):
+        if len(branches) == 1:
+            branches, head = [list(branches[0]) + list(head)], []
+        self.branches = [list(branch) for branch in branches]
+        self.head = list(head)
+        self._widths = ()  # each branch's output width in the last forward pass
 
     def forward_batch(self, inputs) -> np.ndarray:
         """Batched forward pass; every layer keeps what backward needs."""
-        return self._forward(self._input_list(inputs), keep_cache=True)
+        return self._forward(inputs, keep_cache=True)
 
     def infer(self, inputs) -> np.ndarray:
         """Batched forward pass for prediction only: no layer keeps a cache,
         so backward cannot follow it. Outputs equal forward_batch's."""
-        return self._forward(self._input_list(inputs), keep_cache=False)
-
-    def _input_list(self, inputs) -> list:
-        inputs = _as_input_list(inputs)
-        if len(inputs) != self.n_inputs:
-            raise ShapeError(f"this network takes {self.n_inputs} input(s), got {len(inputs)}")
-        return inputs
-
-
-class Network(_Net):
-    """Single-input sequential classifier ending in Softmax."""
-
-    n_inputs = 1
-
-    def __init__(self, layers: list):
-        self.layers = layers
+        return self._forward(inputs, keep_cache=False)
 
     def _forward(self, inputs, keep_cache: bool) -> np.ndarray:
-        return _run_forward(self.layers, inputs[0], keep_cache)
+        inputs = _as_input_list(inputs)
+        if len(inputs) != len(self.branches):
+            raise ShapeError(f"this network takes {len(self.branches)} input(s), got {len(inputs)}")
+        feats = [_run_forward(branch, x, keep_cache) for branch, x in zip(self.branches, inputs)]
+        self._widths = [f.shape[1] for f in feats]
+        return _run_forward(self.head, np.concatenate(feats, axis=1), keep_cache)
 
     def backward(self, dpred: np.ndarray) -> None:
-        _run_backward(self.layers, dpred, need_dx=False)
+        """Backpropagate through the head, then each branch on its slice of the
+        head's input gradient; fills parameter gradients only."""
+        dfeat = _run_backward(self.head, dpred) if self.head else dpred
+        for branch, dy in zip(self.branches, np.split(dfeat, np.cumsum(self._widths)[:-1], axis=1)):
+            _run_backward(branch, dy, need_dx=False)
 
-    def all_layers(self):
-        return list(self.layers)
+    def all_layers(self) -> list:
+        return [layer for branch in self.branches for layer in branch] + self.head
 
     def astype(self, dtype) -> "Network":
-        return Network([l.astype(dtype) for l in self.layers])
+        return Network(*([l.astype(dtype) for l in branch] for branch in self.branches),
+                       head=[l.astype(dtype) for l in self.head])
 
 
-class TwoBranchNetwork(_Net):
-    """Two convolutional feature branches concatenated into a shared head."""
-
-    n_inputs = 2
-
-    def __init__(self, branch_a: list, branch_b: list, head: list):
-        self.branch_a = branch_a
-        self.branch_b = branch_b
-        self.head = head
-        self._split = None
-
-    def _forward(self, inputs, keep_cache: bool) -> np.ndarray:
-        fa = _run_forward(self.branch_a, inputs[0], keep_cache)
-        fb = _run_forward(self.branch_b, inputs[1], keep_cache)
-        self._split = fa.shape[1] if keep_cache else None
-        return _run_forward(self.head, np.concatenate([fa, fb], axis=1), keep_cache)
-
-    def backward(self, dpred: np.ndarray) -> None:
-        if self._split is None:
-            raise StaleCacheError("TwoBranchNetwork.backward before forward")
-        dfeat = _run_backward(self.head, dpred)
-        split = self._split
-        self._split = None
-        _run_backward(self.branch_a, dfeat[:, :split], need_dx=False)
-        _run_backward(self.branch_b, dfeat[:, split:], need_dx=False)
-
-    def all_layers(self):
-        return list(self.branch_a) + list(self.branch_b) + list(self.head)
-
-    def astype(self, dtype) -> "TwoBranchNetwork":
-        return TwoBranchNetwork(
-            [l.astype(dtype) for l in self.branch_a],
-            [l.astype(dtype) for l in self.branch_b],
-            [l.astype(dtype) for l in self.head],
-        )
-
-
-def _as_input_list(inputs):
-    if isinstance(inputs, np.ndarray):
-        return [inputs]
-    return list(inputs)
+def _as_input_list(inputs) -> list:
+    return [inputs] if isinstance(inputs, np.ndarray) else list(inputs)
 
 
 def parameters(net) -> list[np.ndarray]:
@@ -417,7 +383,8 @@ def gradient_check(net, inputs, truth, epsilon: float = 1e-3, tolerance: float =
 
 # --- checkpoint container ------------------------------------------------
 # Binary layout (little-endian): magic "FNET", u16 version=1, u16 reserved,
-# u8 net type (0 sequential, 1 two-branch), then one section per layer list.
+# u8 net type (0: one branch; 1: two branches), then one section per layer list:
+# the branch for type 0; branch A, branch B and the head for type 1.
 # Section: u32 layer count; per layer: u8 kind tag, u8 #config, u32 config
 # values, u8 #params; per param: u8 ndim, u32 extents, float32 payload.
 
@@ -504,8 +471,11 @@ def _unpack_section(r: _Reader, section: str) -> list:
 
 
 def save_network(path, net) -> None:
-    sections = [net.layers] if isinstance(net, Network) else [net.branch_a, net.branch_b, net.head]
-    net_type = 0 if isinstance(net, Network) else 1
+    """Write type 0 (one section) for one branch, type 1 (branches A, B, head) for two."""
+    if len(net.branches) > 2:
+        raise ShapeError(f"a .fnet holds one or two branches, this network has {len(net.branches)}")
+    net_type = len(net.branches) - 1
+    sections = net.branches if net_type == 0 else [*net.branches, net.head]
     blob = b"".join([
         NET_MAGIC,
         struct.pack("<HHB", NET_VERSION, 0, net_type),
@@ -527,5 +497,6 @@ def load_network(path):
     if net_type == 0:
         return Network(_unpack_section(r, "network"))
     if net_type == 1:
-        return TwoBranchNetwork(*(_unpack_section(r, section) for section in ("branch A", "branch B", "head")))
+        branch_a, branch_b, head = (_unpack_section(r, section) for section in ("branch A", "branch B", "head"))
+        return Network(branch_a, branch_b, head=head)
     raise DataError(f"{path}: unknown network type {net_type}")

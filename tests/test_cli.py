@@ -1,6 +1,10 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +39,6 @@ def write_reference_metrics_csv(path):
     tables = {
         name: ev.MetricsTable(
             CLASS_NAMES,
-            np.array(m["recall"]),
             np.array(m["recall"]),
             np.array(m["precision"]),
             np.array(m["recall"]),
@@ -155,7 +158,7 @@ def test_train_early_first_layer_spans_modalities(tiny_dataset_dir, tmp_path):
          "--out", str(out), "--epochs", "0", "--quiet"]
     ) == 0
     model = fusion.load_model(out)
-    assert model.nets[0].layers[0].cin == 2 + 3
+    assert model.nets[0].branches[0][0].cin == 2 + 3
 
 
 def test_train_zero_epochs_checkpoint_equals_initialization(tiny_dataset_dir, tmp_path):
@@ -294,6 +297,22 @@ def test_eval_bad_model_json_is_data_error(tmp_path, capsys, key, value):
     eval_is_one_data_error(model_dir, tmp_path, capsys)
 
 
+@pytest.mark.parametrize(
+    "paradigm, donor, donor_classes, texts",
+    [pytest.param("single-a", "single-a", 4, ("5 classes", "gives 4"), id="class-count"),
+     pytest.param("joint", "single-a", 5, ("2 input branch(es)", "has 1"), id="joint-one-branch"),
+     pytest.param("single-b", "joint", 5, ("1 input branch(es)", "has 2"), id="single-two-branches"),
+     pytest.param("single-a", "single-b", 5, ("2 channel(s) of 'a' chips", "got 3"), id="a-channels"),
+     pytest.param("early", "single-b", 5, ("5 channel(s) of 'ab' chips", "got 3"), id="ab-channels")],
+)
+def test_eval_checkpoint_unlike_its_paradigm_is_data_error(tmp_path, capsys, paradigm, donor, donor_classes, texts):
+    model_dir = tmp_path / "model"
+    kw = dict(seed=0, conv_channels=(2,), dense_units=4)
+    fusion.save_model(model_dir, fusion.build_model(paradigm, 16, 16, 2, 3, 5, **kw))
+    nn.save_network(model_dir / "net_0.fnet", fusion.build_model(donor, 16, 16, 2, 3, donor_classes, **kw).nets[0])
+    eval_is_one_data_error(model_dir, tmp_path, capsys, str(model_dir / "net_0.fnet"), *texts)
+
+
 NON_FINITE = ["nan", "inf", "-inf"]
 
 
@@ -335,6 +354,29 @@ def test_non_finite_chip_is_one_data_error(tmp_path, capsys, command, value):
 def test_odd_chip_shape_is_one_data_error(tmp_path, capsys, command):
     argv, chip = corrupted_dataset_args(command, tmp_path, lambda c: np.ones((*c.shape[:2], 4), np.float32))
     assert_one_error(capsys, argv, "data", str(chip), "(16, 16, 4)")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["train", "--paradigm", "single-b"], ["train", "--paradigm", "joint"], ["train", "--paradigm", "late-mean"],
+     ["compare"], ["eval", "--split", "train"]],
+    ids=lambda c: "-".join(c[:3:2]),
+)
+def test_b_chips_unlike_a_chips_in_size_are_one_data_error(tmp_path, capsys, monkeypatch, command):
+    for method in ("forward_batch", "infer"):  # the sizes are checked before any network runs
+        monkeypatch.setattr(nn.Network, method, no_forward)
+    ds = tmp_path / "d"
+    assert main(synth_args(ds, per_class=4)) == 0
+    records = [json.loads(line) for line in (ds / "manifest.jsonl").read_text().splitlines()]
+    for rec in records:  # every B chip cropped to 8x8 of the 16x16 A chips
+        data.save_chip(ds / rec["chip_b"], data.load_chip(ds / rec["chip_b"])[:8, :8])
+    out = tmp_path / "o"
+    argv = [*command, "--data", str(ds), "--out", str(out), "--epochs", "1", "--quiet"]
+    if command[0] == "eval":
+        argv = [*command, "--data", str(ds), "--model", str(saved_model_dir(tmp_path)), "--out", str(out)]
+    assert_one_error(capsys, argv, "data", str(ds / records[0]["chip_b"]), str(ds / records[0]["chip_a"]),
+                     "(8, 8)", "(16, 16)")
+    assert not out.exists() or not any(out.iterdir())
 
 
 # --- weights derive -----------------------------------------------------------------
@@ -385,6 +427,28 @@ def test_compare_from_tables_reproduces_verdict(tmp_path, capsys):
     assert "Selected paradigm: late-weighted" in md
 
 
+REPO = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    return subprocess.run([sys.executable, str(REPO / "scripts" / name), *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_scripts_run_from_source(tmp_path, capsys):
+    csv_path = write_reference_metrics_csv(tmp_path / "tables.csv")
+    capsys.readouterr()
+    assert main(["compare", "--from-tables", str(csv_path), "--out", str(tmp_path / "cmp"), "--quiet"]) == 0
+    verdict = capsys.readouterr().out.strip().splitlines()[-1]
+    ranked = run_script("rank_tables.py", str(csv_path))
+    assert ranked.returncode == 0, ranked.stderr
+    assert ranked.stdout.strip().splitlines()[-1] == verdict == "verdict: late-weighted"
+    helped = run_script("run_compare.py", "--help")
+    assert helped.returncode == 0, helped.stderr
+    assert "--root" in helped.stdout
+
+
 def test_compare_needs_data_or_tables(tmp_path, capsys):
     assert main(["compare", "--out", str(tmp_path / "x")]) == 2
     assert "error[usage]" in capsys.readouterr().err
@@ -397,8 +461,7 @@ def no_forward(self, inputs):
 @pytest.mark.parametrize("empty", ["val", "train"])
 @pytest.mark.parametrize("command", [["compare"], ["train", "--paradigm", "late-weighted"]])
 def test_empty_split_is_one_data_error(tmp_path, capsys, monkeypatch, command, empty):
-    for cls in (nn.Network, nn.TwoBranchNetwork):  # the split is checked before any training
-        monkeypatch.setattr(cls, "forward_batch", no_forward)
+    monkeypatch.setattr(nn.Network, "forward_batch", no_forward)  # the split is checked before any training
     ds = tmp_path / "d"
     assert main(synth_args(ds, per_class=4)) == 0  # so few samples that val and test are empty
     if empty == "train":

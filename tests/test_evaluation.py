@@ -89,7 +89,7 @@ def test_confusion_matches_counting_oracle(seed, n):
 def test_identity_cm_gives_perfect_metrics():
     cm = ev.ConfusionMatrix(np.eye(3, dtype=np.int64) * 10, ("a", "b", "c"))
     t = ev.metrics_from_cm(cm)
-    for metric in (t.accuracy, t.precision, t.recall, t.f1):
+    for metric in (t.diagonal_accuracy, t.precision, t.recall, t.f1):
         assert np.allclose(metric, 1.0)
 
 
@@ -170,7 +170,6 @@ def test_compare_reference_tables_picks_late_weighted():
     tables = {
         name: ev.MetricsTable(
             CLASS_NAMES,
-            np.array(m["recall"]),
             np.array(m["recall"]),
             np.array(m["precision"]),
             np.array(m["recall"]),

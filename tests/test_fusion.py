@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,9 +32,8 @@ BRANCH_CHANNELS = {
 
 
 def first_conv_cin(net):
-    branches = [net.layers] if isinstance(net, nn.Network) else [net.branch_a, net.branch_b]
-    assert all(isinstance(branch[0], nn.Conv) for branch in branches)
-    return tuple(branch[0].cin for branch in branches)
+    assert all(isinstance(branch[0], nn.Conv) for branch in net.branches)
+    return tuple(branch[0].cin for branch in net.branches)
 
 
 @pytest.mark.parametrize("paradigm", fusion.PARADIGMS)
@@ -333,3 +334,35 @@ def test_joint_model_round_trip(tmp_path, rng):
     fusion.save_model(tmp_path, model)
     after = fusion.predict_batch(fusion.load_model(tmp_path), chips_a, chips_b)
     assert np.array_equal(before, after)
+
+
+# SHA-256 of each network's .fnet, in model.nets order, for _tiny_models(seed=0)
+TINY_FNET_SHA256 = {
+    "single-a": ["b2c753c5fc8e3df2ae48443be77b5f117024031d751e22fd2b556a321a690148"],
+    "single-b": ["7987b8e81014ee1a1e6df7621d711dea9b285d8bf3a5142edca174e65a6df23d"],
+    "early": ["f2dc1a4ee0100bc05178cea655ee61c7c829a3d98111afdf2f8cbf4316961e32"],
+    "joint": ["ab8db21f0d802909ceca89111d9c9909cc8e1d14804e05443999f69fda631bbe"],
+    "late-mean": ["b2c753c5fc8e3df2ae48443be77b5f117024031d751e22fd2b556a321a690148",
+                  "d2a3b9532b1ffa475ccf0749fe0505890eb96c75fd29aa2edae2bc7f88153eb2"],
+    "late-weighted": ["b2c753c5fc8e3df2ae48443be77b5f117024031d751e22fd2b556a321a690148",
+                      "d2a3b9532b1ffa475ccf0749fe0505890eb96c75fd29aa2edae2bc7f88153eb2"],
+}
+
+
+def layer_kinds(net):
+    return [[layer.kind for layer in branch] for branch in net.branches], [layer.kind for layer in net.head]
+
+
+@pytest.mark.parametrize("paradigm", fusion.PARADIGMS)
+def test_fnet_bytes_are_stable_and_round_trip(tmp_path, paradigm):
+    model = _tiny_models()[paradigm]
+    for i, net in enumerate(model.nets):
+        path = tmp_path / f"net_{i}.fnet"
+        nn.save_network(path, net)
+        blob = path.read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == TINY_FNET_SHA256[paradigm][i], (paradigm, i)
+        loaded = nn.load_network(path)
+        assert layer_kinds(loaded) == layer_kinds(net)
+        nn.save_network(path, loaded)
+        assert path.read_bytes() == blob
+    assert len(model.nets) == len(TINY_FNET_SHA256[paradigm])

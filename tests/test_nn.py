@@ -23,6 +23,19 @@ def small_net(rng, cin=2, n_classes=5):
     )
 
 
+def two_branch_net(rng):
+    """Branch outputs of unequal widths, 3*3*3 and 3*3*2, so a wrong split of the head's gradient shows."""
+    return nn.Network(
+        [nn.Conv(3, 2, 3, rng), nn.ReLU(), nn.MaxPool2(), nn.Flatten()],
+        [nn.Conv(3, 4, 2, rng), nn.ReLU(), nn.MaxPool2(), nn.Flatten()],
+        head=[nn.Dense(3 * 3 * 3 + 3 * 3 * 2, 6, rng), nn.ReLU(), nn.Dense(6, 5, rng), nn.Softmax()],
+    )
+
+
+# makers of a one-branch and a two-branch network, with the input channels of each branch
+NETS = pytest.mark.parametrize("make, channels", [(small_net, (2,)), (two_branch_net, (2, 4))])
+
+
 # --- softmax / forward ----------------------------------------------------------
 
 
@@ -62,10 +75,10 @@ def test_forward_branch_count_mismatch():
 
 def test_two_branch_net_fed_one_input_raises():
     rng = np.random.default_rng(13)
-    net = nn.TwoBranchNetwork(
+    net = nn.Network(
         [nn.Conv(3, 2, 2, rng), nn.ReLU(), nn.MaxPool2(), nn.Flatten()],
         [nn.Conv(3, 3, 2, rng), nn.ReLU(), nn.MaxPool2(), nn.Flatten()],
-        [nn.Dense(2 * 3 * 3 * 2, 5, rng), nn.Softmax()],
+        head=[nn.Dense(2 * 3 * 3 * 2, 5, rng), nn.Softmax()],
     )
     x = np.zeros((6, 6, 2), dtype=np.float32)
     with pytest.raises(ShapeError):
@@ -177,40 +190,29 @@ def backward_with_input_gradient(layers, dy):
     return dy
 
 
-def test_network_backward_skips_only_the_input_gradient():
+@NETS
+def test_network_backward_skips_only_the_input_gradient(make, channels):
     rng = np.random.default_rng(13)
-    net = small_net(rng)
-    x = rng.normal(size=(3, 6, 6, 2)).astype(np.float32)
+    net = make(rng)
+    xs = [rng.normal(size=(3, 6, 6, c)).astype(np.float32) for c in channels]
     dpred = rng.normal(size=(3, 5)).astype(np.float32)
-    net.forward_batch([x])
+    net.forward_batch(xs)
     net.backward(dpred)
     skipped = [g.copy() for g in nn.gradients(net)]
-    net.forward_batch([x])
-    dx = backward_with_input_gradient(net.layers, dpred)
-    assert dx.shape == x.shape
-    for a, b in zip(skipped, nn.gradients(net)):
-        assert np.array_equal(a, b)
-
-
-def test_two_branch_backward_skips_only_the_input_gradients():
-    rng = np.random.default_rng(14)
-    net = nn.TwoBranchNetwork(
-        [nn.Conv(3, 2, 3, rng), nn.ReLU(), nn.MaxPool2(), nn.Flatten()],
-        [nn.Conv(3, 4, 3, rng), nn.ReLU(), nn.MaxPool2(), nn.Flatten()],
-        [nn.Dense(2 * 3 * 3 * 3, 6, rng), nn.ReLU(), nn.Dense(6, 5, rng), nn.Softmax()],
-    )
-    xa = rng.normal(size=(3, 6, 6, 2)).astype(np.float32)
-    xb = rng.normal(size=(3, 6, 6, 4)).astype(np.float32)
-    dpred = rng.normal(size=(3, 5)).astype(np.float32)
-    net.forward_batch([xa, xb])
-    net.backward(dpred)
-    skipped = [g.copy() for g in nn.gradients(net)]
-    net.forward_batch([xa, xb])
+    net.forward_batch(xs)
     dfeat = backward_with_input_gradient(net.head, dpred)
-    assert backward_with_input_gradient(net.branch_a, dfeat[:, :27]).shape == xa.shape
-    assert backward_with_input_gradient(net.branch_b, dfeat[:, 27:]).shape == xb.shape
+    widths = [branch[0].cout * 3 * 3 for branch in net.branches]  # each 6x6 branch pools to 3x3
+    for branch, dy, x in zip(net.branches, np.split(dfeat, np.cumsum(widths)[:-1], axis=1), xs):
+        assert backward_with_input_gradient(branch, dy).shape == x.shape
     for a, b in zip(skipped, nn.gradients(net)):
         assert np.array_equal(a, b)
+
+
+def test_single_input_network_is_one_branch():
+    rng = np.random.default_rng(14)
+    layers = small_net(rng).all_layers()
+    net = nn.Network(layers[:4], head=layers[4:])
+    assert net.branches == [layers] and net.head == []
 
 
 def test_conv_backward_returns_dx_unless_told_not_to():
@@ -326,32 +328,18 @@ def test_layer_astype_copies_every_kind(kind):
 # --- checkpoint round trip -------------------------------------------------------------
 
 
-def test_network_checkpoint_round_trip(tmp_path):
+@NETS
+def test_network_checkpoint_round_trip(tmp_path, make, channels):
     rng = np.random.default_rng(10)
-    net = small_net(rng)
-    x = rng.normal(size=(6, 6, 2)).astype(np.float32)
-    before = nn.forward(net, x)
+    net = make(rng)
+    xs = [rng.normal(size=(6, 6, c)).astype(np.float32) for c in channels]
+    before = nn.forward(net, xs)
     path = tmp_path / "net.fnet"
     nn.save_network(path, net)
     loaded = nn.load_network(path)
-    after = nn.forward(loaded, x)
-    assert np.array_equal(before, after)
-
-
-def test_two_branch_checkpoint_round_trip(tmp_path):
-    rng = np.random.default_rng(11)
-    net = nn.TwoBranchNetwork(
-        [nn.Conv(3, 2, 3, rng), nn.ReLU(), nn.MaxPool2(), nn.Flatten()],
-        [nn.Conv(3, 4, 3, rng), nn.ReLU(), nn.MaxPool2(), nn.Flatten()],
-        [nn.Dense(2 * 3 * 3 * 3, 6, rng), nn.ReLU(), nn.Dense(6, 5, rng), nn.Softmax()],
-    )
-    xa = rng.normal(size=(6, 6, 2)).astype(np.float32)
-    xb = rng.normal(size=(6, 6, 4)).astype(np.float32)
-    before = nn.forward(net, [xa, xb])
-    path = tmp_path / "net.fnet"
-    nn.save_network(path, net)
-    after = nn.forward(nn.load_network(path), [xa, xb])
-    assert np.array_equal(before, after)
+    assert [len(b) for b in loaded.branches] == [len(b) for b in net.branches]
+    assert len(loaded.head) == len(net.head)
+    assert np.array_equal(before, nn.forward(loaded, xs))
 
 
 def test_checkpoint_version_mismatch(tmp_path):
@@ -366,15 +354,7 @@ def test_checkpoint_version_mismatch(tmp_path):
         nn.load_network(path)
 
 
-def two_branch_net(rng):
-    return nn.TwoBranchNetwork(
-        [nn.Conv(3, 2, 3, rng), nn.ReLU(), nn.MaxPool2(), nn.Flatten()],
-        [nn.Conv(3, 4, 3, rng), nn.ReLU(), nn.MaxPool2(), nn.Flatten()],
-        [nn.Dense(2 * 3 * 3 * 3, 6, rng), nn.ReLU(), nn.Dense(6, 5, rng), nn.Softmax()],
-    )
-
-
-@pytest.mark.parametrize("make, channels", [(small_net, (2,)), (two_branch_net, (2, 4))])
+@NETS
 def test_infer_keeps_no_cache_and_leaves_training_unchanged(make, channels):
     rng = np.random.default_rng(15)
     xs = [rng.normal(size=(3, 6, 6, c)).astype(np.float32) for c in channels]
