@@ -113,10 +113,10 @@ def _require_out(resolver) -> Path:
 
 def _load_and_augment(resolver, data_dir) -> data.DatasetSplit:
     dsplit = data.load_dataset(data_dir)
+    aug = data.augment(dsplit)
     if resolver.get("augment_eval", parse_bool, True):
-        return data.augment(dsplit)
-    aug_train = data.augment(data.DatasetSplit(dsplit.train, [], [], dsplit.class_names))
-    return data.DatasetSplit(aug_train.train, dsplit.val, dsplit.test, dsplit.class_names)
+        return aug
+    return data.DatasetSplit(aug.train, dsplit.val, dsplit.test, dsplit.class_names)
 
 
 def _train_config(resolver, epochs_default: int, seed: int) -> training.TrainConfig:
@@ -130,14 +130,9 @@ def _train_config(resolver, epochs_default: int, seed: int) -> training.TrainCon
 
 
 def _model_for_dataset(paradigm: str, dsplit: data.DatasetSplit, seed: int) -> fusion.FusionModel:
-    probe = (dsplit.train + dsplit.val + dsplit.test)[0]
-    h, w, p = probe.chip_a.shape
-    _, _, b = probe.chip_b.shape
+    h, w, p = dsplit.train.chips_a.shape[1:]
+    b = dsplit.train.chips_b.shape[3]
     return fusion.build_model(paradigm, w, h, p, b, len(dsplit.class_names), seed)
-
-
-def _split_samples(dsplit: data.DatasetSplit, name: str):
-    return {"train": dsplit.train, "val": dsplit.val, "test": dsplit.test}[name]
 
 
 def _write_eval_files(out_dir: Path, paradigm: str, cm, table) -> None:
@@ -166,7 +161,7 @@ def cmd_dataset_synth(args) -> int:
     samples = data.synth_generate(
         per_class, width=size, height=size, channels_a=p, channels_b=b, n_classes=n_classes, seed=seed
     )
-    dsplit = data.split(samples, seed=seed, stratified=True)
+    dsplit = data.split(samples, data.class_names_for(n_classes), seed=seed, stratified=True)
     data.save_dataset(out, dsplit)
     resolver.write_record(out)
     _say(resolver, f"wrote {len(samples)} samples ({'/'.join(map(str, dsplit.sizes()))} train/val/test) to {out}")
@@ -180,11 +175,9 @@ def cmd_dataset_split(args) -> int:
     stratified = resolver.get("stratified", parse_bool, True)
     resolver.get("quiet", parse_bool, False)
     data_dir = Path(args.data)
-    dsplit = data.load_dataset(data_dir)
-    new_split = data.split(dsplit.all_samples(), fractions=fractions, seed=seed, stratified=stratified)
-    data.save_manifest(data_dir, new_split)
+    sizes = data.resplit(data_dir, fractions=fractions, seed=seed, stratified=stratified)
     resolver.write_record(data_dir)
-    _say(resolver, f"re-split {data_dir}: {'/'.join(map(str, new_split.sizes()))} train/val/test")
+    _say(resolver, f"re-split {data_dir}: {'/'.join(map(str, sizes))} train/val/test")
     return 0
 
 
@@ -225,15 +218,9 @@ def cmd_eval(args) -> int:
         raise ValueError(f"--split must be train, val or test, got {split_name!r}")
     model = fusion.load_model(args.model)
     dsplit = _load_and_augment(resolver, args.data)
-    samples = _split_samples(dsplit, split_name)
+    samples = getattr(dsplit, split_name)
     if not samples:
         raise DataError(f"split {split_name!r} of {args.data} is empty")
-    probe = samples[0]
-    if probe.chip_a.shape != model.chip_shape_a or probe.chip_b.shape != model.chip_shape_b:
-        raise ShapeError(
-            f"dataset chips {probe.chip_a.shape}/{probe.chip_b.shape} do not match "
-            f"model spec {model.chip_shape_a}/{model.chip_shape_b}"
-        )
     if model.n_classes != len(dsplit.class_names):
         raise ShapeError(
             f"model {args.model} has {model.n_classes} classes, dataset {args.data} has {len(dsplit.class_names)}"
@@ -283,7 +270,7 @@ def cmd_compare(args) -> int:
         cfg_probe = _train_config(resolver, COMPARE_EPOCHS_DEFAULT, seed)
         dsplit = _load_and_augment(resolver, args.data)
         for name in ("train", "val"):  # every paradigm trains on the one and is scored on the other
-            if not _split_samples(dsplit, name):
+            if not getattr(dsplit, name):
                 raise DataError(
                     f"compare needs non-empty train and val splits; split {name!r} of {args.data} is empty"
                 )

@@ -1,17 +1,22 @@
-"""Dataset pipeline: paired two-modality chips, labels, splits, augmentation,
-synthetic generation, and the bit-exact chip file format.
+"""Dataset pipeline: paired two-modality chips, class labels, splits,
+augmentation, synthetic generation, and the bit-exact chip file format.
 
 A sample is one geographic location observed by two sensors: a SAR-like
 modality A chip (H, W, P) with multiplicative speckle, and a
-multispectral-like modality B chip (H, W, B) with additive noise. Labels are
-one-hot over the land-cover classes.
+multispectral-like modality B chip (H, W, B) with additive noise. Its label
+is an integer class index into the dataset's class names.
+
+In memory, each split is one Samples: its ids, coordinates and class indices,
+and its chips as two contiguous (N, H, W, C) float32 arrays, held once.
+Augmentation copies no chip: it sets the split's `turns` to 4, and sample j is
+row j // 4 turned (j % 4) quarter turns, read turned when a batch is stacked.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +25,7 @@ from .errors import BadMagicError, DataError, ShapeError, TruncatedPayloadError,
 
 CLASS_NAMES = ("city", "coastline", "lake", "river", "vegetation")
 
+SPLITS = ("train", "val", "test")
 DEFAULT_FRACTIONS = (0.85, 0.10, 0.05)
 
 # synthetic generative model knobs
@@ -35,111 +41,96 @@ def class_names_for(n_classes: int) -> tuple[str, ...]:
 
 
 @dataclass
-class SamplePair:
-    id: str
-    lat: float
-    lon: float
-    class_index: int
-    chip_a: np.ndarray  # (H, W, P) float32
-    chip_b: np.ndarray  # (H, W, B) float32
-    label: np.ndarray  # one-hot (C,)
+class Samples:
+    """One split: N rows of metadata and chips, read as turns * N samples; sample j is
+    row j // turns turned (j % turns) quarter turns, both chips together."""
+
+    ids: list  # (N,) str
+    lat: np.ndarray  # (N,) float64
+    lon: np.ndarray  # (N,) float64
+    classes: np.ndarray  # (N,) int64 class indices
+    chips_a: np.ndarray  # (N, H, W, P) float32
+    chips_b: np.ndarray  # (N, H, W, B) float32
+    turns: int = 1
+
+    def __len__(self) -> int:
+        return self.turns * len(self.classes)
+
+    def pair(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Sample j's A and B chips, as turned views of its row."""
+        row, k = divmod(int(j), self.turns)
+        return np.rot90(self.chips_a[row], k, axes=(0, 1)), np.rot90(self.chips_b[row], k, axes=(0, 1))
+
+    def chips(self, index) -> tuple[np.ndarray, np.ndarray]:
+        """The A and B chips of the samples in index, each stacked into one new (n, H, W, C) array."""
+        pairs = [self.pair(j) for j in index]
+        return np.stack([a for a, _ in pairs]), np.stack([b for _, b in pairs])
+
+    def truth(self, index=None) -> np.ndarray:
+        """The class index of each sample in index (of every sample by default)."""
+        index = np.arange(len(self)) if index is None else np.asarray(index)
+        return self.classes[index // self.turns]
+
+    def take(self, rows) -> Samples:
+        """The unturned samples of the given rows, copied."""
+        return Samples([self.ids[i] for i in rows], self.lat[rows], self.lon[rows], self.classes[rows],
+                       self.chips_a[rows], self.chips_b[rows])
 
 
 @dataclass
 class DatasetSplit:
-    train: list
-    val: list
-    test: list
+    train: Samples
+    val: Samples
+    test: Samples
     class_names: tuple
-
-    def all_samples(self) -> list:
-        return self.train + self.val + self.test
 
     def sizes(self) -> tuple[int, int, int]:
         return len(self.train), len(self.val), len(self.test)
 
 
-def one_hot(class_index: int, n_classes: int) -> np.ndarray:
-    if not 0 <= class_index < n_classes:
-        raise ValueError(f"class index {class_index} out of range 0..{n_classes - 1}")
-    label = np.zeros(n_classes, dtype=np.float32)
-    label[class_index] = 1.0
-    return label
-
-
-def split(samples, fractions=DEFAULT_FRACTIONS, seed: int = 0, stratified: bool = True) -> DatasetSplit:
-    """Deterministic train/val/test partition; floor sizes, remainder to train."""
-    if not samples:
+def _partition(classes, n_classes: int, fractions, seed: int, stratified: bool) -> list:
+    """Row indices of train, val and test; floor sizes, remainder to train."""
+    if not len(classes):
         raise ValueError("cannot split an empty sample list")
     if len(fractions) != 3 or any(not 0.0 < f < 1.0 for f in fractions):
         raise ValueError(f"fractions must be three values in (0,1), got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1, got {fractions}")
     _, f_val, f_test = fractions
-    n_classes = len(samples[0].label)
     rng = np.random.default_rng(seed)
 
-    def carve(group):
-        order = rng.permutation(len(group))
-        n_val = int(len(group) * f_val)
-        n_test = int(len(group) * f_test)
-        n_train = len(group) - n_val - n_test
-        shuffled = [group[i] for i in order]
-        return (
-            shuffled[:n_train],
-            shuffled[n_train : n_train + n_val],
-            shuffled[n_train + n_val :],
-        )
+    def carve(rows):
+        rows = rows[rng.permutation(len(rows))]
+        n_val = int(len(rows) * f_val)
+        n_test = int(len(rows) * f_test)
+        n_train = len(rows) - n_val - n_test
+        return rows[:n_train], rows[n_train : n_train + n_val], rows[n_train + n_val :]
 
     if stratified:
-        train, val, test = [], [], []
-        for c in range(n_classes):
-            group = [s for s in samples if s.class_index == c]
-            tr, va, te = carve(group)
-            train += tr
-            val += va
-            test += te
+        parts = [carve(np.flatnonzero(classes == c)) for c in range(n_classes)]
     else:
-        train, val, test = carve(list(samples))
-    return DatasetSplit(train, val, test, class_names_for(n_classes))
+        parts = [carve(np.arange(len(classes)))]
+    return [np.concatenate([part[i] for part in parts]) for i in range(3)]
 
 
-_ROT_SUFFIX = {1: "#r90", 2: "#r180", 3: "#r270"}
-
-
-def _rotations(sample: SamplePair) -> list:
-    out = [sample]
-    for k, suffix in _ROT_SUFFIX.items():
-        out.append(
-            SamplePair(
-                id=sample.id + suffix,
-                lat=sample.lat,
-                lon=sample.lon,
-                class_index=sample.class_index,
-                chip_a=np.rot90(sample.chip_a, k, axes=(0, 1)),
-                chip_b=np.rot90(sample.chip_b, k, axes=(0, 1)),
-                label=sample.label,
-            )
-        )
-    return out
+def split(samples: Samples, class_names, fractions=DEFAULT_FRACTIONS, seed: int = 0,
+          stratified: bool = True) -> DatasetSplit:
+    """Deterministic train/val/test partition of unturned samples labelled by class_names."""
+    parts = _partition(samples.classes, len(class_names), fractions, seed, stratified)
+    return DatasetSplit(*(samples.take(rows) for rows in parts), tuple(class_names))
 
 
 def augment(dsplit: DatasetSplit) -> DatasetSplit:
     """Grow every split 4x: each sample plus its 90/180/270 degree rotations.
 
     Both chips of a sample rotate together. Applied to train, val and test
-    alike; rotated copies never cross split boundaries.
+    alike; rotated samples never cross split boundaries. No chip is copied.
     """
-    for s in dsplit.all_samples():
-        h, w = s.chip_a.shape[:2]
-        if h != w:
-            raise ShapeError(f"augmentation needs square chips, sample {s.id} is {h}x{w}")
-    return DatasetSplit(
-        train=[r for s in dsplit.train for r in _rotations(s)],
-        val=[r for s in dsplit.val for r in _rotations(s)],
-        test=[r for s in dsplit.test for r in _rotations(s)],
-        class_names=dsplit.class_names,
-    )
+    h, w = dsplit.train.chips_a.shape[1:3]  # every split's chips share one shape
+    if h != w:
+        raise ShapeError(f"augmentation needs square chips, got {h}x{w}")
+    return DatasetSplit(*(replace(getattr(dsplit, name), turns=4) for name in SPLITS),
+                        dsplit.class_names)
 
 
 # --- synthetic generation ----------------------------------------------------
@@ -233,8 +224,9 @@ def synth_generate(
     amp: float = PATTERN_AMP,
     speckle_sigma: float = SPECKLE_SIGMA,
     gauss_sigma: float = GAUSS_SIGMA,
-) -> list:
-    """Seeded class-conditional random fields, `per_class` samples per class.
+) -> Samples:
+    """Seeded class-conditional random fields, `per_class` samples per class,
+    labelled by class_names_for(n_classes).
 
     Modality A gets unit-mean lognormal (speckle-like) multiplicative noise,
     modality B additive Gaussian noise.
@@ -245,30 +237,17 @@ def synth_generate(
     names = class_names_for(n_classes)
     means_a, means_b = generative_fields(plan, width, height, channels_a, channels_b, n_classes, amp)
     rng = np.random.default_rng(seed)
-    samples = []
-    for c in range(n_classes):
-        label = one_hot(c, n_classes)
-        for i in range(per_class):
-            lat = float(rng.uniform(-55.0, 70.0))
-            lon = float(rng.uniform(-180.0, 180.0))
-            speckle = np.exp(
-                speckle_sigma * rng.standard_normal((height, width, channels_a)) - speckle_sigma**2 / 2.0
-            )
-            chip_a = (means_a[c] * speckle).astype(np.float32)
-            chip_b = (means_b[c] + gauss_sigma * rng.standard_normal((height, width, channels_b))).astype(
-                np.float32
-            )
-            samples.append(
-                SamplePair(
-                    id=f"{names[c]}-{i:04d}",
-                    lat=lat,
-                    lon=lon,
-                    class_index=c,
-                    chip_a=chip_a,
-                    chip_b=chip_b,
-                    label=label,
-                )
-            )
+    n = n_classes * per_class
+    samples = Samples([f"{names[c]}-{i:04d}" for c in range(n_classes) for i in range(per_class)],
+                      np.empty(n), np.empty(n), np.repeat(np.arange(n_classes), per_class),
+                      np.empty((n, height, width, channels_a), np.float32),
+                      np.empty((n, height, width, channels_b), np.float32))
+    for row, c in enumerate(samples.classes):
+        samples.lat[row] = rng.uniform(-55.0, 70.0)
+        samples.lon[row] = rng.uniform(-180.0, 180.0)
+        speckle = np.exp(speckle_sigma * rng.standard_normal((height, width, channels_a)) - speckle_sigma**2 / 2.0)
+        samples.chips_a[row] = means_a[c] * speckle
+        samples.chips_b[row] = means_b[c] + gauss_sigma * rng.standard_normal((height, width, channels_b))
     return samples
 
 
@@ -323,38 +302,37 @@ def _chip_filename(sample_id: str, modality: str) -> str:
     return f"chips/{sample_id.replace('#', '_')}_{modality}.fchp"
 
 
+def _write_manifest(manifest: Path, groups) -> None:
+    """Write each split's records, train then val then test, one sorted-key JSON object a line."""
+    manifest.write_text("".join(json.dumps({**rec, "split": name}, sort_keys=True) + "\n"
+                                for name in SPLITS for rec in groups[name]))
+
+
 def save_manifest(out_dir, dsplit: DatasetSplit) -> None:
-    lines = []
-    for split_name, group in (("train", dsplit.train), ("val", dsplit.val), ("test", dsplit.test)):
-        for s in group:
-            lines.append(
-                json.dumps(
-                    {
-                        "id": s.id,
-                        "class": dsplit.class_names[s.class_index],
-                        "lat": s.lat,
-                        "lon": s.lon,
-                        "chip_a": _chip_filename(s.id, "a"),
-                        "chip_b": _chip_filename(s.id, "b"),
-                        "split": split_name,
-                    },
-                    sort_keys=True,
-                )
-            )
-    (Path(out_dir) / MANIFEST_NAME).write_text("\n".join(lines) + "\n")
+    groups = {}
+    for name in SPLITS:
+        samples = getattr(dsplit, name)
+        groups[name] = [
+            {"id": sid, "class": dsplit.class_names[c], "lat": float(lat), "lon": float(lon),
+             "chip_a": _chip_filename(sid, "a"), "chip_b": _chip_filename(sid, "b")}
+            for sid, c, lat, lon in zip(samples.ids, samples.classes, samples.lat, samples.lon)
+        ]
+    _write_manifest(Path(out_dir) / MANIFEST_NAME, groups)
 
 
 def save_dataset(out_dir, dsplit: DatasetSplit) -> None:
     out_dir = Path(out_dir)
     (out_dir / "chips").mkdir(parents=True, exist_ok=True)
-    for s in dsplit.all_samples():
-        save_chip(out_dir / _chip_filename(s.id, "a"), s.chip_a)
-        save_chip(out_dir / _chip_filename(s.id, "b"), s.chip_b)
+    for name in SPLITS:
+        samples = getattr(dsplit, name)
+        for sid, chip_a, chip_b in zip(samples.ids, samples.chips_a, samples.chips_b):
+            save_chip(out_dir / _chip_filename(sid, "a"), chip_a)
+            save_chip(out_dir / _chip_filename(sid, "b"), chip_b)
     save_manifest(out_dir, dsplit)
 
 
-def load_dataset(dataset_dir) -> DatasetSplit:
-    dataset_dir = Path(dataset_dir)
+def _read_manifest(dataset_dir: Path) -> tuple[Path, list, tuple]:
+    """The manifest's path, its records in file order and the dataset's class names; DataError if it has none."""
     manifest = dataset_dir / MANIFEST_NAME
     if not manifest.exists():
         raise DataError(f"{dataset_dir}: no {MANIFEST_NAME} found")
@@ -369,39 +347,66 @@ def load_dataset(dataset_dir) -> DatasetSplit:
         missing = {"id", "class", "lat", "lon", "chip_a", "chip_b", "split"} - rec.keys()
         if missing:
             raise DataError(f"{manifest}:{ln}: record missing fields {sorted(missing)}")
-        if rec["split"] not in ("train", "val", "test"):
+        if rec["split"] not in SPLITS:
             raise DataError(f"{manifest}:{ln}: bad split {rec['split']!r}")
+        if any(isinstance(rec[k], bool) or not isinstance(rec[k], (int, float)) for k in ("lat", "lon")):
+            raise DataError(f"{manifest}:{ln}: lat and lon must be numbers, got {rec['lat']!r} and {rec['lon']!r}")
         records.append(rec)
+    if not records:
+        raise DataError(f"{manifest}: no records")
     present = {r["class"] for r in records}
     known = [n for n in CLASS_NAMES if n in present]
-    class_names = tuple(known + sorted(present - set(CLASS_NAMES)))
-    index = {n: i for i, n in enumerate(class_names)}
-    groups = {"train": [], "val": [], "test": []}
+    return manifest, records, tuple(known + sorted(present - set(CLASS_NAMES)))
+
+
+def load_dataset(dataset_dir) -> DatasetSplit:
+    """Read a dataset directory; each split's chips go into its own preallocated arrays."""
+    dataset_dir = Path(dataset_dir)
+    _, records, class_names = _read_manifest(dataset_dir)
+    groups = {name: [r for r in records if r["split"] == name] for name in SPLITS}
     first = {}  # chip key -> (shape, path) of the modality's first chip
+    arrays = {}  # chip key -> split name -> (N, H, W, C) array
+    filled = dict.fromkeys(SPLITS, 0)
 
     def chip(rec, key):
         path = dataset_dir / rec[key]
         arr = load_chip(path)
-        shape, first_path = first.setdefault(key, (arr.shape, path))
+        if key not in first:  # the modality's first chip fixes its shape
+            first[key] = (arr.shape, path)
+            arrays[key] = {name: np.empty((len(groups[name]), *arr.shape), np.float32) for name in SPLITS}
+        shape, first_path = first[key]
         if arr.shape != shape:
             raise DataError(f"{path}: chip shape {arr.shape} differs from {shape} of {first_path}")
+        arrays[key][rec["split"]][filled[rec["split"]]] = arr
         return arr
 
     for rec in records:
-        c = index[rec["class"]]
         chip_a, chip_b = chip(rec, "chip_a"), chip(rec, "chip_b")
         if chip_b.shape[:2] != chip_a.shape[:2]:  # the modalities observe one location on one grid
             raise DataError(f"{dataset_dir / rec['chip_b']}: chip height and width {chip_b.shape[:2]} differ "
                             f"from {chip_a.shape[:2]} of {dataset_dir / rec['chip_a']}")
-        groups[rec["split"]].append(
-            SamplePair(
-                id=rec["id"],
-                lat=rec["lat"],
-                lon=rec["lon"],
-                class_index=c,
-                chip_a=chip_a,
-                chip_b=chip_b,
-                label=one_hot(c, len(class_names)),
-            )
-        )
-    return DatasetSplit(groups["train"], groups["val"], groups["test"], class_names)
+        filled[rec["split"]] += 1
+    index = {n: i for i, n in enumerate(class_names)}
+    return DatasetSplit(*(
+        Samples([r["id"] for r in groups[name]],
+                np.array([r["lat"] for r in groups[name]], dtype=np.float64),
+                np.array([r["lon"] for r in groups[name]], dtype=np.float64),
+                np.array([index[r["class"]] for r in groups[name]], dtype=np.int64),
+                arrays["chip_a"][name], arrays["chip_b"][name])
+        for name in SPLITS
+    ), class_names)
+
+
+def resplit(dataset_dir, fractions=DEFAULT_FRACTIONS, seed: int = 0, stratified: bool = True) -> tuple:
+    """Reassign the split of every record in a dataset's manifest, as split() would
+    partition the loaded dataset, and return the new split sizes.
+
+    Each record keeps every other field as read (class name, chip paths,
+    coordinates); records are written grouped by their new split.
+    """
+    manifest, records, class_names = _read_manifest(Path(dataset_dir))
+    records.sort(key=lambda r: SPLITS.index(r["split"]))  # load_dataset's sample order
+    classes = np.array([class_names.index(r["class"]) for r in records])
+    parts = _partition(classes, len(class_names), fractions, seed, stratified)
+    _write_manifest(manifest, {name: [records[i] for i in rows] for name, rows in zip(SPLITS, parts)})
+    return tuple(len(rows) for rows in parts)

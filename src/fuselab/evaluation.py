@@ -52,20 +52,20 @@ class ConfusionMatrix:
         return int(self.counts.sum())
 
 
-def confusion_matrix(predictions, truths, class_names=None) -> ConfusionMatrix:
-    """Count argmax decisions against one-hot truths; ties go to the lowest index."""
+def confusion_matrix(predictions, classes, class_names=None) -> ConfusionMatrix:
+    """Count argmax decisions against true class indices (ValueError if out of range); ties go to the lowest."""
     predictions = np.atleast_2d(np.asarray(predictions))
-    truths = np.atleast_2d(np.asarray(truths))
-    if len(predictions) != len(truths):
-        raise ShapeError(f"{len(predictions)} predictions vs {len(truths)} truths")
+    classes = np.atleast_1d(np.asarray(classes))
+    if len(predictions) != len(classes):
+        raise ShapeError(f"{len(predictions)} predictions vs {len(classes)} classes")
     if len(predictions) == 0:
         raise ValueError("need at least one sample")
-    c = truths.shape[1]
+    c = predictions.shape[1]
+    if not np.issubdtype(classes.dtype, np.integer) or ((classes < 0) | (classes >= c)).any():
+        raise ValueError(f"class indices must be integers in 0..{c - 1}, got {classes.tolist()}")
     names = tuple(class_names) if class_names else tuple(f"class{i}" for i in range(c))
     counts = np.zeros((c, c), dtype=np.int64)
-    pred_idx = predictions.argmax(axis=1)
-    true_idx = truths.argmax(axis=1)
-    np.add.at(counts, (true_idx, pred_idx), 1)
+    np.add.at(counts, (classes, predictions.argmax(axis=1)), 1)
     return ConfusionMatrix(counts, names)
 
 

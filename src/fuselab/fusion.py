@@ -307,11 +307,6 @@ def predict_batch(model: FusionModel, chips_a: np.ndarray, chips_b: np.ndarray) 
     return decisions(model, [net.infer(xs) for net, xs in zip(model.nets, inputs)])
 
 
-def predict(model: FusionModel, sample) -> np.ndarray:
-    """Decision vector for one SamplePair."""
-    return predict_batch(model, sample.chip_a[None], sample.chip_b[None])[0]
-
-
 # --- on-disk model bundle --------------------------------------------------
 
 MODEL_META = "model.json"
@@ -384,7 +379,7 @@ _OPTIONAL_META_KEYS = {
 def _check_network(path, net, sources, meta) -> None:
     """Raise DataError unless the network `path` holds is wired as its paradigm's
     NETWORK_INPUTS row says: one branch per source, each branch's first Conv
-    reading that source's channels, and n_classes outputs."""
+    reading that source's channels, a first Dense as wide as the branches' output, and n_classes outputs."""
     p, b = meta["chip_shape_a"][2], meta["chip_shape_b"][2]
     want = [{"a": p, "b": b, "ab": p + b}[source] for source in sources]
     if len(net.branches) != len(want):
@@ -399,6 +394,15 @@ def _check_network(path, net, sources, meta) -> None:
     if not dense or dense[-1].nout != meta["n_classes"]:
         raise DataError(f"{path}: the network must output {meta['n_classes']} classes, its last Dense gives "
                         f"{dense[-1].nout if dense else 'none'}")
+    h, w = meta["chip_shape_a"][:2]
+    width = 0
+    for branch in net.branches:
+        stages = sum(isinstance(layer, nn.MaxPool2) for layer in branch)
+        cout = [layer for layer in branch if isinstance(layer, nn.Conv)][-1].cout
+        width += _pooled_extent(h, stages) * _pooled_extent(w, stages) * cout
+    if dense[0].nin != width:
+        raise DataError(f"{path}: the first Dense reads {dense[0].nin} features, but {h}x{w} chips give "
+                        f"{width} from the network's conv branches")
 
 
 def load_model(model_dir) -> FusionModel:

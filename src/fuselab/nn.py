@@ -294,30 +294,34 @@ def forward(net, inputs) -> np.ndarray:
     return net.infer([x[None] for x in _as_input_list(inputs)])[0]
 
 
-def _validate_one_hot(truth: np.ndarray) -> None:
-    ok = np.all((truth == 0.0) | (truth == 1.0)) and np.all(truth.sum(axis=-1) == 1.0)
-    if not ok:
-        raise ValueError("truth must be one-hot (a single 1.0 per row, rest 0.0)")
+def _target_index(pred: np.ndarray, classes) -> tuple[np.ndarray, np.ndarray]:
+    """The (rows, classes) index of each prediction row's true class; ValueError for a class out of range."""
+    classes = np.atleast_1d(np.asarray(classes))
+    if classes.shape != pred.shape[:1]:
+        raise ShapeError(f"pred {pred.shape} vs classes {classes.shape}")
+    n_classes = pred.shape[1]
+    if not np.issubdtype(classes.dtype, np.integer) or ((classes < 0) | (classes >= n_classes)).any():
+        raise ValueError(f"classes must be integers in 0..{n_classes - 1}, got {classes.tolist()}")
+    return np.arange(len(classes)), classes
 
 
-def cross_entropy(pred: np.ndarray, truth: np.ndarray) -> float:
-    """Mean cross-entropy; predictions clamped to [1e-7, 1] before the log."""
+def cross_entropy(pred: np.ndarray, classes) -> float:
+    """Mean cross-entropy of the true classes' predictions, clamped to [1e-7, 1] before the log."""
     pred = np.atleast_2d(np.asarray(pred))
-    truth = np.atleast_2d(np.asarray(truth))
-    if pred.shape != truth.shape:
-        raise ShapeError(f"pred {pred.shape} vs truth {truth.shape}")
-    _validate_one_hot(truth)
+    target = _target_index(pred, classes)
     clamped = np.clip(pred, PRED_CLAMP_FLOOR, 1.0)
-    return float(-(truth * np.log(clamped)).sum(axis=-1).mean())
+    return float(-np.log(clamped)[target].mean())
 
 
-def cross_entropy_grad(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    """d(mean cross-entropy)/d(pred); zero inside the clamp's flat region."""
+def cross_entropy_grad(pred: np.ndarray, classes) -> np.ndarray:
+    """d(mean cross-entropy)/d(pred): -1/(N p) at each row's true class, zero
+    elsewhere and inside the clamp's flat region."""
     pred = np.atleast_2d(np.asarray(pred))
-    truth = np.atleast_2d(np.asarray(truth))
-    clamped = np.clip(pred, PRED_CLAMP_FLOOR, 1.0)
-    grad = np.where(pred >= PRED_CLAMP_FLOOR, -truth / clamped, 0.0)
-    return (grad / pred.shape[0]).astype(pred.dtype)
+    target = _target_index(pred, classes)
+    p = pred[target]
+    grad = np.zeros_like(pred)
+    grad[target] = np.where(p >= PRED_CLAMP_FLOOR, -1.0 / np.clip(p, PRED_CLAMP_FLOOR, 1.0), 0.0)
+    return grad / pred.shape[0]
 
 
 @dataclass
@@ -338,8 +342,9 @@ class GradientCheckReport:
         return "\n".join(lines)
 
 
-def gradient_check(net, inputs, truth, epsilon: float = 1e-3, tolerance: float = 1e-4) -> GradientCheckReport:
-    """Compare analytic parameter gradients against central finite differences.
+def gradient_check(net, inputs, target: int, epsilon: float = 1e-3, tolerance: float = 1e-4) -> GradientCheckReport:
+    """Compare analytic parameter gradients against central finite differences
+    of the cross-entropy of one sample whose true class is `target`.
 
     The whole computation is promoted to float64; the net must stay small
     (every parameter is perturbed twice).
@@ -348,13 +353,13 @@ def gradient_check(net, inputs, truth, epsilon: float = 1e-3, tolerance: float =
         raise ValueError(f"gradient_check limited to 1e4 params, net has {n_params(net)}")
     net64 = net.astype(np.float64)
     inputs64 = [np.asarray(x, dtype=np.float64)[None] for x in _as_input_list(inputs)]
-    truth64 = np.asarray(truth, dtype=np.float64)[None]
+    classes = np.array([target])
 
     pred = net64.forward_batch(inputs64)
-    net64.backward(cross_entropy_grad(pred, truth64))
+    net64.backward(cross_entropy_grad(pred, classes))
 
     def loss() -> float:
-        return cross_entropy(net64.forward_batch(inputs64), truth64)
+        return cross_entropy(net64.forward_batch(inputs64), classes)
 
     report = GradientCheckReport(tolerance=tolerance)
     for li, layer in enumerate(net64.all_layers()):

@@ -12,6 +12,9 @@ Training first gives a model without input stats those of its training split:
 the per-channel mean and standard deviation of each modality, with which the
 model standardizes every chip it sees (see fusion.InputStats).
 
+Every split is a data.Samples: a step stacks its batch with Samples.chips
+(augmented samples are read turned), and labels are class indices.
+
 A training step runs a network's forward pass, in which each convolution is
 nn.Conv (zero padding, tensor.im2col, one float32 GEMM), backpropagates the
 cross-entropy gradient and applies one step of the optimizer that
@@ -126,18 +129,6 @@ OPTIMIZERS = {"sgd": SGD, "adam": Adam}
 EVAL_BATCH = 64
 
 
-def _stack_a(samples):
-    return np.ascontiguousarray(np.stack([s.chip_a for s in samples]))
-
-
-def _stack_b(samples):
-    return np.ascontiguousarray(np.stack([s.chip_b for s in samples]))
-
-
-def _labels(samples):
-    return np.stack([s.label for s in samples])
-
-
 def _channel_stats(chips) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel mean and standard deviation over (H, W, C) chips.
 
@@ -158,21 +149,23 @@ def _channel_stats(chips) -> tuple[np.ndarray, np.ndarray]:
 
 
 def input_stats(samples) -> tuple:
-    """(mean_a, std_a, mean_b, std_b) of the samples' chips, for FusionModel.set_input_stats."""
-    return (*_channel_stats([s.chip_a for s in samples]), *_channel_stats([s.chip_b for s in samples]))
+    """(mean_a, std_a, mean_b, std_b) of the samples' chips, each read turned, for FusionModel.set_input_stats."""
+    pairs = [samples.pair(j) for j in range(len(samples))]
+    return (*_channel_stats([a for a, _ in pairs]), *_channel_stats([b for _, b in pairs]))
 
 
 def _model_predictions(model: fusion.FusionModel, samples) -> np.ndarray:
     """Decision vectors in sample order, computed forward-only in EVAL_BATCH chunks."""
+    n = len(samples)
     return np.concatenate([
-        fusion.predict_batch(model, _stack_a(chunk), _stack_b(chunk))
-        for chunk in (samples[i : i + EVAL_BATCH] for i in range(0, len(samples), EVAL_BATCH))
+        fusion.predict_batch(model, *samples.chips(range(i, min(i + EVAL_BATCH, n))))
+        for i in range(0, n, EVAL_BATCH)
     ])
 
 
 def confusion(model: fusion.FusionModel, samples, class_names) -> ConfusionMatrix:
     """Confusion matrix of the model's decisions on the samples."""
-    return confusion_matrix(_model_predictions(model, samples), _labels(samples), class_names)
+    return confusion_matrix(_model_predictions(model, samples), samples.truth(), class_names)
 
 
 def val_confusion(model: fusion.FusionModel, histories, dsplit) -> ConfusionMatrix:
@@ -186,16 +179,16 @@ def val_confusion(model: fusion.FusionModel, histories, dsplit) -> ConfusionMatr
     if not all(h.records for h in histories):
         return confusion(model, dsplit.val, dsplit.class_names)
     pred = fusion.decisions(model, [h.records[-1].val_predictions for h in histories])
-    return confusion_matrix(pred, _labels(dsplit.val), dsplit.class_names)
+    return confusion_matrix(pred, dsplit.val.truth(), dsplit.class_names)
 
 
 def _record(epoch, loss_sum, correct, seen, val_pred, dsplit) -> EpochRecord:
     if val_pred is None:
         val_loss, val_acc = float("nan"), float("nan")
     else:
-        val_truth = _labels(dsplit.val)
+        val_truth = dsplit.val.truth()
         val_loss = nn.cross_entropy(val_pred, val_truth)
-        val_acc = float((val_pred.argmax(axis=1) == val_truth.argmax(axis=1)).mean())
+        val_acc = float((val_pred.argmax(axis=1) == val_truth).mean())
     return EpochRecord(epoch, loss_sum, correct, seen, val_loss, val_acc, val_pred)
 
 
@@ -211,9 +204,9 @@ def _fit(model: fusion.FusionModel, dsplit, config: TrainConfig, stream: int) ->
         correct = 0
         perm = rng.permutation(n)
         for start in range(0, n, config.batch_size):
-            batch = [dsplit.train[i] for i in perm[start : start + config.batch_size]]
-            (xs,) = fusion.network_inputs(model, _stack_a(batch), _stack_b(batch))
-            y = _labels(batch)
+            batch = perm[start : start + config.batch_size]
+            (xs,) = fusion.network_inputs(model, *dsplit.train.chips(batch))
+            y = dsplit.train.truth(batch)
             pred = net.forward_batch(xs)
             loss = nn.cross_entropy(pred, y)
             if not math.isfinite(loss):
@@ -224,7 +217,7 @@ def _fit(model: fusion.FusionModel, dsplit, config: TrainConfig, stream: int) ->
             net.backward(nn.cross_entropy_grad(pred, y))
             optimizer.step(nn.gradients(net))
             loss_sum += loss * len(batch)
-            correct += int((pred.argmax(axis=1) == y.argmax(axis=1)).sum())
+            correct += int((pred.argmax(axis=1) == y).sum())
         val_pred = _model_predictions(model, dsplit.val) if dsplit.val else None
         history.records.append(_record(epoch, loss_sum, correct, n, val_pred, dsplit))
     return history
@@ -245,7 +238,7 @@ def fuse_late(model: fusion.FusionModel, histories, dsplit) -> TrainHistory:
     if model.paradigm == "late-weighted":
         preds = [h.records[-1].val_predictions if h.records else _model_predictions(member, dsplit.val)
                  for h, member in zip(histories, fusion.late_members(model))]
-        cms = [confusion_matrix(pred, _labels(dsplit.val), dsplit.class_names) for pred in preds]
+        cms = [confusion_matrix(pred, dsplit.val.truth(), dsplit.class_names) for pred in preds]
         model.set_fusion_weights(*fusion.weights_from_confusions(*cms))
     pooled = TrainHistory()
     for ra, rb in zip(histories[0].records, histories[1].records):

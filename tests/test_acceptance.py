@@ -111,7 +111,7 @@ def test_c3_selection_verdict_reproduction(tmp_path, capsys):
 def test_c4_dataset_arithmetic():
     t0 = time.perf_counter()
     samples = data.synth_generate(100, seed=0)
-    ds = data.split(samples, seed=0)
+    ds = data.split(samples, data.CLASS_NAMES, seed=0)
     aug = data.augment(ds)
     elapsed = time.perf_counter() - t0
     ok = (
@@ -128,7 +128,6 @@ def test_c5_gradient_correctness_all_architectures():
     rng = np.random.default_rng(99)
     xa = rng.normal(size=(8, 8, 2)).astype(np.float32)
     xb = rng.normal(size=(8, 8, 3)).astype(np.float32)
-    truth = data.one_hot(3, 5)
     kw = dict(seed=17, conv_channels=(2, 3, 4), dense_units=8)
     worst = 0.0
     kinds_seen = set()
@@ -137,7 +136,7 @@ def test_c5_gradient_correctness_all_architectures():
         for net, batch in zip(model.nets, fusion.network_inputs(model, xa[None], xb[None])):
             inputs = [x[0] for x in batch]
             kinds_seen.update(type(l).__name__ for l in net.all_layers())
-            rep = nn.gradient_check(net, inputs, truth, epsilon=1e-3, tolerance=1e-4)
+            rep = nn.gradient_check(net, inputs, 3, epsilon=1e-3, tolerance=1e-4)
             worst = max(worst, rep.max_rel_error)
     elapsed = time.perf_counter() - t0
     all_kinds = {"Conv", "MaxPool2", "Flatten", "Dense", "ReLU", "Softmax"}

@@ -119,6 +119,45 @@ def test_dataset_resplit(tiny_dataset_dir, tmp_path):
     assert ds.sizes() == (85, 10, 5)
 
 
+def test_dataset_split_changes_only_each_records_split(tiny_dataset_dir, tmp_path):
+    import shutil
+
+    work = tmp_path / "copy"
+    shutil.copytree(tiny_dataset_dir, work)
+    (work / "sar").mkdir()
+    manifest = work / "manifest.jsonl"
+    records = [json.loads(line) for line in manifest.read_text().splitlines()]
+    for rec in records:  # custom class names and A chips moved out of chips/
+        rec["class"] = {"coastline": "forest"}.get(rec["class"], rec["class"])
+        moved = "sar/" + Path(rec["chip_a"]).name
+        (work / rec["chip_a"]).rename(work / moved)
+        rec["chip_a"] = moved
+    manifest.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    without_split = sorted(json.dumps({k: v for k, v in rec.items() if k != "split"}) for rec in records)
+    for flags in (["--seed", "5"], ["--stratified", "false"]):
+        assert main(["dataset", "split", "--data", str(work), *flags, "--quiet"]) == 0
+        resplit = [json.loads(line) for line in manifest.read_text().splitlines()]
+        assert sorted(json.dumps({k: v for k, v in rec.items() if k != "split"}) for rec in resplit) == without_split
+    assert "forest" in data.load_dataset(work).class_names
+    assert main(["train", "--data", str(work), "--paradigm", "single-a", "--out", str(tmp_path / "m"),
+                 "--epochs", "1", "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "compare", "dataset split"])
+def test_empty_manifest_is_one_data_error(tmp_path, capsys, command):
+    ds = tmp_path / "d"
+    ds.mkdir()
+    (ds / "manifest.jsonl").write_text("\n")
+    out = str(tmp_path / "o")
+    argv = {
+        "train": ["train", "--paradigm", "single-a", "--data", str(ds), "--out", out],
+        "eval": ["eval", "--model", str(saved_model_dir(tmp_path)), "--data", str(ds), "--out", out],
+        "compare": ["compare", "--data", str(ds), "--out", out],
+        "dataset split": ["dataset", "split", "--data", str(ds)],
+    }[command]
+    assert_one_error(capsys, argv, "data", f"{ds / 'manifest.jsonl'}: no records")
+
+
 # --- train ------------------------------------------------------------------------
 
 
@@ -311,6 +350,24 @@ def test_eval_checkpoint_unlike_its_paradigm_is_data_error(tmp_path, capsys, par
     fusion.save_model(model_dir, fusion.build_model(paradigm, 16, 16, 2, 3, 5, **kw))
     nn.save_network(model_dir / "net_0.fnet", fusion.build_model(donor, 16, 16, 2, 3, donor_classes, **kw).nets[0])
     eval_is_one_data_error(model_dir, tmp_path, capsys, str(model_dir / "net_0.fnet"), *texts)
+
+
+def test_eval_first_dense_unlike_the_chip_size_is_data_error(tmp_path, capsys):
+    model_dir = saved_model_dir(tmp_path)  # built for 16x16 chips
+    meta = json.loads((model_dir / "model.json").read_text())
+    meta["chip_shape_a"], meta["chip_shape_b"] = [32, 32, 2], [32, 32, 3]
+    (model_dir / "model.json").write_text(json.dumps(meta))
+    assert main(synth_args(tmp_path / "data", per_class=4, size=32)) == 0
+    eval_is_one_data_error(model_dir, tmp_path, capsys, str(model_dir / "net_0.fnet"), "reads 128 features",
+                           "32x32 chips give 512")
+
+
+def test_eval_chips_unlike_the_model_are_one_data_error(tmp_path, capsys):
+    assert main(synth_args(tmp_path / "data", per_class=4, size=32)) == 0
+    argv = ["eval", "--data", str(tmp_path / "data"), "--model", str(saved_model_dir(tmp_path)),
+            "--split", "train", "--out", str(tmp_path / "o")]
+    assert_one_error(capsys, argv, "data", "(32, 32, 2)", "(16, 16, 2)")
+    assert not (tmp_path / "o").exists()
 
 
 NON_FINITE = ["nan", "inf", "-inf"]
@@ -572,3 +629,22 @@ def test_run_config_has_no_timestamps(tiny_dataset_dir):
     record = json.loads((tiny_dataset_dir / "run-config.json").read_text())
     text = json.dumps(record)
     assert "time" not in text and "date" not in text
+
+
+def test_load_and_augment_holds_each_chip_once(tmp_path):
+    import argparse
+
+    from fuselab import cli, config
+
+    assert main(synth_args(tmp_path / "d", per_class=40, size=32)) == 0
+    resolver = config.Resolver(argparse.Namespace())
+    tracemalloc.start()
+    try:
+        dsplit = cli._load_and_augment(resolver, tmp_path / "d")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    chip_bytes = sum(getattr(dsplit, name).chips_a.nbytes + getattr(dsplit, name).chips_b.nbytes
+                     for name in data.SPLITS)
+    assert chip_bytes == 200 * 32 * 32 * (2 + 3) * 4
+    assert peak <= 1.1 * chip_bytes + 1e6, (peak, chip_bytes)

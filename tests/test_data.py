@@ -6,88 +6,77 @@ from fuselab import data
 from fuselab.errors import BadMagicError, DataError, ShapeError, TruncatedPayloadError, VersionMismatchError
 
 
-# --- one_hot -------------------------------------------------------------------
-
-
-def test_one_hot_first_and_last_class():
-    assert np.array_equal(data.one_hot(0, 5), [1, 0, 0, 0, 0])
-    assert np.array_equal(data.one_hot(4, 5), [0, 0, 0, 0, 1])
-
-
-def test_one_hot_small():
-    assert np.array_equal(data.one_hot(2, 3), [0, 0, 1])
-
-
-def test_one_hot_out_of_range():
-    with pytest.raises(ValueError):
-        data.one_hot(5, 5)
-    with pytest.raises(ValueError):
-        data.one_hot(-1, 5)
-
-
-@given(c=st.integers(1, 20), n=st.integers(1, 20))
-def test_one_hot_property(c, n):
-    if c >= n:
-        return
-    v = data.one_hot(c, n)
-    assert v.sum() == 1.0 and v[c] == 1.0 and np.all((v == 0) | (v == 1))
-
-
 # --- split ---------------------------------------------------------------------
 
 
 def test_split_500_gives_425_50_25(tiny_samples):
     samples = data.synth_generate(100, width=8, height=8, channels_a=1, channels_b=1, n_classes=5, seed=0)
-    ds = data.split(samples, seed=0)
+    ds = data.split(samples, data.CLASS_NAMES, seed=0)
     assert ds.sizes() == (425, 50, 25)
 
 
 def test_split_100_single_class():
     samples = data.synth_generate(100, width=8, height=8, channels_a=1, channels_b=1, n_classes=1, seed=0)
-    ds = data.split(samples, seed=0)
+    ds = data.split(samples, ("city",), seed=0)
     assert ds.sizes() == (85, 10, 5)
 
 
 def test_split_deterministic(tiny_samples):
-    a = data.split(tiny_samples, seed=9)
-    b = data.split(tiny_samples, seed=9)
-    assert [s.id for s in a.train] == [s.id for s in b.train]
-    assert [s.id for s in a.test] == [s.id for s in b.test]
+    a = data.split(tiny_samples, data.CLASS_NAMES, seed=9)
+    b = data.split(tiny_samples, data.CLASS_NAMES, seed=9)
+    assert a.train.ids == b.train.ids
+    assert a.test.ids == b.test.ids
 
 
 def test_split_disjoint_and_complete(tiny_samples):
-    ds = data.split(tiny_samples, seed=1)
-    ids = [s.id for s in ds.all_samples()]
+    ds = data.split(tiny_samples, data.CLASS_NAMES, seed=1)
+    ids = ds.train.ids + ds.val.ids + ds.test.ids
     assert len(ids) == len(set(ids)) == len(tiny_samples)
 
 
+def test_split_copies_each_row_whole(tiny_samples):
+    ds = data.split(tiny_samples, data.CLASS_NAMES, seed=1)
+    rows = {sid: i for i, sid in enumerate(tiny_samples.ids)}
+    for group in (ds.train, ds.val, ds.test):
+        for j, sid in enumerate(group.ids):
+            i = rows[sid]
+            assert group.classes[j] == tiny_samples.classes[i] and group.lat[j] == tiny_samples.lat[i]
+            assert np.array_equal(group.chips_a[j], tiny_samples.chips_a[i])
+            assert np.array_equal(group.chips_b[j], tiny_samples.chips_b[i])
+
+
+def test_split_keeps_the_class_names_it_is_given(tiny_samples):
+    names = ("w", "x", "y", "z", "forest")
+    assert data.split(tiny_samples, names, seed=1).class_names == names
+
+
 def test_split_stratified_keeps_class_counts(tiny_samples):
-    ds = data.split(tiny_samples, seed=2, stratified=True)
+    ds = data.split(tiny_samples, data.CLASS_NAMES, seed=2, stratified=True)
     for group, expected in ((ds.train, 17), (ds.val, 2), (ds.test, 1)):
-        counts = np.bincount([s.class_index for s in group], minlength=5)
+        counts = np.bincount(group.classes, minlength=5)
         assert np.all(counts == expected)
 
 
 def test_split_bad_fractions(tiny_samples):
     with pytest.raises(ValueError):
-        data.split(tiny_samples, fractions=(1.2, -0.1, -0.1))
+        data.split(tiny_samples, data.CLASS_NAMES, fractions=(1.2, -0.1, -0.1))
     with pytest.raises(ValueError):
-        data.split(tiny_samples, fractions=(0.5, 0.3, 0.3))
+        data.split(tiny_samples, data.CLASS_NAMES, fractions=(0.5, 0.3, 0.3))
     with pytest.raises(ValueError):
-        data.split([])
+        data.split(tiny_samples.take([]), data.CLASS_NAMES)
 
 
 @given(seed=st.integers(0, 2**32 - 1), per_class=st.integers(4, 40))
 @settings(max_examples=25, deadline=None)
 def test_split_stratified_within_one(seed, per_class):
     samples = data.synth_generate(per_class, width=8, height=8, channels_a=1, channels_b=1, n_classes=3, seed=seed)
-    ds = data.split(samples, seed=seed)
+    ds = data.split(samples, data.class_names_for(3), seed=seed)
     n = 3 * per_class
     assert ds.sizes()[1] == 3 * int(per_class * 0.10)
     assert ds.sizes()[2] == 3 * int(per_class * 0.05)
     assert sum(ds.sizes()) == n
-    for s in ds.all_samples():
-        assert s.label[s.class_index] == 1.0 and s.label.sum() == 1.0
+    classes = np.concatenate([ds.train.classes, ds.val.classes, ds.test.classes])
+    assert np.array_equal(np.bincount(classes), [per_class] * 3)
 
 
 # --- augment ----------------------------------------------------------------------
@@ -100,46 +89,56 @@ def test_augment_multiplies_sizes_by_four(tiny_split):
 
 def test_augment_425_50_25_gives_1700_200_100():
     samples = data.synth_generate(100, width=8, height=8, channels_a=1, channels_b=1, n_classes=5, seed=4)
-    aug = data.augment(data.split(samples, seed=4))
+    aug = data.augment(data.split(samples, data.CLASS_NAMES, seed=4))
     assert aug.sizes() == (1700, 200, 100)
 
 
 def test_rot90_four_times_is_identity(tiny_samples):
-    chip = tiny_samples[0].chip_a
+    chip = tiny_samples.chips_a[0]
     out = chip
     for _ in range(4):
         out = np.rot90(out, 1, axes=(0, 1))
     assert np.array_equal(out, chip)
 
 
+def one_row(chip_a, chip_b):
+    return data.Samples(["x"], np.zeros(1), np.zeros(1), np.zeros(1, np.int64), chip_a[None], chip_b[None])
+
+
 def test_augment_constant_chip_copies_identical():
-    s = data.SamplePair("x", 0.0, 0.0, 0, np.full((4, 4, 2), 3.0, np.float32), np.full((4, 4, 1), 1.0, np.float32), data.one_hot(0, 2))
-    aug = data.augment(data.DatasetSplit([s], [], [], ("a", "b")))
-    for r in aug.train:
-        assert np.array_equal(r.chip_a, s.chip_a)
+    s = one_row(np.full((4, 4, 2), 3.0, np.float32), np.full((4, 4, 1), 1.0, np.float32))
+    aug = data.augment(data.DatasetSplit(s, s.take([]), s.take([]), ("a", "b")))
+    chips_a, _ = aug.train.chips(range(4))
+    for chip in chips_a:
+        assert np.array_equal(chip, s.chips_a[0])
 
 
-def test_augment_rotates_both_chips_together(tiny_split):
-    aug = data.augment(tiny_split)
-    base = tiny_split.train[0]
-    rotated = [s for s in aug.train if s.id == base.id + "#r90"][0]
-    assert np.array_equal(rotated.chip_a, np.rot90(base.chip_a, 1, axes=(0, 1)))
-    assert np.array_equal(rotated.chip_b, np.rot90(base.chip_b, 1, axes=(0, 1)))
-    assert rotated.class_index == base.class_index
+def test_augment_rotates_both_chips_together(tmp_path, tiny_split):
+    data.save_dataset(tmp_path, tiny_split)
+    loaded = data.load_dataset(tmp_path)
+    aug = data.augment(loaded)
+    for name in data.SPLITS:
+        rows, turned = getattr(loaded, name), getattr(aug, name)
+        assert np.shares_memory(turned.chips_a, rows.chips_a) and np.shares_memory(turned.chips_b, rows.chips_b)
+        chips_a, chips_b = turned.chips(range(len(turned)))
+        assert np.array_equal(turned.truth(), np.repeat(rows.classes, 4))
+        for row in range(len(rows)):
+            for k in range(4):
+                assert np.array_equal(chips_a[4 * row + k], np.rot90(rows.chips_a[row], k, axes=(0, 1)))
+                assert np.array_equal(chips_b[4 * row + k], np.rot90(rows.chips_b[row], k, axes=(0, 1)))
 
 
 def test_augment_rejects_non_square():
-    s = data.SamplePair("x", 0.0, 0.0, 0, np.zeros((4, 6, 1), np.float32), np.zeros((4, 6, 1), np.float32), data.one_hot(0, 2))
+    s = one_row(np.zeros((4, 6, 1), np.float32), np.zeros((4, 6, 1), np.float32))
     with pytest.raises(ShapeError):
-        data.augment(data.DatasetSplit([s], [], [], ("a", "b")))
+        data.augment(data.DatasetSplit(s, s.take([]), s.take([]), ("a", "b")))
 
 
 def test_augment_never_mixes_splits(tiny_split):
     aug = data.augment(tiny_split)
-    train_bases = {s.id.split("#")[0] for s in aug.train}
-    val_bases = {s.id.split("#")[0] for s in aug.val}
-    test_bases = {s.id.split("#")[0] for s in aug.test}
-    assert not (train_bases & val_bases) and not (train_bases & test_bases) and not (val_bases & test_bases)
+    for name in data.SPLITS:
+        assert getattr(aug, name).ids == getattr(tiny_split, name).ids
+        assert getattr(aug, name).chips_a is getattr(tiny_split, name).chips_a
 
 
 # --- synth ------------------------------------------------------------------------
@@ -148,20 +147,19 @@ def test_augment_never_mixes_splits(tiny_split):
 def test_synth_counts_and_shapes():
     samples = data.synth_generate(7, width=12, height=12, channels_a=2, channels_b=3, n_classes=5, seed=0)
     assert len(samples) == 35
-    counts = np.bincount([s.class_index for s in samples], minlength=5)
+    counts = np.bincount(samples.classes, minlength=5)
     assert np.all(counts == 7)
-    assert samples[0].chip_a.shape == (12, 12, 2)
-    assert samples[0].chip_b.shape == (12, 12, 3)
-    assert samples[0].chip_a.dtype == np.float32
+    assert samples.chips_a.shape == (35, 12, 12, 2)
+    assert samples.chips_b.shape == (35, 12, 12, 3)
+    assert samples.chips_a.dtype == np.float32
 
 
 def test_synth_deterministic():
     a = data.synth_generate(3, width=8, height=8, channels_a=2, channels_b=2, n_classes=3, seed=42)
     b = data.synth_generate(3, width=8, height=8, channels_a=2, channels_b=2, n_classes=3, seed=42)
-    for x, y in zip(a, b):
-        assert x.id == y.id and x.lat == y.lat
-        assert np.array_equal(x.chip_a, y.chip_a)
-        assert np.array_equal(x.chip_b, y.chip_b)
+    assert a.ids == b.ids and np.array_equal(a.lat, b.lat)
+    assert np.array_equal(a.chips_a, b.chips_a)
+    assert np.array_equal(a.chips_b, b.chips_b)
 
 
 def test_default_plan_visibility():
@@ -177,11 +175,11 @@ def bayes_log_likelihoods(samples, plan, width, height, p, b, n_classes):
     log_means_a = np.log(means_a) - sa**2 / 2.0
     lla = np.zeros((len(samples), n_classes))
     llb = np.zeros((len(samples), n_classes))
-    for i, s in enumerate(samples):
-        log_chip = np.log(s.chip_a.astype(np.float64))
+    for i, (chip_a, chip_b) in enumerate(zip(samples.chips_a, samples.chips_b)):
+        log_chip = np.log(chip_a.astype(np.float64))
         for c in range(n_classes):
             lla[i, c] = -np.sum((log_chip - log_means_a[c]) ** 2) / (2 * sa**2)
-            llb[i, c] = -np.sum((s.chip_b.astype(np.float64) - means_b[c]) ** 2) / (2 * sb**2)
+            llb[i, c] = -np.sum((chip_b.astype(np.float64) - means_b[c]) ** 2) / (2 * sb**2)
     return lla, llb
 
 
@@ -189,7 +187,7 @@ def test_bayes_oracle_separability_margins():
     n_classes, w, h, p, b = 5, 16, 16, 2, 3
     plan = data.default_plan(n_classes)
     samples = data.synth_generate(40, width=w, height=h, channels_a=p, channels_b=b, n_classes=n_classes, seed=77)
-    truths = np.array([s.class_index for s in samples])
+    truths = samples.classes
     lla, llb = bayes_log_likelihoods(samples, plan, w, h, p, b, n_classes)
     acc_both = float(((lla + llb).argmax(1) == truths).mean())
     acc_a = float((lla.argmax(1) == truths).mean())
@@ -280,13 +278,12 @@ def test_dataset_round_trip(tmp_path, tiny_split):
     loaded = data.load_dataset(tmp_path)
     assert loaded.sizes() == tiny_split.sizes()
     assert loaded.class_names == tiny_split.class_names
-    orig = {s.id: s for s in tiny_split.all_samples()}
-    for s in loaded.all_samples():
-        ref = orig[s.id]
-        assert s.class_index == ref.class_index
-        assert np.array_equal(s.chip_a, ref.chip_a)
-        assert np.array_equal(s.chip_b, ref.chip_b)
-        assert np.array_equal(s.label, ref.label)
+    for name in data.SPLITS:
+        got, ref = getattr(loaded, name), getattr(tiny_split, name)
+        assert got.ids == ref.ids
+        for field in ("lat", "lon", "classes", "chips_a", "chips_b"):
+            assert np.array_equal(getattr(got, field), getattr(ref, field)), field
+        assert got.classes.dtype == np.int64 and got.chips_a.dtype == np.float32
 
 
 def test_manifest_fields(tmp_path, tiny_split):
@@ -294,7 +291,7 @@ def test_manifest_fields(tmp_path, tiny_split):
 
     data.save_dataset(tmp_path, tiny_split)
     lines = (tmp_path / "manifest.jsonl").read_text().splitlines()
-    assert len(lines) == len(tiny_split.all_samples())
+    assert len(lines) == sum(tiny_split.sizes())
     rec = json.loads(lines[0])
     assert set(rec) == {"id", "class", "lat", "lon", "chip_a", "chip_b", "split"}
     assert rec["class"] in data.CLASS_NAMES
@@ -310,4 +307,25 @@ def test_load_dataset_missing_manifest(tmp_path):
 def test_load_dataset_bad_record(tmp_path):
     (tmp_path / "manifest.jsonl").write_text('{"id": "x"}\n')
     with pytest.raises(DataError):
+        data.load_dataset(tmp_path)
+
+
+def test_load_dataset_empty_manifest(tmp_path):
+    (tmp_path / "manifest.jsonl").write_text("\n")
+    with pytest.raises(DataError, match="manifest.jsonl: no records"):
+        data.load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("key, value", [("lat", "north"), ("lon", None), ("lat", True), ("lon", [1.0])])
+def test_load_dataset_non_numeric_coordinate(tmp_path, tiny_split, key, value):
+    import json
+
+    data.save_dataset(tmp_path, tiny_split)
+    manifest = tmp_path / "manifest.jsonl"
+    lines = manifest.read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec[key] = value
+    lines[1] = json.dumps(rec)
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match="manifest.jsonl:2: lat and lon must be numbers"):
         data.load_dataset(tmp_path)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuselab import data, fusion, nn
+from fuselab import fusion, nn
 from fuselab.errors import ShapeError
 
 from reference_tables import REFERENCE_ALPHA, REFERENCE_BETA, REFERENCE_CONFUSION
@@ -209,31 +209,22 @@ def _tiny_models(seed=0):
 
 
 def test_predict_shapes_and_normalization(rng):
-    sample = data.SamplePair(
-        "s", 0.0, 0.0, 1,
-        rng.normal(size=(8, 8, 2)).astype(np.float32),
-        rng.normal(size=(8, 8, 3)).astype(np.float32),
-        data.one_hot(1, 5),
-    )
+    chips_a = rng.normal(size=(1, 8, 8, 2)).astype(np.float32)
+    chips_b = rng.normal(size=(1, 8, 8, 3)).astype(np.float32)
     for paradigm, model in _tiny_models().items():
         if paradigm == "late-weighted":
             model.set_fusion_weights(np.array([0, 1, 1, 1, 0.0]), np.array([1, 0, 0, 0, 1.0]))
-        out = fusion.predict(model, sample)
-        assert out.shape == (5,)
+        out = fusion.predict_batch(model, chips_a, chips_b)
+        assert out.shape == (1, 5)
         if paradigm != "late-weighted":  # weighted output is deliberately not renormalized
             assert abs(out.sum() - 1.0) < 1e-5
 
 
 def test_predict_rejects_wrong_chip_shape(rng):
     model = _tiny_models()["early"]
-    sample = data.SamplePair(
-        "s", 0.0, 0.0, 0,
-        rng.normal(size=(8, 8, 3)).astype(np.float32),  # wrong channel count for A
-        rng.normal(size=(8, 8, 3)).astype(np.float32),
-        data.one_hot(0, 5),
-    )
+    chips_a = rng.normal(size=(1, 8, 8, 3)).astype(np.float32)  # wrong channel count for A
     with pytest.raises(ShapeError):
-        fusion.predict(model, sample)
+        fusion.predict_batch(model, chips_a, rng.normal(size=(1, 8, 8, 3)).astype(np.float32))
 
 
 def test_predict_batch_leaves_no_layer_cache(rng):

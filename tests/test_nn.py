@@ -101,27 +101,39 @@ def test_softmax_shift_invariance(seed, shift):
 
 def test_cross_entropy_perfect_prediction():
     v = np.array([1.0, 0, 0, 0, 0], dtype=np.float32)
-    assert nn.cross_entropy(v, v) <= 1e-6
+    assert nn.cross_entropy(v, 0) <= 1e-6
 
 
 def test_cross_entropy_uniform_is_ln5():
     pred = np.full(5, 0.2, dtype=np.float32)
-    truth = np.array([0, 0, 1.0, 0, 0], dtype=np.float32)
-    assert abs(nn.cross_entropy(pred, truth) - math.log(5)) < 1e-6
+    assert abs(nn.cross_entropy(pred, 2) - math.log(5)) < 1e-6
 
 
 def test_cross_entropy_half_is_ln2():
     pred = np.array([0.5, 0.5, 0, 0, 0], dtype=np.float32)
-    truth = np.array([0, 1.0, 0, 0, 0], dtype=np.float32)
-    assert abs(nn.cross_entropy(pred, truth) - math.log(2)) < 1e-6
+    assert abs(nn.cross_entropy(pred, 1) - math.log(2)) < 1e-6
 
 
-def test_cross_entropy_rejects_non_one_hot():
-    pred = np.full(5, 0.2)
+@pytest.mark.parametrize("classes", [[5], [-1], [1.0], [0, 1]], ids=["too-high", "negative", "float", "too-many"])
+@pytest.mark.parametrize("fn", [nn.cross_entropy, nn.cross_entropy_grad])
+def test_cross_entropy_rejects_class_out_of_range(fn, classes):
     with pytest.raises(ValueError):
-        nn.cross_entropy(pred, np.array([0.5, 0.5, 0, 0, 0]))
-    with pytest.raises(ValueError):
-        nn.cross_entropy(pred, np.array([1.0, 1.0, 0, 0, 0]))
+        fn(np.full((1, 5), 0.2, dtype=np.float32), np.array(classes))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cross_entropy_equals_one_hot_formula(dtype):
+    rng = np.random.default_rng(16)
+    pred = rng.dirichlet(np.ones(5), size=40).astype(dtype)
+    classes = rng.integers(0, 5, size=40)
+    classes[:4] = [0, 1, 2, 3]
+    pred[range(4), classes[:4]] = [1e-9, 0.0, 1.0, 1e-7]  # in and at the clamp's flat region, and certain
+    truth = np.eye(5, dtype=dtype)[classes]
+    clamped = np.clip(pred, nn.PRED_CLAMP_FLOOR, 1.0)
+    assert nn.cross_entropy(pred, classes) == float(-(truth * np.log(clamped)).sum(axis=-1).mean())
+    grad = nn.cross_entropy_grad(pred, classes)
+    assert grad.dtype == dtype
+    assert np.array_equal(grad, np.where(pred >= nn.PRED_CLAMP_FLOOR, -truth / clamped, 0.0) / len(pred))
 
 
 # --- backward ----------------------------------------------------------------------
@@ -172,8 +184,7 @@ def test_backward_matches_finite_differences():
     rng = np.random.default_rng(4)
     net = small_net(rng).astype(np.float64)
     x = rng.normal(size=(1, 6, 6, 2))
-    truth = np.zeros((1, 5))
-    truth[0, 1] = 1.0
+    truth = np.array([1])
     pred = net.forward_batch([x])
     net.backward(nn.cross_entropy_grad(pred, truth))
     analytic = nn.gradients(net)
@@ -236,8 +247,7 @@ def test_gradient_check_passes_fresh_net():
     rng = np.random.default_rng(6)
     net = nn.Network([nn.Flatten(), nn.Dense(8, 6, rng), nn.ReLU(), nn.Dense(6, 3, rng), nn.Softmax()])
     x = rng.normal(size=(2, 2, 2)).astype(np.float32)
-    truth = np.array([0, 1.0, 0], dtype=np.float32)
-    report = nn.gradient_check(net, x, truth, epsilon=1e-3, tolerance=1e-4)
+    report = nn.gradient_check(net, x, 1, epsilon=1e-3, tolerance=1e-4)
     assert report.passed, str(report)
 
 
@@ -251,16 +261,14 @@ def test_gradient_check_detects_sign_flip():
     rng = np.random.default_rng(7)
     net = nn.Network([nn.Flatten(), BrokenDense(8, 3, rng), nn.Softmax()])
     x = rng.normal(size=(2, 2, 2)).astype(np.float32)
-    truth = np.array([1.0, 0, 0], dtype=np.float32)
-    report = nn.gradient_check(net, x, truth)
+    report = nn.gradient_check(net, x, 0)
     assert not report.passed
 
 
 def test_gradient_check_zero_net_trivially_passes():
     net = nn.Network([nn.Flatten(), nn.Dense(4, 3), nn.Softmax()])  # zero weights
     x = np.zeros((2, 2, 1), dtype=np.float32)
-    truth = np.array([0, 0, 1.0], dtype=np.float32)
-    report = nn.gradient_check(net, x, truth)
+    report = nn.gradient_check(net, x, 2)
     assert report.passed
 
 
@@ -268,7 +276,7 @@ def test_gradient_check_refuses_large_nets():
     rng = np.random.default_rng(8)
     net = nn.Network([nn.Flatten(), nn.Dense(200, 200, rng), nn.Softmax()])
     with pytest.raises(ValueError):
-        nn.gradient_check(net, np.zeros((10, 20, 1)), np.zeros(200))
+        nn.gradient_check(net, np.zeros((10, 20, 1)), 0)
 
 
 # --- cache discipline ----------------------------------------------------------------

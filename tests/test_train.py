@@ -15,7 +15,12 @@ def tiny_model(paradigm, seed=0, p=2, b=3):
 
 def tiny_dataset(per_class=12, seed=5):
     samples = data.synth_generate(per_class, width=16, height=16, channels_a=2, channels_b=3, n_classes=5, seed=seed)
-    return data.split(samples, seed=seed)
+    return data.split(samples, data.class_names_for(5), seed=seed)
+
+
+def train_only(samples):
+    """A dataset whose train split holds every sample and whose val and test splits are empty."""
+    return data.DatasetSplit(samples, samples.take([]), samples.take([]), data.class_names_for(5))
 
 
 # --- config -------------------------------------------------------------------
@@ -94,14 +99,14 @@ def test_zero_epochs_is_noop():
 
 def test_empty_training_set_rejected():
     model = tiny_model("single-a")
-    ds = data.DatasetSplit([], [], [], data.class_names_for(5))
+    ds = train_only(tiny_dataset().train.take([]))
     with pytest.raises(DataError, match="training split is empty"):
         tr.train(model, ds, tr.TrainConfig(epochs=1))
 
 
 def test_overfits_ten_samples():
     samples = data.synth_generate(2, width=16, height=16, channels_a=2, channels_b=3, n_classes=5, seed=21)
-    ds = data.DatasetSplit(samples, [], [], data.class_names_for(5))
+    ds = train_only(samples)
     model = fusion.build_model("single-a", 16, 16, 2, 3, 5, seed=2, conv_channels=(8, 16, 16), dense_units=32)
     history = tr.train(model, ds, tr.TrainConfig(epochs=60, batch_size=4, seed=0))
     assert history.records[-1].train_accuracy >= 0.99
@@ -155,16 +160,25 @@ def test_training_sets_per_channel_input_stats():
     ds = tiny_dataset()
     model = tiny_model("joint", seed=12)
     tr.train(model, ds, tr.TrainConfig(epochs=0))
-    chips_a = np.stack([s.chip_a for s in ds.train]).astype(np.float64)
-    chips_b = np.stack([s.chip_b for s in ds.train]).astype(np.float64)
+    chips_a = ds.train.chips_a.astype(np.float64)
+    chips_b = ds.train.chips_b.astype(np.float64)
     stats = model.input_stats
     np.testing.assert_allclose(stats.mean_a, chips_a.mean(axis=(0, 1, 2)), rtol=1e-6)
     np.testing.assert_allclose(stats.std_a, chips_a.std(axis=(0, 1, 2)), rtol=1e-6)
     np.testing.assert_allclose(stats.mean_b, chips_b.mean(axis=(0, 1, 2)), rtol=1e-6)
     np.testing.assert_allclose(stats.std_b, chips_b.std(axis=(0, 1, 2)), rtol=1e-6)
-    standardized = model.inputs_a(np.stack([s.chip_a for s in ds.train]))
+    standardized = model.inputs_a(ds.train.chips_a)
     np.testing.assert_allclose(standardized.mean(axis=(0, 1, 2)), 0.0, atol=1e-5)
     np.testing.assert_allclose(standardized.std(axis=(0, 1, 2)), 1.0, rtol=1e-5)
+
+
+def test_input_stats_of_augmented_split_sum_each_turned_chip_in_order():
+    train = data.augment(tiny_dataset()).train
+    turned = [[np.rot90(chips[row], k, axes=(0, 1)) for row in range(len(chips)) for k in range(4)]
+              for chips in (train.chips_a, train.chips_b)]
+    reference = (*tr._channel_stats(turned[0]), *tr._channel_stats(turned[1]))
+    for got, want in zip(tr.input_stats(train), reference):
+        assert np.array_equal(got, want)
 
 
 def test_constant_channel_is_scaled_by_one():
@@ -200,7 +214,7 @@ def test_late_weighted_derives_binary_weights_from_val():
 def test_late_weighted_without_val_split_rejected():
     model = tiny_model("late-weighted", seed=10)
     samples = data.synth_generate(4, width=16, height=16, channels_a=2, channels_b=3, n_classes=5, seed=1)
-    ds = data.DatasetSplit(samples, [], [], data.class_names_for(5))
+    ds = train_only(samples)
     with pytest.raises(DataError, match="validation split"):
         tr.train(model, ds, tr.TrainConfig(epochs=1, batch_size=4))
 
