@@ -209,6 +209,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    """Score a saved model on one split of a dataset directory.
+
+    The split is read EVAL_BATCH samples at a time (data.stream_split), so
+    eval holds one batch of chips, the predictions and the class indices.
+    Every record's chips are still read and checked, as train reads them,
+    before any output file is written.
+    """
     resolver = Resolver(args)
     out = _require_out(resolver)
     resolver.get("seed", int, 0)
@@ -217,15 +224,17 @@ def cmd_eval(args) -> int:
     if split_name not in ("train", "val", "test"):
         raise ValueError(f"--split must be train, val or test, got {split_name!r}")
     model = fusion.load_model(args.model)
-    dsplit = _load_and_augment(resolver, args.data)
-    samples = getattr(dsplit, split_name)
-    if not samples:
+    # the split as _load_and_augment gives it: train always augmented, val and test unless opted out
+    augment_eval = resolver.get("augment_eval", parse_bool, True)
+    turns = 4 if split_name == "train" or augment_eval else 1
+    class_names, n_rows, chunks = data.stream_split(args.data, split_name, training.EVAL_BATCH // turns, turns)
+    if not n_rows:
         raise DataError(f"split {split_name!r} of {args.data} is empty")
-    if model.n_classes != len(dsplit.class_names):
+    if model.n_classes != len(class_names):
         raise ShapeError(
-            f"model {args.model} has {model.n_classes} classes, dataset {args.data} has {len(dsplit.class_names)}"
+            f"model {args.model} has {model.n_classes} classes, dataset {args.data} has {len(class_names)}"
         )
-    cm = training.confusion(model, samples, dsplit.class_names)
+    cm = training.confusion(model, chunks, class_names)  # reads every chip before anything is written
     table = evaluation.metrics_from_cm(cm)
     out.mkdir(parents=True, exist_ok=True)
     _write_eval_files(out, model.paradigm, cm, table)

@@ -10,12 +10,19 @@ In memory, each split is one Samples: its ids, coordinates and class indices,
 and its chips as two contiguous (N, H, W, C) float32 arrays, held once.
 Augmentation copies no chip: it sets the split's `turns` to 4, and sample j is
 row j // 4 turned (j % 4) quarter turns, read turned when a batch is stacked.
+
+One reader checks a dataset directory's chips, record by record in manifest
+order, for both of its consumers: load_dataset fills every split's arrays from
+it, and stream_split hands one split out a few rows at a time, reading and
+dropping the other splits' chips, so eval's memory does not grow with the
+dataset.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -62,9 +69,21 @@ class Samples:
         return np.rot90(self.chips_a[row], k, axes=(0, 1)), np.rot90(self.chips_b[row], k, axes=(0, 1))
 
     def chips(self, index) -> tuple[np.ndarray, np.ndarray]:
-        """The A and B chips of the samples in index, each stacked into one new (n, H, W, C) array."""
-        pairs = [self.pair(j) for j in index]
-        return np.stack([a for a, _ in pairs]), np.stack([b for _, b in pairs])
+        """The A and B chips of the samples in index, each stacked into one new (n, H, W, C) array.
+
+        Each modality is turned once per turn, as a view, and every sample's chip is copied once
+        from its turn's view into the batch.
+        """
+        rows, turn = np.divmod(np.asarray(index, dtype=np.intp), self.turns)
+        samples = list(zip(turn.tolist(), rows.tolist()))
+        stacks = []
+        for arr in (self.chips_a, self.chips_b):
+            turned = [np.rot90(arr, k, axes=(1, 2)) for k in range(self.turns)]
+            batch = np.empty((len(samples), *arr.shape[1:]), arr.dtype)
+            for i, (k, row) in enumerate(samples):
+                batch[i] = turned[k][row]
+            stacks.append(batch)
+        return stacks[0], stacks[1]
 
     def truth(self, index=None) -> np.ndarray:
         """The class index of each sample in index (of every sample by default)."""
@@ -120,15 +139,19 @@ def split(samples: Samples, class_names, fractions=DEFAULT_FRACTIONS, seed: int 
     return DatasetSplit(*(samples.take(rows) for rows in parts), tuple(class_names))
 
 
+def _require_square(hw) -> None:
+    h, w = hw
+    if h != w:
+        raise ShapeError(f"augmentation needs square chips, got {h}x{w}")
+
+
 def augment(dsplit: DatasetSplit) -> DatasetSplit:
     """Grow every split 4x: each sample plus its 90/180/270 degree rotations.
 
     Both chips of a sample rotate together. Applied to train, val and test
     alike; rotated samples never cross split boundaries. No chip is copied.
     """
-    h, w = dsplit.train.chips_a.shape[1:3]  # every split's chips share one shape
-    if h != w:
-        raise ShapeError(f"augmentation needs square chips, got {h}x{w}")
+    _require_square(dsplit.train.chips_a.shape[1:3])  # every split's chips share one shape
     return DatasetSplit(*(replace(getattr(dsplit, name), turns=4) for name in SPLITS),
                         dsplit.class_names)
 
@@ -344,9 +367,14 @@ def _read_manifest(dataset_dir: Path) -> tuple[Path, list, tuple]:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"{manifest}:{ln}: invalid JSON record: {exc}") from exc
+        if not isinstance(rec, dict):
+            raise DataError(f"{manifest}:{ln}: a record must be a JSON object, got {type(rec).__name__}")
         missing = {"id", "class", "lat", "lon", "chip_a", "chip_b", "split"} - rec.keys()
         if missing:
             raise DataError(f"{manifest}:{ln}: record missing fields {sorted(missing)}")
+        for key in ("id", "class", "chip_a", "chip_b"):
+            if not isinstance(rec[key], str):
+                raise DataError(f"{manifest}:{ln}: {key} must be a string, got {rec[key]!r}")
         if rec["split"] not in SPLITS:
             raise DataError(f"{manifest}:{ln}: bad split {rec['split']!r}")
         if any(isinstance(rec[k], bool) or not isinstance(rec[k], (int, float)) for k in ("lat", "lon")):
@@ -359,42 +387,87 @@ def _read_manifest(dataset_dir: Path) -> tuple[Path, list, tuple]:
     return manifest, records, tuple(known + sorted(present - set(CLASS_NAMES)))
 
 
+def _read_pairs(dataset_dir: Path, records):
+    """Yield (record, chip A, chip B) for each record, in order, reading and checking its chips.
+
+    Each chip passes load_chip's checks and has the shape of its modality's
+    first chip, and each B chip has its A chip's height and width.
+    """
+    first = {}  # chip key -> (shape, path) of the modality's first chip
+    for rec in records:
+        pair = []
+        for key in ("chip_a", "chip_b"):
+            path = dataset_dir / rec[key]
+            chip = load_chip(path)
+            shape, first_path = first.setdefault(key, (chip.shape, path))
+            if chip.shape != shape:
+                raise DataError(f"{path}: chip shape {chip.shape} differs from {shape} of {first_path}")
+            pair.append(chip)
+        chip_a, chip_b = pair
+        if chip_b.shape[:2] != chip_a.shape[:2]:  # the modalities observe one location on one grid
+            raise DataError(f"{dataset_dir / rec['chip_b']}: chip height and width {chip_b.shape[:2]} differ "
+                            f"from {chip_a.shape[:2]} of {dataset_dir / rec['chip_a']}")
+        yield rec, chip_a, chip_b
+
+
+def _samples(records, class_names, chips_a, chips_b, turns: int = 1) -> Samples:
+    """The Samples of the given manifest records, holding the given chips."""
+    return Samples([r["id"] for r in records],
+                   np.array([r["lat"] for r in records], dtype=np.float64),
+                   np.array([r["lon"] for r in records], dtype=np.float64),
+                   np.array([class_names.index(r["class"]) for r in records], dtype=np.int64),
+                   chips_a, chips_b, turns)
+
+
 def load_dataset(dataset_dir) -> DatasetSplit:
     """Read a dataset directory; each split's chips go into its own preallocated arrays."""
     dataset_dir = Path(dataset_dir)
     _, records, class_names = _read_manifest(dataset_dir)
     groups = {name: [r for r in records if r["split"] == name] for name in SPLITS}
-    first = {}  # chip key -> (shape, path) of the modality's first chip
-    arrays = {}  # chip key -> split name -> (N, H, W, C) array
+    splits = {}
     filled = dict.fromkeys(SPLITS, 0)
-
-    def chip(rec, key):
-        path = dataset_dir / rec[key]
-        arr = load_chip(path)
-        if key not in first:  # the modality's first chip fixes its shape
-            first[key] = (arr.shape, path)
-            arrays[key] = {name: np.empty((len(groups[name]), *arr.shape), np.float32) for name in SPLITS}
-        shape, first_path = first[key]
-        if arr.shape != shape:
-            raise DataError(f"{path}: chip shape {arr.shape} differs from {shape} of {first_path}")
-        arrays[key][rec["split"]][filled[rec["split"]]] = arr
-        return arr
-
-    for rec in records:
-        chip_a, chip_b = chip(rec, "chip_a"), chip(rec, "chip_b")
-        if chip_b.shape[:2] != chip_a.shape[:2]:  # the modalities observe one location on one grid
-            raise DataError(f"{dataset_dir / rec['chip_b']}: chip height and width {chip_b.shape[:2]} differ "
-                            f"from {chip_a.shape[:2]} of {dataset_dir / rec['chip_a']}")
+    for rec, chip_a, chip_b in _read_pairs(dataset_dir, records):
+        if not splits:  # the first pair fixes the chip shapes
+            splits = {name: _samples(group, class_names, np.empty((len(group), *chip_a.shape), np.float32),
+                                     np.empty((len(group), *chip_b.shape), np.float32))
+                      for name, group in groups.items()}
+        samples, row = splits[rec["split"]], filled[rec["split"]]
+        samples.chips_a[row], samples.chips_b[row] = chip_a, chip_b
         filled[rec["split"]] += 1
-    index = {n: i for i, n in enumerate(class_names)}
-    return DatasetSplit(*(
-        Samples([r["id"] for r in groups[name]],
-                np.array([r["lat"] for r in groups[name]], dtype=np.float64),
-                np.array([r["lon"] for r in groups[name]], dtype=np.float64),
-                np.array([index[r["class"]] for r in groups[name]], dtype=np.int64),
-                arrays["chip_a"][name], arrays["chip_b"][name])
-        for name in SPLITS
-    ), class_names)
+    return DatasetSplit(*(splits[name] for name in SPLITS), class_names)
+
+
+def stream_split(dataset_dir, name: str, rows: int, turns: int = 1) -> tuple[tuple, int, Iterator[Samples]]:
+    """Read one split of a dataset directory in chunks of rows, holding no other chip.
+
+    Returns the dataset's class names and the split's row count, both from the
+    manifest, and a generator of the split's Samples, `rows` rows each (the
+    last may hold fewer) with `turns` set. The generator reads and checks
+    every record's chips in manifest order, as load_dataset does, keeps only
+    the split's, and ends after the last record's chips. The chips must be
+    square, as augment requires (models train on augmented splits).
+    """
+    dataset_dir = Path(dataset_dir)
+    _, records, class_names = _read_manifest(dataset_dir)
+
+    def chunk(held) -> Samples:
+        recs, chips_a, chips_b = zip(*held)
+        return _samples(recs, class_names, np.stack(chips_a), np.stack(chips_b), turns)
+
+    def chunks():
+        held = []
+        for rec, chip_a, chip_b in _read_pairs(dataset_dir, records):
+            _require_square(chip_a.shape[:2])
+            if rec["split"] != name:
+                continue
+            held.append((rec, chip_a, chip_b))
+            if len(held) == rows:
+                yield chunk(held)
+                held = []
+        if held:
+            yield chunk(held)
+
+    return class_names, sum(r["split"] == name for r in records), chunks()
 
 
 def resplit(dataset_dir, fractions=DEFAULT_FRACTIONS, seed: int = 0, stratified: bool = True) -> tuple:

@@ -163,9 +163,13 @@ def _model_predictions(model: fusion.FusionModel, samples) -> np.ndarray:
     ])
 
 
-def confusion(model: fusion.FusionModel, samples, class_names) -> ConfusionMatrix:
-    """Confusion matrix of the model's decisions on the samples."""
-    return confusion_matrix(_model_predictions(model, samples), samples.truth(), class_names)
+def confusion(model: fusion.FusionModel, chunks, class_names) -> ConfusionMatrix:
+    """Confusion matrix of the model's decisions on the samples of every Samples in chunks, in order."""
+    preds, truth = [], []
+    for samples in chunks:
+        preds.append(_model_predictions(model, samples))
+        truth.append(samples.truth())
+    return confusion_matrix(np.concatenate(preds), np.concatenate(truth), class_names)
 
 
 def val_confusion(model: fusion.FusionModel, histories, dsplit) -> ConfusionMatrix:
@@ -177,7 +181,7 @@ def val_confusion(model: fusion.FusionModel, histories, dsplit) -> ConfusionMatr
     after 0 epochs is the split predicted afresh.
     """
     if not all(h.records for h in histories):
-        return confusion(model, dsplit.val, dsplit.class_names)
+        return confusion(model, [dsplit.val], dsplit.class_names)
     pred = fusion.decisions(model, [h.records[-1].val_predictions for h in histories])
     return confusion_matrix(pred, dsplit.val.truth(), dsplit.class_names)
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fuselab import data, evaluation as ev, fusion, nn
+from fuselab import cli, data, evaluation as ev, fusion, nn, train as training
 from fuselab.cli import main
 
 from reference_tables import (
@@ -436,6 +436,75 @@ def test_b_chips_unlike_a_chips_in_size_are_one_data_error(tmp_path, capsys, mon
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.fixture(scope="module")
+def uneven_models(tmp_path_factory):
+    """A dataset whose splits (100/10/5 rows) end in part-filled eval batches, and a model per paradigm."""
+    root = tmp_path_factory.mktemp("uneven")
+    ds = root / "data"
+    assert main(synth_args(ds, per_class=23)) == 0
+    models = {p: root / p for p in ("single-a", "joint", "late-weighted")}
+    for paradigm, model_dir in models.items():
+        assert main(["train", "--data", str(ds), "--paradigm", paradigm, "--out", str(model_dir),
+                     "--epochs", "1", "--quiet"]) == 0
+    return ds, models
+
+
+@pytest.mark.parametrize("augment", ["true", "false"])
+@pytest.mark.parametrize("split", data.SPLITS)
+@pytest.mark.parametrize("paradigm", ["single-a", "joint", "late-weighted"])
+def test_streamed_eval_scores_the_loaded_split(uneven_models, tmp_path, paradigm, split, augment):
+    ds, models = uneven_models
+    out = tmp_path / "eval"
+    assert main(["eval", "--data", str(ds), "--model", str(models[paradigm]), "--split", split,
+                 "--augment-eval", augment, "--out", str(out), "--quiet"]) == 0
+    loaded = data.load_dataset(ds)
+    samples = getattr(data.augment(loaded) if split == "train" or augment == "true" else loaded, split)
+    cm = training.confusion(fusion.load_model(models[paradigm]), [samples], loaded.class_names)
+    expected = tmp_path / "expected"
+    expected.mkdir()
+    cli._write_eval_files(expected, paradigm, cm, ev.metrics_from_cm(cm))
+    for name in ("confusion.csv", "metrics.csv"):
+        assert (out / name).read_text() == (expected / name).read_text(), name
+
+
+@pytest.mark.parametrize("bad_split", ["train", "test"])
+def test_eval_bad_chip_in_an_unscored_split_is_one_data_error(tmp_path, capsys, bad_split):
+    """eval reads every record's chips; the test records come last, after every val batch is predicted."""
+    ds = tmp_path / "d"
+    assert main(synth_args(ds, per_class=23)) == 0
+    records = [json.loads(line) for line in (ds / "manifest.jsonl").read_text().splitlines()]
+    chip = ds / [r for r in records if r["split"] == bad_split][-1]["chip_a"]
+    chip.write_bytes(chip.read_bytes()[:-4])
+    out = tmp_path / "o"
+    argv = ["eval", "--data", str(ds), "--model", str(saved_model_dir(tmp_path)), "--split", "val", "--out", str(out)]
+    assert_one_error(capsys, argv, "data", str(chip), "truncated payload")
+    assert not (out / "confusion.csv").exists()
+
+
+MALFORMED_RECORDS = {
+    "not-an-object": lambda rec: [1, 2],
+    "class-not-a-string": lambda rec: {**rec, "class": ["city"]},
+}
+
+
+@pytest.mark.parametrize("record", MALFORMED_RECORDS)
+@pytest.mark.parametrize("command", ["train", "eval", "dataset split"])
+def test_malformed_manifest_record_is_one_data_error(tmp_path, capsys, command, record):
+    ds = tmp_path / "d"
+    assert main(synth_args(ds, per_class=4)) == 0
+    manifest = ds / "manifest.jsonl"
+    lines = manifest.read_text().splitlines()
+    lines[1] = json.dumps(MALFORMED_RECORDS[record](json.loads(lines[1])))
+    manifest.write_text("\n".join(lines) + "\n")
+    argv = {
+        "train": ["train", "--paradigm", "single-a", "--epochs", "1"],
+        "eval": ["eval", "--model", str(saved_model_dir(tmp_path))],
+        "dataset split": ["dataset", "split"],
+    }[command]
+    assert_one_error(capsys, [*argv, "--data", str(ds), "--out", str(tmp_path / "o"), "--quiet"], "data",
+                     f"{manifest}:2:")
+
+
 # --- weights derive -----------------------------------------------------------------
 
 
@@ -648,3 +717,27 @@ def test_load_and_augment_holds_each_chip_once(tmp_path):
                      for name in data.SPLITS)
     assert chip_bytes == 200 * 32 * 32 * (2 + 3) * 4
     assert peak <= 1.1 * chip_bytes + 1e6, (peak, chip_bytes)
+
+
+def test_eval_memory_does_not_grow_with_the_split(tmp_path, monkeypatch):
+    """eval holds one batch of the split it scores, not the dataset: a 4x larger
+    dataset may raise its traced peak by at most a quarter of the extra chip bytes."""
+    def no_load(*args):
+        raise AssertionError("eval loaded the whole dataset")
+
+    monkeypatch.setattr(data, "load_dataset", no_load)
+    model = tmp_path / "model"
+    fusion.save_model(model, fusion.build_model("single-a", 16, 16, 2, 13, 5, seed=0, conv_channels=(2,), dense_units=4))
+    peaks, chip_bytes = [], []
+    for per_class in (10, 40):
+        ds = tmp_path / f"d{per_class}"
+        assert main(["dataset", "synth", "--out", str(ds), "--per-class", str(per_class), "--size", "16", "--quiet"]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["eval", "--data", str(ds), "--model", str(model), "--split", "train",
+                         "--out", str(tmp_path / f"o{per_class}"), "--quiet"]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        chip_bytes.append(5 * per_class * 16 * 16 * (2 + 13) * 4)
+    assert peaks[1] - peaks[0] <= 0.25 * (chip_bytes[1] - chip_bytes[0]), (peaks, chip_bytes)

@@ -329,3 +329,41 @@ def test_load_dataset_non_numeric_coordinate(tmp_path, tiny_split, key, value):
     manifest.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataError, match="manifest.jsonl:2: lat and lon must be numbers"):
         data.load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("key", ["id", "class", "chip_a", "chip_b"])
+def test_load_dataset_text_field_must_be_a_string(tmp_path, tiny_split, key):
+    import json
+
+    data.save_dataset(tmp_path, tiny_split)
+    manifest = tmp_path / "manifest.jsonl"
+    lines = manifest.read_text().splitlines()
+    lines[2] = json.dumps({**json.loads(lines[2]), key: 7})
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=f"manifest.jsonl:3: {key} must be a string, got 7"):
+        data.load_dataset(tmp_path)
+
+
+def test_stream_split_chunks_hold_the_split_rows_in_order(tmp_path, tiny_split):
+    data.save_dataset(tmp_path, tiny_split)
+    names, n_rows, chunks = data.stream_split(tmp_path, "train", 16, turns=4)
+    chunks = list(chunks)
+    assert names == data.CLASS_NAMES and n_rows == 85
+    assert [len(c.classes) for c in chunks] == [16] * 5 + [5]
+    assert all(c.turns == 4 for c in chunks)
+    whole = data.load_dataset(tmp_path).train
+    assert sum((c.ids for c in chunks), []) == whole.ids
+    assert np.array_equal(np.concatenate([c.classes for c in chunks]), whole.classes)
+    assert np.array_equal(np.concatenate([c.chips_b for c in chunks]), whole.chips_b)
+
+
+def test_samples_chips_turns_each_sample(tiny_split):
+    from dataclasses import replace
+
+    turned = replace(tiny_split.val, turns=4)
+    index = [5, 0, 39, 2, 2, 17]
+    chips_a, chips_b = turned.chips(index)
+    for i, j in enumerate(index):
+        row, k = divmod(j, 4)
+        assert np.array_equal(chips_a[i], np.rot90(tiny_split.val.chips_a[row], k))
+        assert np.array_equal(chips_b[i], np.rot90(tiny_split.val.chips_b[row], k))
