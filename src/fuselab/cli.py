@@ -132,7 +132,7 @@ def _train_config(resolver, epochs_default: int, seed: int) -> training.TrainCon
 def _model_for_dataset(paradigm: str, dsplit: data.DatasetSplit, seed: int) -> fusion.FusionModel:
     h, w, p = dsplit.train.chips_a.shape[1:]
     b = dsplit.train.chips_b.shape[3]
-    return fusion.build_model(paradigm, w, h, p, b, len(dsplit.class_names), seed)
+    return fusion.build_model(paradigm, w, h, p, b, len(dsplit.class_names), seed, class_names=dsplit.class_names)
 
 
 def _write_eval_files(out_dir: Path, paradigm: str, cm, table) -> None:
@@ -211,8 +211,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     """Score a saved model on one split of a dataset directory.
 
-    The split is read EVAL_BATCH samples at a time (data.stream_split), so
-    eval holds one batch of chips, the predictions and the class indices.
+    The split is read one prediction batch (train.eval_batch) at a time
+    (data.stream_split), so eval holds one batch of chips, the predictions and
+    the class indices.
     Every record's chips are still read and checked, as train reads them,
     before any output file is written.
     """
@@ -227,9 +228,15 @@ def cmd_eval(args) -> int:
     # the split as _load_and_augment gives it: train always augmented, val and test unless opted out
     augment_eval = resolver.get("augment_eval", parse_bool, True)
     turns = 4 if split_name == "train" or augment_eval else 1
-    class_names, n_rows, chunks = data.stream_split(args.data, split_name, training.EVAL_BATCH // turns, turns)
+    rows = max(1, training.eval_batch(model) // turns)
+    class_names, n_rows, chunks = data.stream_split(args.data, split_name, rows, turns)
     if not n_rows:
         raise DataError(f"split {split_name!r} of {args.data} is empty")
+    if model.class_names is not None and model.class_names != class_names:
+        raise DataError(
+            f"model {args.model} was trained on classes {list(model.class_names)}, "
+            f"dataset {args.data} has classes {list(class_names)}"
+        )
     if model.n_classes != len(class_names):
         raise ShapeError(
             f"model {args.model} has {model.n_classes} classes, dataset {args.data} has {len(class_names)}"

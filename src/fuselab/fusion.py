@@ -23,7 +23,9 @@ checkpoint against it.
 
 Every model standardizes its input chips per channel with the mean and
 standard deviation of its training chips (InputStats, set by training and
-stored in model.json); a model that has none sees the raw chips.
+stored in model.json); a model that has none sees the raw chips. A model built
+for a dataset also stores the dataset's class names, which eval checks
+against the dataset it scores.
 """
 
 from __future__ import annotations
@@ -83,6 +85,14 @@ class FusionModel:
     alpha: np.ndarray | None = None  # late-weighted only, set after training
     beta: np.ndarray | None = None
     input_stats: InputStats | None = None  # set by training
+    class_names: tuple | None = None  # the training dataset's, one per class, in class-index order
+
+    def __post_init__(self):
+        if self.class_names is not None:
+            self.class_names = tuple(self.class_names)
+            if len(self.class_names) != self.n_classes:
+                raise ValueError(f"{self.n_classes} classes need {self.n_classes} class names, "
+                                 f"got {list(self.class_names)}")
 
     def set_fusion_weights(self, alpha, beta) -> None:
         alpha = np.asarray(alpha, dtype=np.float32)
@@ -152,6 +162,7 @@ def build_model(
     seed: int,
     conv_channels=DEFAULT_CONV_CHANNELS,
     dense_units: int = DEFAULT_DENSE_UNITS,
+    class_names=None,
 ) -> FusionModel:
     """Construct an untrained model for the given paradigm; seeded, deterministic.
 
@@ -179,16 +190,20 @@ def build_model(
         chip_shape_a=(height, width, channels_a),
         chip_shape_b=(height, width, channels_b),
         n_classes=n_classes,
+        class_names=class_names,
     )
 
 
 def late_model(paradigm: str, single_a: FusionModel, single_b: FusionModel) -> FusionModel:
     """The late model over a single-a and a single-b model; it shares their
-    networks and takes each one's input stats for its own modality."""
+    networks and class names and takes each one's input stats for its own modality."""
     if paradigm not in LATE_PARADIGMS or (single_a.paradigm, single_b.paradigm) != ("single-a", "single-b"):
         raise ValueError(f"cannot build {paradigm} from {single_a.paradigm} and {single_b.paradigm} models")
+    if single_a.class_names != single_b.class_names:
+        raise ValueError(f"cannot build {paradigm} from models of classes {single_a.class_names} "
+                         f"and {single_b.class_names}")
     model = FusionModel(paradigm, single_a.nets + single_b.nets, single_a.chip_shape_a, single_a.chip_shape_b,
-                        single_a.n_classes)
+                        single_a.n_classes, class_names=single_a.class_names)
     sa, sb = single_a.input_stats, single_b.input_stats
     if sa is not None and sb is not None:
         model.set_input_stats(sa.mean_a, sa.std_a, sb.mean_b, sb.std_b)
@@ -199,7 +214,7 @@ def late_members(model: FusionModel) -> tuple[FusionModel, FusionModel]:
     """The single-a and single-b models whose networks a late model aggregates (shared, not copied)."""
     return tuple(
         FusionModel(paradigm, [net], model.chip_shape_a, model.chip_shape_b, model.n_classes,
-                    input_stats=model.input_stats)
+                    input_stats=model.input_stats, class_names=model.class_names)
         for paradigm, net in zip(("single-a", "single-b"), model.nets)
     )
 
@@ -325,6 +340,7 @@ def save_model(out_dir, model: FusionModel) -> None:
         "chip_shape_a": list(model.chip_shape_a),
         "chip_shape_b": list(model.chip_shape_b),
         "n_classes": model.n_classes,
+        "class_names": None if model.class_names is None else list(model.class_names),
         "checkpoints": names,
         "alpha": None if model.alpha is None else [float(v) for v in model.alpha],
         "beta": None if model.beta is None else [float(v) for v in model.beta],
@@ -373,6 +389,8 @@ _OPTIONAL_META_KEYS = {
     "alpha": (_is_weights, "null or a list of numbers"),
     "beta": (_is_weights, "null or a list of numbers"),
     "input_stats": (_is_input_stats, f"null or an object of number lists {', '.join(INPUT_STATS_KEYS)}"),
+    "class_names": (lambda v: v is None or (isinstance(v, list) and all(isinstance(n, str) for n in v)),
+                    "null or a list of strings"),
 }
 
 
@@ -429,13 +447,17 @@ def load_model(model_dir) -> FusionModel:
     for name, sources in zip(meta["checkpoints"], NETWORK_INPUTS[meta["paradigm"]]):
         nets.append(nn.load_network(model_dir / name))
         _check_network(model_dir / name, nets[-1], sources, meta)
-    model = FusionModel(
-        paradigm=meta["paradigm"],
-        nets=nets,
-        chip_shape_a=tuple(meta["chip_shape_a"]),
-        chip_shape_b=tuple(meta["chip_shape_b"]),
-        n_classes=meta["n_classes"],
-    )
+    try:
+        model = FusionModel(
+            paradigm=meta["paradigm"],
+            nets=nets,
+            chip_shape_a=tuple(meta["chip_shape_a"]),
+            chip_shape_b=tuple(meta["chip_shape_b"]),
+            n_classes=meta["n_classes"],
+            class_names=meta.get("class_names"),
+        )
+    except ValueError as exc:  # class names unlike n_classes
+        raise DataError(f"{meta_path}: {exc}") from exc
     if meta.get("alpha") is not None:
         try:
             model.set_fusion_weights(meta["alpha"], meta["beta"])

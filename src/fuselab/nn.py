@@ -259,6 +259,23 @@ class Network:
         for branch, dy in zip(self.branches, np.split(dfeat, np.cumsum(self._widths)[:-1], axis=1)):
             _run_backward(branch, dy, need_dx=False)
 
+    def column_bytes(self, height: int, width: int) -> int:
+        """Bytes of one sample's widest im2col unfolding on height x width chips.
+
+        Walks each branch's Conv and MaxPool2 layers from the chip size: a Conv
+        unfolds k*k*cin values per output pixel (same padding keeps the size),
+        a MaxPool2 halves the size, rounding up.
+        """
+        widest = 0
+        for branch in self.branches:
+            h, w = height, width
+            for layer in branch:
+                if isinstance(layer, Conv):
+                    widest = max(widest, h * w * layer.k * layer.k * layer.cin * layer.weights.itemsize)
+                elif isinstance(layer, MaxPool2):
+                    h, w = -(-h // 2), -(-w // 2)
+        return widest
+
     def all_layers(self) -> list:
         return [layer for branch in self.branches for layer in branch] + self.head
 

@@ -126,7 +126,18 @@ OPTIMIZERS = {"sgd": SGD, "adam": Adam}
 
 # --- batching ----------------------------------------------------------------
 
-EVAL_BATCH = 64
+EVAL_BATCH = 64  # the most samples one prediction batch holds
+EVAL_BYTES = 8 << 20  # what one prediction batch's widest conv may unfold
+
+
+def eval_batch(model: fusion.FusionModel) -> int:
+    """Samples per prediction batch: as many as keep the widest im2col unfolding
+    of any of the model's networks within EVAL_BYTES, at least 1 and at most
+    EVAL_BATCH. Every per-batch array of a forward pass shrinks with the batch,
+    and each row's decision is the same whatever the batch (see README)."""
+    h, w = model.chip_shape_a[:2]
+    widest = max(net.column_bytes(h, w) for net in model.nets)
+    return max(1, min(EVAL_BATCH, EVAL_BYTES // max(widest, 1)))
 
 
 def _channel_stats(chips) -> tuple[np.ndarray, np.ndarray]:
@@ -155,11 +166,11 @@ def input_stats(samples) -> tuple:
 
 
 def _model_predictions(model: fusion.FusionModel, samples) -> np.ndarray:
-    """Decision vectors in sample order, computed forward-only in EVAL_BATCH chunks."""
-    n = len(samples)
+    """Decision vectors in sample order, computed forward-only in eval_batch(model) chunks."""
+    n, batch = len(samples), eval_batch(model)
     return np.concatenate([
-        fusion.predict_batch(model, *samples.chips(range(i, min(i + EVAL_BATCH, n))))
-        for i in range(0, n, EVAL_BATCH)
+        fusion.predict_batch(model, *samples.chips(range(i, min(i + batch, n))))
+        for i in range(0, n, batch)
     ])
 
 

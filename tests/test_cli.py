@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -274,6 +275,33 @@ def test_eval_class_count_mismatch_is_data_error(tmp_path, capsys, model_classes
     assert not (tmp_path / "o" / "confusion.csv").exists()
 
 
+@pytest.mark.parametrize("stored", [True, False], ids=["class-names", "no-class-names-key"])
+def test_eval_checks_the_models_class_names(tmp_path, capsys, stored):
+    """A model refuses a dataset whose class names differ from its own, even in
+    the same number; a model.json without class_names is checked by count alone."""
+    ds = tmp_path / "data"
+    assert main(synth_args(ds, per_class=4)) == 0
+    model_dir = tmp_path / "model"
+    assert main(["train", "--data", str(ds), "--paradigm", "single-a", "--out", str(model_dir),
+                 "--epochs", "0", "--quiet"]) == 0
+    meta = json.loads((model_dir / "model.json").read_text())
+    assert meta["class_names"] == list(data.CLASS_NAMES)
+    renamed = tmp_path / "renamed"
+    shutil.copytree(ds, renamed)
+    manifest = renamed / data.MANIFEST_NAME
+    manifest.write_text(manifest.read_text().replace('"vegetation"', '"forest"'))
+    argv = ["eval", "--data", str(renamed), "--model", str(model_dir), "--split", "train",
+            "--out", str(tmp_path / "o"), "--quiet"]
+    if stored:
+        assert_one_error(capsys, argv, "data", str(model_dir), str(list(data.CLASS_NAMES)),
+                         str(["city", "coastline", "lake", "river", "forest"]))
+        assert not (tmp_path / "o").exists()
+    else:
+        del meta["class_names"]
+        (model_dir / "model.json").write_text(json.dumps(meta))
+        assert main(argv) == 0
+
+
 def saved_model_dir(tmp_path):
     model_dir = tmp_path / "model"
     model = fusion.build_model("single-a", 16, 16, 2, 3, 5, seed=0, conv_channels=(2,), dense_units=4)
@@ -323,7 +351,8 @@ def test_eval_fnet_huge_layer_header_allocates_nothing(tmp_path, capsys):
      ("paradigm", "late-mean"), ("alpha", [1, 0, 1, 0, 2]), ("input_stats", [0.0, 1.0]),
      ("input_stats", {"mean_a": [0, 0], "std_a": [1, 1], "mean_b": [0, 0, 0]}),
      ("input_stats", {"mean_a": [0, 0], "std_a": [1, 0], "mean_b": [0, 0, 0], "std_b": [1, 1, 1]}),
-     ("input_stats", {"mean_a": [0], "std_a": [1], "mean_b": [0, 0, 0], "std_b": [1, 1, 1]})],
+     ("input_stats", {"mean_a": [0], "std_a": [1], "mean_b": [0, 0, 0], "std_b": [1, 1, 1]}),
+     ("class_names", "city"), ("class_names", ["city", "lake"]), ("class_names", [1, 2, 3, 4, 5])],
 )
 def test_eval_bad_model_json_is_data_error(tmp_path, capsys, key, value):
     model_dir = saved_model_dir(tmp_path)
@@ -631,6 +660,12 @@ def test_compare_late_models_reuse_the_single_networks(small_compare):
             assert (small_compare / late / name).read_bytes() == (small_compare / single / "net_0.fnet").read_bytes()
 
 
+def test_compare_models_store_the_dataset_class_names(small_compare):
+    for paradigm in fusion.PARADIGMS:
+        meta = json.loads((small_compare / paradigm / "model.json").read_text())
+        assert meta["class_names"] == list(data.CLASS_NAMES), paradigm
+
+
 def test_compare_late_weights_match_weights_derive(small_compare, capsys):
     capsys.readouterr()
     assert main(["weights", "derive", "--cm-a", str(small_compare / "single-a" / "confusion.csv"),
@@ -741,3 +776,21 @@ def test_eval_memory_does_not_grow_with_the_split(tmp_path, monkeypatch):
             tracemalloc.stop()
         chip_bytes.append(5 * per_class * 16 * 16 * (2 + 13) * 4)
     assert peaks[1] - peaks[0] <= 0.25 * (chip_bytes[1] - chip_bytes[0]), (peaks, chip_bytes)
+
+
+def test_eval_of_a_64x64_early_model_stays_within_32_mb(tmp_path):
+    """eval's prediction batches are sized by the bytes their widest conv
+    unfolds: at 64x64 an early network's first conv unfolds 2.1 MB per sample,
+    so a 64-sample batch would take 141 MB of columns alone."""
+    model = tmp_path / "model"
+    fusion.save_model(model, fusion.build_model("early", 64, 64, 2, 13, 5, seed=0))
+    ds = tmp_path / "data"
+    assert main(synth_args(ds, per_class=4, size=64, b=13)) == 0
+    tracemalloc.start()
+    try:
+        assert main(["eval", "--data", str(ds), "--model", str(model), "--split", "train",
+                     "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20, peak

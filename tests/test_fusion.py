@@ -237,6 +237,23 @@ def test_predict_batch_leaves_no_layer_cache(rng):
         assert all(layer._cache is None for net in model.nets for layer in net.all_layers()), paradigm
 
 
+@pytest.mark.parametrize("paradigm", fusion.PARADIGMS)
+def test_predict_batch_rows_do_not_depend_on_the_batch(paradigm, rng):
+    """Each sample's decision is bit-identical whether the split is predicted
+    in batches of 1, 3 or all at once, at the default network widths."""
+    n = 7
+    chips_a = rng.normal(1.0, 0.5, size=(n, 32, 32, 2)).astype(np.float32)
+    chips_b = rng.normal(1.0, 0.5, size=(n, 32, 32, 13)).astype(np.float32)
+    model = fusion.build_model(paradigm, 32, 32, 2, 13, 5, seed=8)
+    model.set_input_stats([1.0, 1.1], [0.5, 0.4], [0.9] * 13, [0.6] * 13)
+    if paradigm == "late-weighted":
+        model.set_fusion_weights([1, 0, 1, 0, 1], [0, 1, 0, 1, 0])
+    whole = fusion.predict_batch(model, chips_a, chips_b)
+    for batch in (1, 3):
+        parts = [fusion.predict_batch(model, chips_a[i : i + batch], chips_b[i : i + batch]) for i in range(0, n, batch)]
+        assert np.array_equal(np.concatenate(parts), whole), batch
+
+
 def test_late_weighted_predict_requires_weights(rng):
     model = _tiny_models()["late-weighted"]
     chips_a = rng.normal(size=(1, 8, 8, 2)).astype(np.float32)
@@ -315,6 +332,23 @@ def test_late_model_takes_each_members_input_stats():
     single_b.set_input_stats([0.0, 0.0], [1.0, 1.0], [2.0] * 3, [3.0] * 3)
     stats = fusion.late_model("late-mean", single_a, single_b).input_stats
     assert stats.mean_a.tolist() == [1.0, 1.0] and stats.std_b.tolist() == [3.0] * 3
+
+
+def test_late_model_takes_its_members_class_names():
+    kw = dict(seed=0, conv_channels=(2, 3, 4), dense_units=8)
+    names = ("w", "x", "y", "z", "v")
+    single_a, single_b = (fusion.build_model(p, 8, 8, 2, 3, 5, class_names=names, **kw) for p in ("single-a", "single-b"))
+    late = fusion.late_model("late-weighted", single_a, single_b)
+    assert late.class_names == names
+    assert all(member.class_names == names for member in fusion.late_members(late))
+    single_b.class_names = names[::-1]
+    with pytest.raises(ValueError):
+        fusion.late_model("late-mean", single_a, single_b)
+
+
+def test_class_names_must_name_every_class():
+    with pytest.raises(ValueError):
+        fusion.build_model("single-a", 8, 8, 2, 3, 5, seed=0, class_names=("a", "b"))
 
 
 def test_joint_model_round_trip(tmp_path, rng):

@@ -23,6 +23,25 @@ def train_only(samples):
     return data.DatasetSplit(samples, samples.take([]), samples.take([]), data.class_names_for(5))
 
 
+# --- prediction batches -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "paradigm, size, batch",
+    [("late-weighted", 32, 17), ("early", 64, 3), ("single-a", 64, 14), ("joint", 64, 4), ("single-a", 16, 64)],
+)
+def test_eval_batch_keeps_the_widest_unfolding_within_eval_bytes(paradigm, size, batch):
+    model = fusion.build_model(paradigm, size, size, 2, 13, 5, seed=0)
+    assert tr.eval_batch(model) == batch
+
+
+def test_column_bytes_is_the_widest_conv_not_the_first():
+    net = fusion.build_model("single-a", 64, 64, 2, 13, 5, seed=0).nets[0]
+    # conv1 unfolds 64*64*9*2 values per sample; conv2, after one pool, 32*32*9*16
+    assert net.column_bytes(64, 64) == 32 * 32 * 9 * 16 * 4
+    assert net.column_bytes(63, 63) == 32 * 32 * 9 * 16 * 4  # pooling rounds odd sizes up
+
+
 # --- config -------------------------------------------------------------------
 
 
