@@ -135,6 +135,11 @@ def _model_for_dataset(paradigm: str, dsplit: data.DatasetSplit, seed: int) -> f
     return fusion.build_model(paradigm, w, h, p, b, len(dsplit.class_names), seed, class_names=dsplit.class_names)
 
 
+def _fusion_weights_line(alpha, beta) -> str:
+    """fusion_weights.json's one line, without its newline; `weights derive` also prints it."""
+    return '{"alpha": %s, "beta": %s}' % ([float(v) for v in alpha], [float(v) for v in beta])
+
+
 def _write_eval_files(out_dir: Path, paradigm: str, cm, table) -> None:
     report = evaluation.compare_paradigms({paradigm: table})
     (out_dir / "confusion.csv").write_text(evaluation.confusion_csv_text(cm))
@@ -195,10 +200,7 @@ def cmd_train(args) -> int:
     fusion.save_model(out, model)
     training.save_history(out / "history.csv", history)
     if model.alpha is not None:
-        (out / "fusion_weights.json").write_text(
-            '{"alpha": %s, "beta": %s}\n'
-            % ([float(v) for v in model.alpha], [float(v) for v in model.beta])
-        )
+        (out / "fusion_weights.json").write_text(_fusion_weights_line(model.alpha, model.beta) + "\n")
     resolver.write_record(out)
     if history.records:
         last = history.records[-1]
@@ -257,7 +259,7 @@ def cmd_weights_derive(args) -> int:
     cm_a = evaluation.parse_confusion_csv(args.cm_a)
     cm_b = evaluation.parse_confusion_csv(args.cm_b)
     alpha, beta = fusion.weights_from_confusions(cm_a, cm_b)
-    line = '{"alpha": %s, "beta": %s}' % ([float(v) for v in alpha], [float(v) for v in beta])
+    line = _fusion_weights_line(alpha, beta)
     out = resolver.get("out", str, None)
     if out is not None:
         out_dir = Path(out)

@@ -25,7 +25,13 @@ from .errors import DataError, ShapeError
 
 TIE_EPS = 1e-9  # macro-F1 differences below this count as a tie
 
-METRIC_ROWS = ("Accuracy", "Precision", "Recall", "F1 Score")
+# report row -> (the MetricsTable array it shows, its bar colour in report.svg), in report order
+METRIC_ROWS = {
+    "Accuracy": ("diagonal_accuracy", "#4c78a8"),
+    "Precision": ("precision", "#f58518"),
+    "Recall": ("recall", "#54a24b"),
+    "F1 Score": ("f1", "#b279a2"),
+}
 
 
 @dataclass
@@ -213,15 +219,10 @@ def metrics_markdown_text(report: ParadigmReport) -> str:
         lines.append(f"### {paradigm}")
         lines.append("| Metric | " + " | ".join(t.class_names) + " | Average |")
         lines.append("|" + "---|" * (len(t.class_names) + 2))
-        for row_name, values in (
-            ("Accuracy", t.diagonal_accuracy),
-            ("Precision", t.precision),
-            ("Recall", t.recall),
-            ("F1 Score", t.f1),
-        ):
+        for row_name, (metric, _) in METRIC_ROWS.items():
+            values = getattr(t, metric)
             cells = [_md_cell(values[i], bool(t.degenerate[i])) for i in range(len(t.class_names))]
-            avg = f"{float(np.mean(values)):.2f}"
-            lines.append(f"| {row_name} | " + " | ".join(cells) + f" | {avg} |")
+            lines.append(f"| {row_name} | " + " | ".join(cells) + f" | {t.macro(metric):.2f} |")
         lines.append("")
     lines.append("### Ranking")
     lines.append("| Rank | Paradigm | Macro F1 | Min class F1 |")
@@ -238,14 +239,11 @@ def metrics_markdown_text(report: ParadigmReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-_BAR_COLORS = {"Accuracy": "#4c78a8", "Precision": "#f58518", "Recall": "#54a24b", "F1 Score": "#b279a2"}
-
-
 def metrics_svg_text(report: ParadigmReport) -> str:
     """Standalone grouped-bar chart: one group per paradigm, one bar per metric average."""
     paradigms = _ordered(report.ranking)
     bar_w, gap, group_gap, left, top, plot_h = 22, 4, 30, 60, 30, 220
-    group_w = 4 * bar_w + 3 * gap
+    group_w = len(METRIC_ROWS) * (bar_w + gap) - gap
     width = left + len(paradigms) * (group_w + group_gap) + 40
     height = top + plot_h + 70
     parts = [
@@ -260,17 +258,12 @@ def metrics_svg_text(report: ParadigmReport) -> str:
     x = left + 10
     for paradigm in paradigms:
         t = report.tables[paradigm]
-        values = [
-            float(np.mean(t.diagonal_accuracy)),
-            float(np.mean(t.precision)),
-            float(np.mean(t.recall)),
-            float(np.mean(t.f1)),
-        ]
-        for (metric, color), v in zip(_BAR_COLORS.items(), values):
+        for row_name, (metric, color) in METRIC_ROWS.items():
+            v = t.macro(metric)
             h = plot_h * max(0.0, min(1.0, v))
             parts.append(
                 f'<rect x="{x:.1f}" y="{top + plot_h - h:.1f}" width="{bar_w}" height="{h:.1f}" '
-                f'fill="{color}"><title>{paradigm} {metric}: {v:.3f}</title></rect>'
+                f'fill="{color}"><title>{paradigm} {row_name}: {v:.3f}</title></rect>'
             )
             x += bar_w + gap
         x -= gap
@@ -281,9 +274,9 @@ def metrics_svg_text(report: ParadigmReport) -> str:
         x += group_gap
     ly = height - 28
     lx = left
-    for metric, color in _BAR_COLORS.items():
+    for row_name, (_, color) in METRIC_ROWS.items():
         parts.append(f'<rect x="{lx}" y="{ly}" width="12" height="12" fill="{color}"/>')
-        parts.append(f'<text x="{lx + 16}" y="{ly + 10}" font-size="11">{metric}</text>')
+        parts.append(f'<text x="{lx + 16}" y="{ly + 10}" font-size="11">{row_name}</text>')
         lx += 110
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -18,8 +18,9 @@ single-b model's (see late_model and late_members).
 
 NETWORK_INPUTS is the one statement of how each paradigm is wired: which
 networks it holds and what each network reads. build_model, network_inputs,
-decisions and load_model all follow it; load_model also checks every
-checkpoint against it.
+decisions and load_model all follow it. build_model and load_model learn what
+shape each layer gives by running the networks on a batch of no samples
+(_empty_inputs), so every layer's own input check runs.
 
 Every model standardizes its input chips per channel with the mean and
 standard deviation of its training chips (InputStats, set by training and
@@ -128,12 +129,6 @@ def _standardized(chips: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.nd
     return out.reshape(chips.shape)
 
 
-def _pooled_extent(size: int, stages: int) -> int:
-    for _ in range(stages):
-        size = -(-size // 2)
-    return size
-
-
 def _conv_stack(cin: int, conv_channels, rng) -> list:
     layers = []
     for cout in conv_channels:
@@ -176,22 +171,19 @@ def build_model(
             f"chips {width}x{height} too small for {len(conv_channels)} pooling stages"
         )
     rng = np.random.default_rng(seed)
-    stages = len(conv_channels)
-    flat = _pooled_extent(height, stages) * _pooled_extent(width, stages) * conv_channels[-1]
-    cin = {"a": channels_a, "b": channels_b, "ab": channels_a + channels_b}
-    nets = []
-    for sources in NETWORK_INPUTS[paradigm]:
-        branches = [_conv_stack(cin[source], conv_channels, rng) for source in sources]
-        head = _head(len(branches) * flat, dense_units, n_classes, rng)
-        nets.append(nn.Network(*branches, head=head))
-    return FusionModel(
+    model = FusionModel(
         paradigm=paradigm,
-        nets=nets,
+        nets=[],
         chip_shape_a=(height, width, channels_a),
         chip_shape_b=(height, width, channels_b),
         n_classes=n_classes,
         class_names=class_names,
     )
+    for xs in _empty_inputs(model):
+        branches = [_conv_stack(x.shape[3], conv_channels, rng) for x in xs]
+        n_features = nn.Network(*branches).infer(xs).shape[1]  # the branches' concatenated output width
+        model.nets.append(nn.Network(*branches, head=_head(n_features, dense_units, n_classes, rng)))
+    return model
 
 
 def late_model(paradigm: str, single_a: FusionModel, single_b: FusionModel) -> FusionModel:
@@ -297,6 +289,15 @@ def network_inputs(model: FusionModel, chips_a: np.ndarray, chips_b: np.ndarray)
             for sources in NETWORK_INPUTS[model.paradigm]]
 
 
+def _empty_inputs(model: FusionModel) -> list[list[np.ndarray]]:
+    """network_inputs for a batch of no samples: a network run on them checks
+    each layer's input shape and allocates no chip-sized array, whatever the
+    chip shapes. Numpy raises ValueError for a shape it cannot describe. Call
+    it before input stats are set: standardizing tiles them across the chip width."""
+    return network_inputs(model, *(np.zeros((0, *shape), np.float32)
+                                   for shape in (model.chip_shape_a, model.chip_shape_b)))
+
+
 def decisions(model: FusionModel, preds) -> np.ndarray:
     """The model's (N, C) decisions from its networks' outputs, one per network in model.nets order."""
     if model.paradigm == "late-mean":
@@ -394,35 +395,6 @@ _OPTIONAL_META_KEYS = {
 }
 
 
-def _check_network(path, net, sources, meta) -> None:
-    """Raise DataError unless the network `path` holds is wired as its paradigm's
-    NETWORK_INPUTS row says: one branch per source, each branch's first Conv
-    reading that source's channels, a first Dense as wide as the branches' output, and n_classes outputs."""
-    p, b = meta["chip_shape_a"][2], meta["chip_shape_b"][2]
-    want = [{"a": p, "b": b, "ab": p + b}[source] for source in sources]
-    if len(net.branches) != len(want):
-        raise DataError(f"{path}: {meta['paradigm']} needs a network with {len(want)} input branch(es), "
-                        f"the checkpoint has {len(net.branches)}")
-    for i, (branch, cin) in enumerate(zip(net.branches, want)):
-        conv = next((layer for layer in branch if isinstance(layer, nn.Conv)), None)
-        if conv is None or conv.cin != cin:
-            raise DataError(f"{path}: branch {i}'s first Conv must read the {cin} channel(s) of "
-                            f"{sources[i]!r} chips, got {'no Conv' if conv is None else conv.cin}")
-    dense = [layer for layer in net.all_layers() if isinstance(layer, nn.Dense)]
-    if not dense or dense[-1].nout != meta["n_classes"]:
-        raise DataError(f"{path}: the network must output {meta['n_classes']} classes, its last Dense gives "
-                        f"{dense[-1].nout if dense else 'none'}")
-    h, w = meta["chip_shape_a"][:2]
-    width = 0
-    for branch in net.branches:
-        stages = sum(isinstance(layer, nn.MaxPool2) for layer in branch)
-        cout = [layer for layer in branch if isinstance(layer, nn.Conv)][-1].cout
-        width += _pooled_extent(h, stages) * _pooled_extent(w, stages) * cout
-    if dense[0].nin != width:
-        raise DataError(f"{path}: the first Dense reads {dense[0].nin} features, but {h}x{w} chips give "
-                        f"{width} from the network's conv branches")
-
-
 def load_model(model_dir) -> FusionModel:
     model_dir = Path(model_dir)
     meta_path = model_dir / MODEL_META
@@ -440,13 +412,13 @@ def load_model(model_dir) -> FusionModel:
     for key, (valid, wanted) in {**_META_KEYS, **_OPTIONAL_META_KEYS}.items():
         if not valid(meta.get(key)):
             raise DataError(f"{meta_path}: {key!r} must be {wanted}, got {meta[key]!r}")
+    if meta["chip_shape_a"][:2] != meta["chip_shape_b"][:2]:  # no dataset pairs such chips
+        raise DataError(f"{meta_path}: A chips {meta['chip_shape_a']} and B chips {meta['chip_shape_b']} "
+                        f"differ in height and width")
     n_nets = len(NETWORK_INPUTS[meta["paradigm"]])
     if len(meta["checkpoints"]) != n_nets:
         raise DataError(f"{meta_path}: {meta['paradigm']} needs {n_nets} checkpoint(s), got {len(meta['checkpoints'])}")
-    nets = []
-    for name, sources in zip(meta["checkpoints"], NETWORK_INPUTS[meta["paradigm"]]):
-        nets.append(nn.load_network(model_dir / name))
-        _check_network(model_dir / name, nets[-1], sources, meta)
+    nets = [nn.load_network(model_dir / name) for name in meta["checkpoints"]]
     try:
         model = FusionModel(
             paradigm=meta["paradigm"],
@@ -458,6 +430,18 @@ def load_model(model_dir) -> FusionModel:
         )
     except ValueError as exc:  # class names unlike n_classes
         raise DataError(f"{meta_path}: {exc}") from exc
+    try:
+        inputs = _empty_inputs(model)
+    except ValueError as exc:  # a chip shape numpy cannot describe
+        raise DataError(f"{meta_path}: chip shapes {model.chip_shape_a} and {model.chip_shape_b}: {exc}") from exc
+    for name, net, xs in zip(meta["checkpoints"], nets, inputs):
+        try:
+            out = net.infer(xs)
+        except ValueError as exc:  # ShapeError included: a layer cannot read what reaches it
+            raise DataError(f"{model_dir / name}: {exc}") from exc
+        if out.shape[1:] != (model.n_classes,):
+            raise DataError(f"{model_dir / name}: the network must output {model.n_classes} classes, it gives "
+                            f"{' x '.join(map(str, out.shape[1:]))}")
     if meta.get("alpha") is not None:
         try:
             model.set_fusion_weights(meta["alpha"], meta["beta"])

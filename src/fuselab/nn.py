@@ -131,7 +131,7 @@ class Flatten(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[0], math.prod(x.shape[1:]))  # numpy cannot size -1 for 0 rows
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         return dy.reshape(self._take_cache())

@@ -352,7 +352,9 @@ def test_eval_fnet_huge_layer_header_allocates_nothing(tmp_path, capsys):
      ("input_stats", {"mean_a": [0, 0], "std_a": [1, 1], "mean_b": [0, 0, 0]}),
      ("input_stats", {"mean_a": [0, 0], "std_a": [1, 0], "mean_b": [0, 0, 0], "std_b": [1, 1, 1]}),
      ("input_stats", {"mean_a": [0], "std_a": [1], "mean_b": [0, 0, 0], "std_b": [1, 1, 1]}),
-     ("class_names", "city"), ("class_names", ["city", "lake"]), ("class_names", [1, 2, 3, 4, 5])],
+     ("class_names", "city"), ("class_names", ["city", "lake"]), ("class_names", [1, 2, 3, 4, 5]),
+     ("chip_shape_a", [2**20, 2**20, 2]), ("chip_shape_a", [10**30, 4, 2]), ("chip_shape_a", [2**31, 2**31, 2]),
+     ("chip_shape_b", [32, 32, 3])],
 )
 def test_eval_bad_model_json_is_data_error(tmp_path, capsys, key, value):
     model_dir = saved_model_dir(tmp_path)
@@ -362,16 +364,22 @@ def test_eval_bad_model_json_is_data_error(tmp_path, capsys, key, value):
     else:
         meta[key] = value
     (model_dir / "model.json").write_text(json.dumps(meta))
-    eval_is_one_data_error(model_dir, tmp_path, capsys)
+    tracemalloc.start()
+    try:
+        eval_is_one_data_error(model_dir, tmp_path, capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6  # the networks are checked on a batch of no chips, whatever size model.json claims
 
 
 @pytest.mark.parametrize(
     "paradigm, donor, donor_classes, texts",
     [pytest.param("single-a", "single-a", 4, ("5 classes", "gives 4"), id="class-count"),
-     pytest.param("joint", "single-a", 5, ("2 input branch(es)", "has 1"), id="joint-one-branch"),
-     pytest.param("single-b", "joint", 5, ("1 input branch(es)", "has 2"), id="single-two-branches"),
-     pytest.param("single-a", "single-b", 5, ("2 channel(s) of 'a' chips", "got 3"), id="a-channels"),
-     pytest.param("early", "single-b", 5, ("5 channel(s) of 'ab' chips", "got 3"), id="ab-channels")],
+     pytest.param("joint", "single-a", 5, ("takes 1 input(s), got 2",), id="joint-one-branch"),
+     pytest.param("single-b", "joint", 5, ("takes 2 input(s), got 1",), id="single-two-branches"),
+     pytest.param("single-a", "single-b", 5, ("Conv(3->2) got input (0, 16, 16, 2)",), id="a-channels"),
+     pytest.param("early", "single-b", 5, ("Conv(3->2) got input (0, 16, 16, 5)",), id="ab-channels")],
 )
 def test_eval_checkpoint_unlike_its_paradigm_is_data_error(tmp_path, capsys, paradigm, donor, donor_classes, texts):
     model_dir = tmp_path / "model"
@@ -387,8 +395,35 @@ def test_eval_first_dense_unlike_the_chip_size_is_data_error(tmp_path, capsys):
     meta["chip_shape_a"], meta["chip_shape_b"] = [32, 32, 2], [32, 32, 3]
     (model_dir / "model.json").write_text(json.dumps(meta))
     assert main(synth_args(tmp_path / "data", per_class=4, size=32)) == 0
-    eval_is_one_data_error(model_dir, tmp_path, capsys, str(model_dir / "net_0.fnet"), "reads 128 features",
-                           "32x32 chips give 512")
+    eval_is_one_data_error(model_dir, tmp_path, capsys, str(model_dir / "net_0.fnet"),
+                           "Dense(128->4) got input (0, 512)")
+
+
+@pytest.mark.parametrize(
+    "index, layer, text",
+    [pytest.param(3, nn.Conv(3, 3, 4), "Conv(3->4) got input (0, 8, 8, 2)", id="second-conv-cin"),
+     pytest.param(9, nn.Dense(8, 5), "Dense(8->5) got input (0, 4)", id="second-dense-nin")],
+)
+def test_eval_layers_that_do_not_chain_are_data_error_before_any_chip(tmp_path, capsys, monkeypatch, index,
+                                                                       layer, text):
+    """Every layer of a checkpoint must read what the layer before it gives, not only the first and last."""
+    assert main(synth_args(tmp_path / "data", per_class=4)) == 0
+    model_dir = tmp_path / "model"
+    model = fusion.build_model("single-a", 16, 16, 2, 3, 5, seed=0, conv_channels=(2, 4), dense_units=4)
+    fusion.save_model(model_dir, model)
+    layers = model.nets[0].branches[0]
+    assert type(layers[index]) is type(layer)
+    layers[index] = layer
+    nn.save_network(model_dir / "net_0.fnet", nn.Network(layers))
+
+    def no_chip(path):
+        raise AssertionError(f"read chip {path}")
+
+    monkeypatch.setattr(data, "load_chip", no_chip)
+    argv = ["eval", "--data", str(tmp_path / "data"), "--model", str(model_dir), "--split", "train",
+            "--out", str(tmp_path / "o")]
+    assert_one_error(capsys, argv, "data", str(model_dir / "net_0.fnet"), text)
+    assert not (tmp_path / "o").exists()
 
 
 def test_eval_chips_unlike_the_model_are_one_data_error(tmp_path, capsys):
@@ -610,7 +645,11 @@ def test_compare_needs_data_or_tables(tmp_path, capsys):
 
 
 def no_forward(self, inputs):
-    raise AssertionError("a network ran forward")
+    """Network.forward_batch/infer that lets a batch of no samples through (building and
+    loading a model run one) and fails on any batch that holds a sample."""
+    if any(len(x) for x in nn._as_input_list(inputs)):
+        raise AssertionError("a network ran forward")
+    return self._forward(inputs, keep_cache=False)
 
 
 @pytest.mark.parametrize("empty", ["val", "train"])
