@@ -112,11 +112,7 @@ def _require_out(resolver) -> Path:
 
 
 def _load_and_augment(resolver, data_dir) -> data.DatasetSplit:
-    dsplit = data.load_dataset(data_dir)
-    aug = data.augment(dsplit)
-    if resolver.get("augment_eval", parse_bool, True):
-        return aug
-    return data.DatasetSplit(aug.train, dsplit.val, dsplit.test, dsplit.class_names)
+    return data.augment(data.load_dataset(data_dir), resolver.get("augment_eval", parse_bool, True))
 
 
 def _train_config(resolver, epochs_default: int, seed: int) -> training.TrainConfig:
@@ -202,8 +198,8 @@ def cmd_train(args) -> int:
     if model.alpha is not None:
         (out / "fusion_weights.json").write_text(_fusion_weights_line(model.alpha, model.beta) + "\n")
     resolver.write_record(out)
-    if history.records:
-        last = history.records[-1]
+    if history:
+        last = history[-1]
         _say(resolver, f"trained {args.paradigm}: final val accuracy {last.val_accuracy:.3f}")
     else:
         _say(resolver, f"trained {args.paradigm}: 0 epochs (checkpoint equals initialization)")
@@ -227,9 +223,7 @@ def cmd_eval(args) -> int:
     if split_name not in ("train", "val", "test"):
         raise ValueError(f"--split must be train, val or test, got {split_name!r}")
     model = fusion.load_model(args.model)
-    # the split as _load_and_augment gives it: train always augmented, val and test unless opted out
-    augment_eval = resolver.get("augment_eval", parse_bool, True)
-    turns = 4 if split_name == "train" or augment_eval else 1
+    turns = data.split_turns(split_name, resolver.get("augment_eval", parse_bool, True))  # as train reads it
     rows = max(1, training.eval_batch(model) // turns)
     class_names, n_rows, chunks = data.stream_split(args.data, split_name, rows, turns)
     if not n_rows:

@@ -8,8 +8,9 @@ is an integer class index into the dataset's class names.
 
 In memory, each split is one Samples: its ids, coordinates and class indices,
 and its chips as two contiguous (N, H, W, C) float32 arrays, held once.
-Augmentation copies no chip: it sets the split's `turns` to 4, and sample j is
-row j // 4 turned (j % 4) quarter turns, read turned when a batch is stacked.
+Augmentation copies no chip: it sets each split's `turns` to split_turns, 4
+or 1, and sample j is row j // turns turned (j % turns) quarter turns, read
+turned when a batch is stacked.
 
 One reader checks a dataset directory's chips, record by record in manifest
 order, for both of its consumers: load_dataset fills every split's arrays from
@@ -62,11 +63,6 @@ class Samples:
 
     def __len__(self) -> int:
         return self.turns * len(self.classes)
-
-    def pair(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sample j's A and B chips, as turned views of its row."""
-        row, k = divmod(int(j), self.turns)
-        return np.rot90(self.chips_a[row], k, axes=(0, 1)), np.rot90(self.chips_b[row], k, axes=(0, 1))
 
     def chips(self, index) -> tuple[np.ndarray, np.ndarray]:
         """The A and B chips of the samples in index, each stacked into one new (n, H, W, C) array.
@@ -145,15 +141,19 @@ def _require_square(hw) -> None:
         raise ShapeError(f"augmentation needs square chips, got {h}x{w}")
 
 
-def augment(dsplit: DatasetSplit) -> DatasetSplit:
-    """Grow every split 4x: each sample plus its 90/180/270 degree rotations.
+def split_turns(name: str, augment_eval: bool) -> int:
+    """How many quarter turns of each row the named split is read in: 4 for
+    train always, and for val and test unless augment_eval is off; else 1."""
+    return 4 if name == "train" or augment_eval else 1
 
-    Both chips of a sample rotate together. Applied to train, val and test
-    alike; rotated samples never cross split boundaries. No chip is copied.
-    """
+
+def augment(dsplit: DatasetSplit, augment_eval: bool = True) -> DatasetSplit:
+    """Grow each split by its split_turns: every sample plus its 90/180/270 degree
+    rotations, or the sample alone. Both chips of a sample rotate together,
+    rotated samples never cross split boundaries, and no chip is copied."""
     _require_square(dsplit.train.chips_a.shape[1:3])  # every split's chips share one shape
-    return DatasetSplit(*(replace(getattr(dsplit, name), turns=4) for name in SPLITS),
-                        dsplit.class_names)
+    return DatasetSplit(*(replace(getattr(dsplit, name), turns=split_turns(name, augment_eval))
+                          for name in SPLITS), dsplit.class_names)
 
 
 # --- synthetic generation ----------------------------------------------------

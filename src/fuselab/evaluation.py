@@ -185,6 +185,7 @@ def compare_paradigms(tables: dict) -> ParadigmReport:
 # --- report emission ---------------------------------------------------------
 
 CSV_COLUMNS = ("paradigm", "class", "accuracy", "precision", "recall", "f1")
+_CSV_METRICS = tuple(metric for metric, _ in METRIC_ROWS.values())  # the MetricsTable arrays after paradigm, class
 
 
 def _fmt(v: float) -> str:
@@ -202,9 +203,7 @@ def metrics_csv_text(report: ParadigmReport) -> str:
     for paradigm in _ordered(report.ranking):
         t = report.tables[paradigm]
         for i, cls in enumerate(t.class_names):
-            writer.writerow(
-                [paradigm, cls, _fmt(t.diagonal_accuracy[i]), _fmt(t.precision[i]), _fmt(t.recall[i]), _fmt(t.f1[i])]
-            )
+            writer.writerow([paradigm, cls, *(_fmt(getattr(t, metric)[i]) for metric in _CSV_METRICS)])
     return buf.getvalue()
 
 
@@ -294,27 +293,21 @@ def emit_report(report: ParadigmReport, fmt: str, path) -> Path:
 
 
 def parse_metrics_csv(path) -> dict:
-    """Read a metrics CSV (as written by metrics_csv_text) back into tables."""
+    """Read a metrics CSV (as written by metrics_csv_text) back into tables; each metric is a number in [0, 1]."""
     rows = list(csv.reader(Path(path).read_text().splitlines()))
     if not rows or tuple(rows[0]) != CSV_COLUMNS:
         raise DataError(f"{path}: expected header {','.join(CSV_COLUMNS)}")
-    grouped: dict[str, list] = {}
+    grouped: dict[str, list] = {}  # paradigm -> (class name, metric values) per row
     for ln, row in enumerate(rows[1:], 2):
         if len(row) != len(CSV_COLUMNS):
             raise DataError(f"{path}:{ln}: expected {len(CSV_COLUMNS)} fields, got {len(row)}")
-        grouped.setdefault(row[0], []).append(row[1:])
+        grouped.setdefault(row[0], []).append((row[1], [_number_cell(path, ln, v, 1) for v in row[2:]]))
     tables = {}
     for paradigm, rws in grouped.items():
-        names = tuple(r[0] for r in rws)
-        acc, prec, rec, f1 = (np.array([float(r[i]) for r in rws]) for i in (1, 2, 3, 4))
-        tables[paradigm] = MetricsTable(
-            class_names=names,
-            diagonal_accuracy=acc,
-            precision=prec,
-            recall=rec,
-            f1=f1,
-            degenerate=np.zeros(len(names), dtype=bool),
-        )
+        columns = np.array([values for _, values in rws]).T.copy()  # one contiguous row per metric
+        tables[paradigm] = MetricsTable(class_names=tuple(name for name, _ in rws),
+                                        **dict(zip(_CSV_METRICS, columns)),
+                                        degenerate=np.zeros(len(rws), dtype=bool))
     return tables
 
 
@@ -327,15 +320,14 @@ def confusion_csv_text(cm: ConfusionMatrix) -> str:
     return buf.getvalue()
 
 
-def _count_cell(path, ln: int, text: str) -> float:
-    """One confusion cell as a float in [0, 2**53], so that it, or it scaled
-    by 1000 as a fraction, fits an int64 count."""
+def _number_cell(path, ln: int, text: str, upper: int) -> float:
+    """One table cell as a float in [0, upper]; DataError naming the cell otherwise."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not 0 <= value <= 2**53:  # also rejects nan
-        raise DataError(f"{path}:{ln}: confusion cell {text!r} is not a number in [0, 2**53]")
+    if not 0 <= value <= upper:  # also rejects nan
+        raise DataError(f"{path}:{ln}: cell {text!r} is not a number in [0, {upper}]")
     return value
 
 
@@ -349,7 +341,8 @@ def parse_confusion_csv(path) -> ConfusionMatrix:
     for ln, row in enumerate(rows[1:], 2):
         if len(row) != len(names) + 1:
             raise DataError(f"{path}:{ln}: expected {len(names) + 1} fields, got {len(row)}")
-        values.append([_count_cell(path, ln, v) for v in row[1:]])
+        # at most 2**53, so that a cell, or it scaled by 1000 as a fraction, fits an int64 count
+        values.append([_number_cell(path, ln, v, 2**53) for v in row[1:]])
     values = np.asarray(values)
     if values.shape != (len(names), len(names)):
         raise DataError(f"{path}: confusion table must be square")

@@ -412,6 +412,8 @@ def load_model(model_dir) -> FusionModel:
     for key, (valid, wanted) in {**_META_KEYS, **_OPTIONAL_META_KEYS}.items():
         if not valid(meta.get(key)):
             raise DataError(f"{meta_path}: {key!r} must be {wanted}, got {meta[key]!r}")
+    if meta["paradigm"] == "late-weighted" and (meta.get("alpha") is None or meta.get("beta") is None):
+        raise DataError(f"{meta_path}: a late-weighted model needs fusion weights, but alpha or beta is null")
     if meta["chip_shape_a"][:2] != meta["chip_shape_b"][:2]:  # no dataset pairs such chips
         raise DataError(f"{meta_path}: A chips {meta['chip_shape_a']} and B chips {meta['chip_shape_b']} "
                         f"differ in height and width")

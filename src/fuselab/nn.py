@@ -170,12 +170,13 @@ class ReLU(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         # caching the output, not x, lets a following MaxPool2 share the buffer
-        y = tensor.relu(x)
+        y = np.maximum(x, 0)
         self._cache = y
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        return np.multiply(dy, tensor.relu_grad(self._take_cache()))
+        # the output's positive mask is the derivative; multiplying casts True/False to 1/0
+        return np.multiply(dy, self._take_cache() > 0)
 
 
 class Softmax(Layer):

@@ -1,11 +1,11 @@
 """Dense tensor kernels: matmul, the im2col/col2im_add unfolding that nn.Conv
-builds its GEMMs on, pooling, ReLU.
+builds its GEMMs on, and 2x2 max pooling. ReLU is elementwise, in nn.ReLU.
 
 Layout convention, used everywhere in this package: arrays are row-major
 (C order), channel-last. Images are (H, W, C), batches are (N, H, W, C),
-so flat index = ((n*H + row)*W + col)*C + ch. Storage dtype is float32;
-the same kernels run in float64 when handed float64 arrays (the gradient
-checker relies on this).
+so flat index = ((n*H + row)*W + col)*C + ch; the unfolding and pooling
+kernels take batches only. Storage dtype is float32; the same kernels run
+in float64 when handed float64 arrays (the gradient checker relies on this).
 
 All kernels are pure functions of their inputs. matmul and maxpool2 raise
 NumericError instead of returning NaN/Inf; the others pass values through
@@ -85,24 +85,19 @@ def _pad_even(x: np.ndarray) -> np.ndarray:
 
 
 def maxpool2(x: np.ndarray) -> np.ndarray:
-    """2x2 stride-2 per-channel max pool of (N, H, W, C) or (H, W, C).
+    """2x2 stride-2 per-channel max pool of an (N, H, W, C) batch.
 
     Odd trailing edges are padded with -inf. The maximum is taken over the
     four strided views x[:, r::2, s::2], so no window index is stored;
     maxpool2_scatter recovers it from x and the pooled output.
     """
-    x = np.asarray(x)
-    single = x.ndim == 3
-    if single:
-        x = x[None]
     if x.ndim != 4:
-        raise ShapeError(f"maxpool2 expects (N,H,W,C) or (H,W,C), got {x.shape}")
+        raise ShapeError(f"maxpool2 expects (N,H,W,C), got {x.shape}")
     xp = _pad_even(x)
     out = np.maximum(xp[:, 0::2, 0::2], xp[:, 0::2, 1::2])
     np.maximum(out, xp[:, 1::2, 0::2], out=out)
     np.maximum(out, xp[:, 1::2, 1::2], out=out)
-    _check_finite(out, "maxpool2")
-    return out[0] if single else out
+    return _check_finite(out, "maxpool2")
 
 
 def maxpool2_scatter(grad: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -112,9 +107,6 @@ def maxpool2_scatter(grad: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.nda
     to the first position equal to its maximum, in the order (0,0), (0,1),
     (1,0), (1,1); every other position gets +0.
     """
-    single = x.ndim == 3
-    if single:
-        grad, x, out = grad[None], x[None], out[None]
     h, w = x.shape[1:3]
     xp = _pad_even(x)
     dx = np.empty(xp.shape, dtype=grad.dtype)  # the four strided views below cover it exactly once
@@ -127,16 +119,5 @@ def maxpool2_scatter(grad: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.nda
         hit &= free
         free ^= hit
         np.multiply(grad.view(bits), hit, out=dx[:, r::2, s::2].view(bits))
-    dx = dx[:, :h, :w]
-    return dx[0] if single else dx
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
-
-
-def relu_grad(y: np.ndarray) -> np.ndarray:
-    """ReLU derivative as a boolean mask; y may be the ReLU's input or its output
-    (same mask). Multiplying a gradient by it casts True/False to 1/0."""
-    return y > 0
+    return dx[:, :h, :w]
 

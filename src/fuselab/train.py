@@ -76,14 +76,6 @@ class EpochRecord:
         return self.train_correct / self.train_seen
 
 
-@dataclass
-class TrainHistory:
-    records: list = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.records)
-
-
 # --- optimizers --------------------------------------------------------------
 
 
@@ -160,9 +152,9 @@ def _channel_stats(chips) -> tuple[np.ndarray, np.ndarray]:
 
 
 def input_stats(samples) -> tuple:
-    """(mean_a, std_a, mean_b, std_b) of the samples' chips, each read turned, for FusionModel.set_input_stats."""
-    pairs = [samples.pair(j) for j in range(len(samples))]
-    return (*_channel_stats([a for a, _ in pairs]), *_channel_stats([b for _, b in pairs]))
+    """(mean_a, std_a, mean_b, std_b) of the samples' rows, for FusionModel.set_input_stats. Each row
+    is read once, unturned: a quarter turn moves a chip's values, it does not change them."""
+    return (*_channel_stats(samples.chips_a), *_channel_stats(samples.chips_b))
 
 
 def _model_predictions(model: fusion.FusionModel, samples) -> np.ndarray:
@@ -191,9 +183,9 @@ def val_confusion(model: fusion.FusionModel, histories, dsplit) -> ConfusionMatr
     hold each network's predictions, which fusion.decisions combines; only
     after 0 epochs is the split predicted afresh.
     """
-    if not all(h.records for h in histories):
+    if not all(histories):
         return confusion(model, [dsplit.val], dsplit.class_names)
-    pred = fusion.decisions(model, [h.records[-1].val_predictions for h in histories])
+    pred = fusion.decisions(model, [h[-1].val_predictions for h in histories])
     return confusion_matrix(pred, dsplit.val.truth(), dsplit.class_names)
 
 
@@ -207,13 +199,13 @@ def _record(epoch, loss_sum, correct, seen, val_pred, dsplit) -> EpochRecord:
     return EpochRecord(epoch, loss_sum, correct, seen, val_loss, val_acc, val_pred)
 
 
-def _fit(model: fusion.FusionModel, dsplit, config: TrainConfig, stream: int) -> TrainHistory:
+def _fit(model: fusion.FusionModel, dsplit, config: TrainConfig, stream: int) -> list[EpochRecord]:
     """Train a one-network model in place, shuffling with RNG stream [config.seed, stream]."""
     net = model.nets[0]
     optimizer = OPTIMIZERS[config.optimizer](nn.parameters(net), config.learning_rate)
     rng = np.random.default_rng([config.seed, stream])
     n = len(dsplit.train)
-    history = TrainHistory()
+    history = []
     for epoch in range(config.epochs):
         loss_sum = 0.0
         correct = 0
@@ -234,11 +226,11 @@ def _fit(model: fusion.FusionModel, dsplit, config: TrainConfig, stream: int) ->
             loss_sum += loss * len(batch)
             correct += int((pred.argmax(axis=1) == y).sum())
         val_pred = _model_predictions(model, dsplit.val) if dsplit.val else None
-        history.records.append(_record(epoch, loss_sum, correct, n, val_pred, dsplit))
+        history.append(_record(epoch, loss_sum, correct, n, val_pred, dsplit))
     return history
 
 
-def fuse_late(model: fusion.FusionModel, histories, dsplit) -> TrainHistory:
+def fuse_late(model: fusion.FusionModel, histories, dsplit) -> list[EpochRecord]:
     """Finish a late model whose two networks are trained; return its history.
 
     histories are the training histories of fusion.late_members(model).
@@ -251,23 +243,23 @@ def fuse_late(model: fusion.FusionModel, histories, dsplit) -> TrainHistory:
     mean of their validation predictions.
     """
     if model.paradigm == "late-weighted":
-        preds = [h.records[-1].val_predictions if h.records else _model_predictions(member, dsplit.val)
+        preds = [h[-1].val_predictions if h else _model_predictions(member, dsplit.val)
                  for h, member in zip(histories, fusion.late_members(model))]
         cms = [confusion_matrix(pred, dsplit.val.truth(), dsplit.class_names) for pred in preds]
         model.set_fusion_weights(*fusion.weights_from_confusions(*cms))
-    pooled = TrainHistory()
-    for ra, rb in zip(histories[0].records, histories[1].records):
+    pooled = []
+    for ra, rb in zip(*histories):
         val_pred = None
         if ra.val_predictions is not None:
             val_pred = fusion.late_aggregate_mean(ra.val_predictions, rb.val_predictions)
-        pooled.records.append(_record(
+        pooled.append(_record(
             ra.epoch, ra.train_loss_sum + rb.train_loss_sum, ra.train_correct + rb.train_correct,
             ra.train_seen + rb.train_seen, val_pred, dsplit,
         ))
     return pooled
 
 
-def train(model: fusion.FusionModel, dsplit, config: TrainConfig) -> TrainHistory:
+def train(model: fusion.FusionModel, dsplit, config: TrainConfig) -> list[EpochRecord]:
     """Train the model in place; deterministic given config.seed.
 
     A model without input stats first gets those of the training split. A late
@@ -289,9 +281,9 @@ def train(model: fusion.FusionModel, dsplit, config: TrainConfig) -> TrainHistor
     return fuse_late(model, histories, dsplit)
 
 
-def save_history(path, history: TrainHistory) -> None:
+def save_history(path, history: list[EpochRecord]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["epoch", "train_loss", "train_accuracy", "val_loss", "val_accuracy"])
-        for r in history.records:
+        for r in history:
             writer.writerow([r.epoch, repr(r.train_loss), repr(r.train_accuracy), repr(r.val_loss), repr(r.val_accuracy)])

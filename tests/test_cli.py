@@ -426,6 +426,23 @@ def test_eval_layers_that_do_not_chain_are_data_error_before_any_chip(tmp_path, 
     assert not (tmp_path / "o").exists()
 
 
+def test_eval_late_weighted_model_without_weights_is_data_error_before_any_chip(tmp_path, capsys, monkeypatch):
+    assert main(synth_args(tmp_path / "data", per_class=4)) == 0
+    single_a, single_b = (fusion.build_model(p, 16, 16, 2, 3, 5, seed=0, conv_channels=(2, 4), dense_units=4)
+                          for p in ("single-a", "single-b"))
+    model_dir = tmp_path / "model"
+    fusion.save_model(model_dir, fusion.late_model("late-weighted", single_a, single_b))
+
+    def no_chip(path):
+        raise AssertionError(f"read chip {path}")
+
+    monkeypatch.setattr(data, "load_chip", no_chip)
+    argv = ["eval", "--data", str(tmp_path / "data"), "--model", str(model_dir), "--split", "train",
+            "--out", str(tmp_path / "o")]
+    assert_one_error(capsys, argv, "data", str(model_dir / "model.json"), "alpha or beta is null")
+    assert not (tmp_path / "o").exists()
+
+
 def test_eval_chips_unlike_the_model_are_one_data_error(tmp_path, capsys):
     assert main(synth_args(tmp_path / "data", per_class=4, size=32)) == 0
     argv = ["eval", "--data", str(tmp_path / "data"), "--model", str(saved_model_dir(tmp_path)),
@@ -615,6 +632,21 @@ def test_compare_from_tables_reproduces_verdict(tmp_path, capsys):
     assert (out / "report.svg").exists()
     md = (out / "report.md").read_text()
     assert "Selected paradigm: late-weighted" in md
+
+
+@pytest.mark.parametrize("cell", ["abc", "nan", "inf", "-0.1", "1.5"])
+def test_compare_from_tables_bad_metric_cell_is_data_error(tmp_path, capsys, cell):
+    lines = write_reference_metrics_csv(tmp_path / "tables.csv").read_text().splitlines()
+    fields = lines[3].split(",")
+    fields[-1] = cell
+    lines[3] = ",".join(fields)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "cmp"
+    printed = assert_one_error(capsys, ["compare", "--from-tables", str(bad), "--out", str(out)], "data",
+                               f"error[data]: {bad}:4:", repr(cell))
+    assert printed == ""
+    assert not (out / "report.csv").exists()
 
 
 REPO = Path(__file__).resolve().parents[1]

@@ -243,27 +243,32 @@ def test_conv2d_errors():
 
 
 def test_maxpool2_single_window():
-    x = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32).reshape(2, 2, 1)
+    x = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32).reshape(1, 2, 2, 1)
     out = tensor.maxpool2(x)
-    assert out.shape == (1, 1, 1)
-    assert out[0, 0, 0] == 4.0
+    assert out.shape == (1, 1, 1, 1)
+    assert out[0, 0, 0, 0] == 4.0
     back = tensor.maxpool2_scatter(np.ones_like(out), x, out)
-    assert np.array_equal(back[:, :, 0], [[0.0, 0.0], [0.0, 1.0]])  # lands at (1, 1)
+    assert np.array_equal(back[0, :, :, 0], [[0.0, 0.0], [0.0, 1.0]])  # lands at (1, 1)
 
 
 def test_maxpool2_constant():
-    x = np.full((6, 6, 2), 2.5, dtype=np.float32)
+    x = np.full((2, 6, 6, 2), 2.5, dtype=np.float32)
     out = tensor.maxpool2(x)
-    assert out.shape == (3, 3, 2)
+    assert out.shape == (2, 3, 3, 2)
     assert np.all(out == 2.5)
 
 
 def test_maxpool2_ramp_hand_case():
-    x = np.arange(1.0, 17.0, dtype=np.float32).reshape(4, 4, 1)
+    x = np.arange(1.0, 17.0, dtype=np.float32).reshape(1, 4, 4, 1)
     expected = np.array([[6.0, 8.0], [14.0, 16.0]]).reshape(2, 2, 1)
-    assert np.array_equal(maxpool_oracle(x), expected)
+    assert np.array_equal(maxpool_oracle(x[0]), expected)
     out = tensor.maxpool2(x)
-    assert np.array_equal(out, expected.astype(np.float32))
+    assert np.array_equal(out, expected[None].astype(np.float32))
+
+
+def test_maxpool2_rejects_an_unbatched_image():
+    with pytest.raises(ShapeError):
+        tensor.maxpool2(np.zeros((4, 4, 1), dtype=np.float32))
 
 
 @given(
@@ -275,22 +280,23 @@ def test_maxpool2_ramp_hand_case():
 @settings(max_examples=60, deadline=None)
 def test_maxpool2_properties(seed, h, w, c):
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(h, w, c)).astype(np.float32)
+    x = rng.normal(size=(2, h, w, c)).astype(np.float32)
     out = tensor.maxpool2(x)
-    assert out.shape == (-(-h // 2), -(-w // 2), c)
-    assert np.allclose(out, maxpool_oracle(x).astype(np.float32))
-    # pooled never exceeds the global max, and every pooled value exists in its window
-    assert out.max() <= x.max()
-    for i in range(out.shape[0]):
-        for j in range(out.shape[1]):
-            window = x[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
-            for ch in range(c):
-                assert out[i, j, ch] in window[:, :, ch]
+    assert out.shape == (2, -(-h // 2), -(-w // 2), c)
+    for b in range(2):
+        assert np.allclose(out[b], maxpool_oracle(x[b]).astype(np.float32))
+        # pooled never exceeds the sample's max, and every pooled value exists in its window
+        assert out[b].max() <= x[b].max()
+        for i in range(out.shape[1]):
+            for j in range(out.shape[2]):
+                window = x[b, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
+                for ch in range(c):
+                    assert out[b, i, j, ch] in window[:, :, ch]
 
 
 def test_maxpool2_scatter_inverts_selection():
     rng = np.random.default_rng(3)
-    x = rng.normal(size=(4, 6, 2)).astype(np.float32)
+    x = rng.normal(size=(2, 4, 6, 2)).astype(np.float32)
     out = tensor.maxpool2(x)
     grad = np.ones_like(out)
     back = tensor.maxpool2_scatter(grad, x, out)
@@ -330,8 +336,10 @@ def test_maxpool2_scatter_matches_loop_oracle_on_ties(seed, n, h, w, c, dtype):
 
 
 def test_relu():
-    assert np.array_equal(tensor.relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
+    assert np.array_equal(nn.ReLU().forward(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
 
 
 def test_relu_grad():
-    assert np.array_equal(tensor.relu_grad(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 1.0])
+    relu = nn.ReLU()
+    relu.forward(np.array([-1.0, 0.0, 2.0]))
+    assert np.array_equal(relu.backward(np.array([3.0, 3.0, 3.0])), [0.0, 0.0, 3.0])

@@ -128,7 +128,7 @@ def test_overfits_ten_samples():
     ds = train_only(samples)
     model = fusion.build_model("single-a", 16, 16, 2, 3, 5, seed=2, conv_channels=(8, 16, 16), dense_units=32)
     history = tr.train(model, ds, tr.TrainConfig(epochs=60, batch_size=4, seed=0))
-    assert history.records[-1].train_accuracy >= 0.99
+    assert history[-1].train_accuracy >= 0.99
 
 
 def test_training_is_bit_deterministic():
@@ -146,14 +146,14 @@ def test_training_is_bit_deterministic():
 def test_learning_happens():
     model = tiny_model("early", seed=3)
     history = tr.train(model, tiny_dataset(), tr.TrainConfig(epochs=10, batch_size=8, seed=1))
-    losses = [r.train_loss for r in history.records]
+    losses = [r.train_loss for r in history]
     assert np.mean(losses[:5]) > np.mean(losses[-5:])
 
 
 def test_one_history_record_per_epoch():
     model = tiny_model("single-b", seed=6)
     history = tr.train(model, tiny_dataset(), tr.TrainConfig(epochs=3, batch_size=8, seed=2))
-    assert [r.epoch for r in history.records] == [0, 1, 2]
+    assert [r.epoch for r in history] == [0, 1, 2]
 
 
 def test_late_training_keeps_modalities_isolated():
@@ -191,13 +191,17 @@ def test_training_sets_per_channel_input_stats():
     np.testing.assert_allclose(standardized.std(axis=(0, 1, 2)), 1.0, rtol=1e-5)
 
 
-def test_input_stats_of_augmented_split_sum_each_turned_chip_in_order():
+def test_input_stats_of_augmented_split_sum_each_row_once_in_order():
+    """The float64 stats are those of the rows, in order; the float32 stats,
+    which model.json stores, are those of every turned chip."""
     train = data.augment(tiny_dataset()).train
+    rows = (*tr._channel_stats(list(train.chips_a)), *tr._channel_stats(list(train.chips_b)))
     turned = [[np.rot90(chips[row], k, axes=(0, 1)) for row in range(len(chips)) for k in range(4)]
               for chips in (train.chips_a, train.chips_b)]
-    reference = (*tr._channel_stats(turned[0]), *tr._channel_stats(turned[1]))
-    for got, want in zip(tr.input_stats(train), reference):
-        assert np.array_equal(got, want)
+    every_turn = (*tr._channel_stats(turned[0]), *tr._channel_stats(turned[1]))
+    for got, want_rows, want_turned in zip(tr.input_stats(train), rows, every_turn):
+        assert np.array_equal(got, want_rows)
+        assert np.array_equal(got.astype(np.float32), want_turned.astype(np.float32))
 
 
 def test_constant_channel_is_scaled_by_one():
@@ -252,4 +256,4 @@ def test_history_csv(tmp_path):
     rows = list(csv.reader(path.read_text().splitlines()))
     assert rows[0] == ["epoch", "train_loss", "train_accuracy", "val_loss", "val_accuracy"]
     assert len(rows) == 3
-    assert float(rows[1][1]) == history.records[0].train_loss
+    assert float(rows[1][1]) == history[0].train_loss
