@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 Subcommands: dataset synth | dataset split | train | eval | weights derive |
-compare. Exit codes: 0 ok, 2 usage, 3 data error, 4 numeric failure. Every
-failure prints a single `error[kind]: message` line on stderr, and every
-output directory receives the fully resolved run-config.json.
+compare. Each command takes only the flags it reads, and records every
+setting it resolved in run-config.json in its output directory (`dataset
+split` in the dataset it rewrites). Exit codes: 0 ok, 2 usage, 3 data error,
+4 numeric failure. Every failure, a malformed command line included, prints
+a single `error[kind]: message` line on stderr.
 """
 
 from __future__ import annotations
@@ -18,7 +20,21 @@ from .config import Resolver, parse_bool, parse_fractions
 from .errors import DataError, NumericError, ShapeError
 
 COMPARE_EPOCHS_DEFAULT = 3
-TRAIN_EPOCHS_DEFAULT = 30
+# compare --data's settings that compare --from-tables, which trains nothing, refuses
+TRAINING_SETTINGS = ("seed", "epochs", "batch_size", "learning_rate", "optimizer", "augment_eval")
+
+_RUN_FLAGS = {
+    "seed": dict(help="run seed (default 0)"),
+    "out": dict(help="output directory"),
+    "quiet": dict(action="store_const", const="true", help="suppress progress output"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a malformed command line as ValueError, which main reports as error[usage]."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def _say(resolver, *parts):
@@ -26,10 +42,10 @@ def _say(resolver, *parts):
         print(*parts)
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", help="run seed (default 0)")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--quiet", action="store_const", const="true", help="suppress progress output")
+def _add_run_flags(p: argparse.ArgumentParser, *names: str):
+    """The named run flags (seed, out, quiet) plus --config, which every command reads."""
+    for name in names:
+        p.add_argument(f"--{name}", **_RUN_FLAGS[name])
     p.add_argument("--config", help="key=value config file (default ./fuselab.toml if present)")
 
 
@@ -42,14 +58,14 @@ def _add_train_flags(p: argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="fuselab", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="fuselab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     ds = sub.add_parser("dataset", help="synthesize or re-split chip datasets")
     ds_sub = ds.add_subparsers(dest="dataset_command", required=True)
 
     synth = ds_sub.add_parser("synth", help="generate a synthetic two-modality dataset")
-    _add_common(synth)
+    _add_run_flags(synth, "seed", "out", "quiet")
     synth.add_argument("--per-class", dest="per_class")
     synth.add_argument("--size")
     synth.add_argument("--p", help="modality-A channel count")
@@ -58,22 +74,22 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--force", action="store_const", const="true")
     synth.set_defaults(func=cmd_dataset_synth)
 
-    resplit = ds_sub.add_parser("split", help="recompute the train/val/test assignment in a manifest")
-    _add_common(resplit)
-    resplit.add_argument("--data", required=True)
+    resplit = ds_sub.add_parser("split", help="rewrite the train/val/test assignment in a dataset's manifest")
+    _add_run_flags(resplit, "seed", "quiet")
+    resplit.add_argument("--data", required=True, help="dataset directory whose manifest is rewritten in place")
     resplit.add_argument("--fractions")
     resplit.add_argument("--stratified")
     resplit.set_defaults(func=cmd_dataset_split)
 
     tr = sub.add_parser("train", help="train one paradigm on a dataset directory")
-    _add_common(tr)
+    _add_run_flags(tr, "seed", "out", "quiet")
     tr.add_argument("--data", required=True)
     tr.add_argument("--paradigm", required=True, choices=fusion.PARADIGMS)
     _add_train_flags(tr)
     tr.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("eval", help="evaluate a trained model on a dataset split")
-    _add_common(ev)
+    _add_run_flags(ev, "out", "quiet")
     ev.add_argument("--data", required=True)
     ev.add_argument("--model", required=True, help="model directory written by `train`")
     ev.add_argument("--split", choices=("train", "val", "test"))
@@ -83,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     wt = sub.add_parser("weights", help="late-fusion weight utilities")
     wt_sub = wt.add_subparsers(dest="weights_command", required=True)
     derive = wt_sub.add_parser("derive", help="derive binary weights from two confusion matrices")
-    _add_common(derive)
+    _add_run_flags(derive, "out")
     derive.add_argument("--cm-a", dest="cm_a", required=True, help="confusion CSV for the modality-A model")
     derive.add_argument("--cm-b", dest="cm_b", required=True, help="confusion CSV for the modality-B model")
     derive.set_defaults(func=cmd_weights_derive)
@@ -93,9 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="train and rank all six paradigms, late fusion over the single-modality networks "
         "(or rank supplied tables)",
     )
-    _add_common(cp)
-    cp.add_argument("--data")
-    cp.add_argument("--from-tables", dest="from_tables", help="metrics CSV to rank instead of training")
+    _add_run_flags(cp, "seed", "out", "quiet")
+    source = cp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--data")
+    source.add_argument("--from-tables", dest="from_tables", help="metrics CSV to rank instead of training")
     _add_train_flags(cp)
     cp.set_defaults(func=cmd_compare)
     return parser
@@ -115,12 +132,14 @@ def _load_and_augment(resolver, data_dir) -> data.DatasetSplit:
     return data.augment(data.load_dataset(data_dir), resolver.get("augment_eval", parse_bool, True))
 
 
-def _train_config(resolver, epochs_default: int, seed: int) -> training.TrainConfig:
+def _train_config(resolver, seed: int, **defaults) -> training.TrainConfig:
+    """The resolved training settings; unset ones take `defaults`, else TrainConfig's own defaults."""
+    base = training.TrainConfig(**defaults)
     return training.TrainConfig(
-        epochs=resolver.get("epochs", int, epochs_default),
-        batch_size=resolver.get("batch_size", int, 16),
-        learning_rate=resolver.get("learning_rate", float, 1e-3),
-        optimizer=resolver.get("optimizer", str, "adam"),
+        epochs=resolver.get("epochs", int, base.epochs),
+        batch_size=resolver.get("batch_size", int, base.batch_size),
+        learning_rate=resolver.get("learning_rate", float, base.learning_rate),
+        optimizer=resolver.get("optimizer", str, base.optimizer),
         seed=seed,
     )
 
@@ -186,7 +205,7 @@ def cmd_train(args) -> int:
     resolver = Resolver(args)
     out = _require_out(resolver)
     seed = resolver.get("seed", int, 0)
-    cfg = _train_config(resolver, TRAIN_EPOCHS_DEFAULT, seed)
+    cfg = _train_config(resolver, seed)
     resolver.resolved["paradigm"] = args.paradigm
     resolver.get("quiet", parse_bool, False)
     dsplit = _load_and_augment(resolver, args.data)
@@ -217,7 +236,6 @@ def cmd_eval(args) -> int:
     """
     resolver = Resolver(args)
     out = _require_out(resolver)
-    resolver.get("seed", int, 0)
     split_name = resolver.get("split", str, "val")
     resolver.get("quiet", parse_bool, False)
     if split_name not in ("train", "val", "test"):
@@ -248,8 +266,6 @@ def cmd_eval(args) -> int:
 
 def cmd_weights_derive(args) -> int:
     resolver = Resolver(args)
-    resolver.get("seed", int, 0)
-    resolver.get("quiet", parse_bool, False)
     cm_a = evaluation.parse_confusion_csv(args.cm_a)
     cm_b = evaluation.parse_confusion_csv(args.cm_b)
     alpha, beta = fusion.weights_from_confusions(cm_a, cm_b)
@@ -267,19 +283,18 @@ def cmd_weights_derive(args) -> int:
 def cmd_compare(args) -> int:
     resolver = Resolver(args)
     out = _require_out(resolver)
-    seed = resolver.get("seed", int, 0)
     resolver.get("quiet", parse_bool, False)
-    out.mkdir(parents=True, exist_ok=True)
-
     if args.from_tables:
+        given = [f"--{key.replace('_', '-')}" for key in TRAINING_SETTINGS if getattr(args, key) is not None]
+        if given:
+            raise ValueError(f"{', '.join(given)} cannot be used with --from-tables, which trains nothing")
         tables = evaluation.parse_metrics_csv(args.from_tables)
         if len(tables) < 2:
             raise DataError(f"{args.from_tables}: need at least two paradigm blocks to compare")
         report = evaluation.compare_paradigms(tables)
     else:
-        if not args.data:
-            raise ValueError("compare needs --data (or --from-tables)")
-        cfg_probe = _train_config(resolver, COMPARE_EPOCHS_DEFAULT, seed)
+        seed = resolver.get("seed", int, 0)
+        cfg_probe = _train_config(resolver, seed, epochs=COMPARE_EPOCHS_DEFAULT)
         dsplit = _load_and_augment(resolver, args.data)
         for name in ("train", "val"):  # every paradigm trains on the one and is scored on the other
             if not getattr(dsplit, name):
@@ -314,6 +329,7 @@ def cmd_compare(args) -> int:
             _say(resolver, f"[{idx + 1}/{len(fusion.PARADIGMS)}] {paradigm}: macro F1 {table.macro_f1:.3f}")
         report = evaluation.compare_paradigms(tables)
 
+    out.mkdir(parents=True, exist_ok=True)
     evaluation.emit_report(report, "csv", out / "report.csv")
     evaluation.emit_report(report, "markdown", out / "report.md")
     evaluation.emit_report(report, "svg", out / "report.svg")
@@ -325,13 +341,11 @@ def cmd_compare(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except NumericError as exc:
         print(f"error[numeric]: {exc}", file=sys.stderr)
         return 4

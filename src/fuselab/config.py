@@ -51,9 +51,9 @@ def read_config_file(path) -> dict:
 class Resolver:
     """Layers one command's settings; records everything it resolved."""
 
-    def __init__(self, args, config_path=None):
+    def __init__(self, args):
         self.args = args
-        explicit = config_path or getattr(args, "config", None)
+        explicit = getattr(args, "config", None)
         if explicit:
             self.file_values = read_config_file(explicit)
         elif Path(DEFAULT_CONFIG_FILE).exists():

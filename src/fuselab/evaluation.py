@@ -16,6 +16,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from functools import cmp_to_key
 from pathlib import Path
 
@@ -332,7 +333,12 @@ def _number_cell(path, ln: int, text: str, upper: int) -> float:
 
 
 def parse_confusion_csv(path) -> ConfusionMatrix:
-    """Read a truth-by-prediction table; accepts raw counts or fractions."""
+    """Read a truth-by-prediction table of raw counts or of fractions.
+
+    A table with any non-integer cell holds fractions: each cell is scaled
+    exactly by 10**max(3, d), d the most decimal places any cell is written
+    with, so every digit as written reaches the counts.
+    """
     rows = list(csv.reader(Path(path).read_text().splitlines()))
     if len(rows) < 2 or rows[0][0] != "class":
         raise DataError(f"{path}: expected a 'class,<names...>' header")
@@ -341,13 +347,17 @@ def parse_confusion_csv(path) -> ConfusionMatrix:
     for ln, row in enumerate(rows[1:], 2):
         if len(row) != len(names) + 1:
             raise DataError(f"{path}:{ln}: expected {len(names) + 1} fields, got {len(row)}")
-        # at most 2**53, so that a cell, or it scaled by 1000 as a fraction, fits an int64 count
-        values.append([_number_cell(path, ln, v, 2**53) for v in row[1:]])
-    values = np.asarray(values)
-    if values.shape != (len(names), len(names)):
+        for v in row[1:]:
+            _number_cell(path, ln, v, 2**53)  # names a nan, negative or huge cell; the sum check bounds counts
+        values.append([Decimal(v) for v in row[1:]])
+    if len(values) != len(names):
         raise DataError(f"{path}: confusion table must be square")
-    if np.allclose(values, np.rint(values)):
-        counts = values.astype(np.int64)
-    else:
-        counts = np.rint(values * 1000).astype(np.int64)
-    return ConfusionMatrix(counts, names)
+    cells = [v for row in values for v in row]
+    places = 0
+    if any(v != v.to_integral_value() for v in cells):
+        places = max(3, max(-v.as_tuple().exponent for v in cells))
+    # scaleb rounds only results of over 28 digits, which fail the int64 check below anyway
+    counts = [[int(v.scaleb(places)) for v in row] for row in values]
+    if sum(map(sum, counts)) > np.iinfo(np.int64).max:  # so no row, column or total wraps either
+        raise DataError(f"{path}: counts (cells scaled by 10**{places}) sum past the int64 range")
+    return ConfusionMatrix(np.array(counts, dtype=np.int64), names)

@@ -1,9 +1,8 @@
+import argparse
 import json
-import os
+import shlex
 import shutil
 import struct
-import subprocess
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -220,6 +219,16 @@ def test_train_unknown_paradigm_lists_options(tiny_dataset_dir, tmp_path, capsys
     assert code == 2
     err = capsys.readouterr().err
     assert "single-a" in err and "late-weighted" in err
+
+
+
+def test_dataset_split_out_is_a_usage_error_that_rewrites_nothing(tiny_dataset_dir, tmp_path, capsys):
+    manifest = (tiny_dataset_dir / "manifest.jsonl").read_bytes()
+    other = tmp_path / "d2"
+    assert_one_error(capsys, ["dataset", "split", "--data", str(tiny_dataset_dir), "--out", str(other), "--quiet"],
+                     "usage", "--out")
+    assert (tiny_dataset_dir / "manifest.jsonl").read_bytes() == manifest
+    assert not other.exists()
 
 
 # --- eval --------------------------------------------------------------------------
@@ -577,13 +586,13 @@ def test_malformed_manifest_record_is_one_data_error(tmp_path, capsys, command, 
     lines = manifest.read_text().splitlines()
     lines[1] = json.dumps(MALFORMED_RECORDS[record](json.loads(lines[1])))
     manifest.write_text("\n".join(lines) + "\n")
+    out = ["--out", str(tmp_path / "o")]
     argv = {
-        "train": ["train", "--paradigm", "single-a", "--epochs", "1"],
-        "eval": ["eval", "--model", str(saved_model_dir(tmp_path))],
-        "dataset split": ["dataset", "split"],
+        "train": ["train", "--paradigm", "single-a", "--epochs", "1", *out],
+        "eval": ["eval", "--model", str(saved_model_dir(tmp_path)), *out],
+        "dataset split": ["dataset", "split"],  # rewrites --data in place: no --out
     }[command]
-    assert_one_error(capsys, [*argv, "--data", str(ds), "--out", str(tmp_path / "o"), "--quiet"], "data",
-                     f"{manifest}:2:")
+    assert_one_error(capsys, [*argv, "--data", str(ds), "--quiet"], "data", f"{manifest}:2:")
 
 
 # --- weights derive -----------------------------------------------------------------
@@ -619,6 +628,23 @@ def test_weights_derive_bad_confusion_cell_is_data_error(tmp_path, capsys, cell)
     assert out == ""
 
 
+
+def test_weights_derive_fractions_and_counts_agree(tmp_path, capsys):
+    """Fractions keep every decimal place they are written with, so the A and B
+    recalls of class x (0.9994 and 0.9991) do not both round to 0.999."""
+    printed = {}
+    for kind, rows in {"fractions": ("0.9994,0.0006", "0.9991,0.0009"), "counts": ("9994,6", "9991,9")}.items():
+        paths = []
+        for name, row in zip("ab", rows):
+            path = tmp_path / f"{kind}-{name}.csv"
+            path.write_text(f"class,x,y\nx,{row}\ny,0,1\n")
+            paths.append(str(path))
+        capsys.readouterr()
+        assert main(["weights", "derive", "--cm-a", paths[0], "--cm-b", paths[1]]) == 0
+        printed[kind] = json.loads(capsys.readouterr().out)
+    assert printed["fractions"] == printed["counts"] == {"alpha": [1.0, 0.0], "beta": [0.0, 1.0]}
+
+
 # --- compare -----------------------------------------------------------------------
 
 
@@ -649,31 +675,124 @@ def test_compare_from_tables_bad_metric_cell_is_data_error(tmp_path, capsys, cel
     assert not (out / "report.csv").exists()
 
 
-REPO = Path(__file__).resolve().parents[1]
-
-
-def run_script(name, *args):
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-    return subprocess.run([sys.executable, str(REPO / "scripts" / name), *args], env=env,
-                          capture_output=True, text=True, timeout=120)
-
-
-def test_scripts_run_from_source(tmp_path, capsys):
+@pytest.mark.parametrize("flag, value", [("--seed", "1"), ("--epochs", "1"), ("--batch-size", "4"),
+                                         ("--learning-rate", "0.1"), ("--optimizer", "sgd"),
+                                         ("--augment-eval", "false")])
+def test_compare_from_tables_refuses_training_flags(tmp_path, capsys, flag, value):
     csv_path = write_reference_metrics_csv(tmp_path / "tables.csv")
-    capsys.readouterr()
-    assert main(["compare", "--from-tables", str(csv_path), "--out", str(tmp_path / "cmp"), "--quiet"]) == 0
-    verdict = capsys.readouterr().out.strip().splitlines()[-1]
-    ranked = run_script("rank_tables.py", str(csv_path))
-    assert ranked.returncode == 0, ranked.stderr
-    assert ranked.stdout.strip().splitlines()[-1] == verdict == "verdict: late-weighted"
-    helped = run_script("run_compare.py", "--help")
-    assert helped.returncode == 0, helped.stderr
-    assert "--root" in helped.stdout
+    out = tmp_path / "cmp"
+    assert_one_error(capsys, ["compare", "--from-tables", str(csv_path), "--out", str(out), flag, value],
+                     "usage", flag, "--from-tables")
+    assert not out.exists()
+
+
+def test_compare_from_tables_records_no_training_setting(tmp_path):
+    csv_path = write_reference_metrics_csv(tmp_path / "tables.csv")
+    out = tmp_path / "cmp"
+    assert main(["compare", "--from-tables", str(csv_path), "--out", str(out), "--quiet"]) == 0
+    assert json.loads((out / "run-config.json").read_text()) == {"out": str(out), "quiet": True}
 
 
 def test_compare_needs_data_or_tables(tmp_path, capsys):
     assert main(["compare", "--out", str(tmp_path / "x")]) == 2
     assert "error[usage]" in capsys.readouterr().err
+
+
+# --- command line ----------------------------------------------------------------------
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def malformed_argv(tmp_path):
+    d, o = str(tmp_path / "d"), str(tmp_path / "o")
+    cm = ["--cm-a", str(tmp_path / "a.csv"), "--cm-b", str(tmp_path / "b.csv")]
+    return {  # name -> (argv, texts the error line must hold)
+        "train-without-data": (["train", "--paradigm", "early", "--out", o], ["fuselab train", "--data"]),
+        "unknown-flag": (["train", "--data", d, "--paradigm", "early", "--out", o, "--nope"], ["--nope"]),
+        "bad-split": (["eval", "--data", d, "--model", d, "--out", o, "--split", "nope"], ["--split", "'nope'"]),
+        "compare-both-inputs": (["compare", "--data", d, "--from-tables", d, "--out", o],
+                                ["--data", "--from-tables"]),
+        "compare-no-input": (["compare", "--out", o], ["--data", "--from-tables"]),
+        # flags that changed nothing but run-config.json (dataset split --out: its own test)
+        "eval-seed": (["eval", "--data", d, "--model", d, "--out", o, "--seed", "1"], ["--seed"]),
+        "weights-derive-seed": (["weights", "derive", *cm, "--seed", "1"], ["--seed"]),
+        "weights-derive-quiet": (["weights", "derive", *cm, "--quiet"], ["--quiet"]),
+    }
+
+
+@pytest.mark.parametrize("case", malformed_argv(Path("tmp")))
+def test_malformed_command_line_is_one_usage_error(tmp_path, capsys, case):
+    argv, texts = malformed_argv(tmp_path)[case]
+    assert_one_error(capsys, argv, "usage", *texts)
+    assert not any(tmp_path.iterdir())
+
+
+def test_help_exits_zero(capsys):
+    assert main(["train", "--help"]) == 0
+    assert "--paradigm" in capsys.readouterr().out
+
+
+def test_readme_cli_lines_parse():
+    block = (REPO / "README.md").read_text().split("\n## CLI\n", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("fuselab ")]
+    assert len(lines) >= 7
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        try:
+            cli.build_parser().parse_args(argv[1:])
+        except ValueError as exc:
+            raise AssertionError(f"README line {line!r}: {exc}") from None
+
+
+def command_parser(command: str) -> argparse.ArgumentParser:
+    parser = cli.build_parser()
+    for name in command.split():
+        parser = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[name]
+    return parser
+
+
+INPUT_DESTS = {"help", "config", "data", "model", "cm_a", "cm_b", "from_tables"}
+SETTING_VALUES = {
+    "seed": "1", "per_class": "2", "size": "8", "p": "1", "b": "1", "classes": "2", "fractions": "0.5,0.25,0.25",
+    "stratified": "false", "paradigm": "single-a", "epochs": "1", "batch_size": "4", "learning_rate": "0.01",
+    "optimizer": "sgd", "augment_eval": "false", "split": "train",
+}
+
+
+@pytest.fixture(scope="module")
+def recorded_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("recorded")
+    assert main(synth_args(root / "d", per_class=10)) == 0
+    assert main(["train", "--data", str(root / "d"), "--paradigm", "single-a", "--out", str(root / "m"),
+                 "--epochs", "0", "--quiet"]) == 0
+    cm = str(root / "m-eval" / "confusion.csv")
+    assert main(["eval", "--data", str(root / "d"), "--model", str(root / "m"), "--out", str(root / "m-eval"),
+                 "--quiet"]) == 0
+    return root, cm
+
+
+@pytest.mark.parametrize("command", ["dataset synth", "dataset split", "train", "eval", "weights derive", "compare"])
+def test_every_setting_flag_is_recorded(recorded_inputs, tmp_path, command):
+    """Every flag but the input paths and --config is a setting, and run-config.json holds it."""
+    root, cm = recorded_inputs
+    data_dir = tmp_path / "d"
+    shutil.copytree(root / "d", data_dir)  # dataset split rewrites it
+    out = tmp_path / "out"
+    argv = command.split() + {
+        "dataset split": ["--data", str(data_dir)],
+        "train": ["--data", str(data_dir)],
+        "eval": ["--data", str(data_dir), "--model", str(root / "m")],
+        "weights derive": ["--cm-a", cm, "--cm-b", cm],
+        "compare": ["--data", str(data_dir)],
+    }.get(command, [])
+    settings = [a for a in command_parser(command)._actions if a.option_strings and a.dest not in INPUT_DESTS]
+    for action in settings:
+        argv.append(action.option_strings[0])
+        if action.nargs != 0:
+            argv.append(str(out) if action.dest == "out" else SETTING_VALUES[action.dest])
+    assert main(argv) == 0
+    record = json.loads(((out if "--out" in argv else data_dir) / "run-config.json").read_text())
+    assert [a.option_strings[0] for a in settings if a.dest not in record] == []
 
 
 def no_forward(self, inputs):

@@ -288,3 +288,16 @@ def test_parse_confusion_csv_accepts_fractions(tmp_path):
     path.write_text("\n".join(rows) + "\n")
     cm = ev.parse_confusion_csv(path)
     assert np.array_equal(cm.counts, [[900, 100], [200, 800]])
+
+
+def test_parse_confusion_csv_scales_fractions_by_their_most_decimal_places(tmp_path):
+    path = tmp_path / "cm.csv"
+    path.write_text("class,a,b\na,0.9994,0.0006\nb,0.25,0.75\n")
+    assert np.array_equal(ev.parse_confusion_csv(path).counts, [[9994, 6], [2500, 7500]])
+
+
+def test_parse_confusion_csv_fraction_overflowing_int64_is_data_error(tmp_path):
+    path = tmp_path / "cm.csv"
+    path.write_text("class,a,b\na,0.5,0.5\nb,0.0000000000000000001,1\n")  # 1 scales to 10**19 > 2**63
+    with pytest.raises(DataError, match="int64"):
+        ev.parse_confusion_csv(path)
