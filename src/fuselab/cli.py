@@ -3,7 +3,8 @@
 Subcommands: dataset synth | dataset split | train | eval | weights derive |
 compare. Each command takes only the flags it reads, and records every
 setting it resolved in run-config.json in its output directory (`dataset
-split` in the dataset it rewrites). Exit codes: 0 ok, 2 usage, 3 data error,
+split` in the dataset it rewrites, keeping the record of the `dataset synth`
+that made it under "synth"). Exit codes: 0 ok, 2 usage, 3 data error,
 4 numeric failure. Every failure, a malformed command line included, prints
 a single `error[kind]: message` line on stderr.
 """
@@ -16,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import data, evaluation, fusion, train as training
-from .config import Resolver, parse_bool, parse_fractions
+from .config import Resolver, parse_bool, parse_fractions, read_json_object
 from .errors import DataError, NumericError, ShapeError
 
 COMPARE_EPOCHS_DEFAULT = 3
@@ -195,6 +196,9 @@ def cmd_dataset_split(args) -> int:
     stratified = resolver.get("stratified", parse_bool, True)
     resolver.get("quiet", parse_bool, False)
     data_dir = Path(args.data)
+    record = data_dir / "run-config.json"  # dataset synth's, or an earlier split's that keeps it under "synth"
+    made = read_json_object(record) if record.exists() else {}
+    resolver.resolved["synth"] = made.get("synth", made if "per_class" in made else None)
     sizes = data.resplit(data_dir, fractions=fractions, seed=seed, stratified=stratified)
     resolver.write_record(data_dir)
     _say(resolver, f"re-split {data_dir}: {'/'.join(map(str, sizes))} train/val/test")
@@ -228,9 +232,10 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     """Score a saved model on one split of a dataset directory.
 
-    The split is read one prediction batch (train.eval_batch) at a time
-    (data.stream_split), so eval holds one batch of chips, the predictions and
-    the class indices.
+    The split is read (data.stream_split) in chunks of the model's largest
+    prediction batch (train.batch_rows), which hold whole batches of every
+    network, so each network predicts in the batches that validation uses.
+    eval holds one chunk of chips, the predictions and the class indices.
     Every record's chips are still read and checked, as train reads them,
     before any output file is written.
     """
@@ -242,7 +247,7 @@ def cmd_eval(args) -> int:
         raise ValueError(f"--split must be train, val or test, got {split_name!r}")
     model = fusion.load_model(args.model)
     turns = data.split_turns(split_name, resolver.get("augment_eval", parse_bool, True))  # as train reads it
-    rows = max(1, training.eval_batch(model) // turns)
+    rows = max(training.batch_rows(net, *model.chip_shape_a[:2], turns) for net in model.nets)
     class_names, n_rows, chunks = data.stream_split(args.data, split_name, rows, turns)
     if not n_rows:
         raise DataError(f"split {split_name!r} of {args.data} is empty")

@@ -3,7 +3,8 @@
 The config file is a flat `key = value` text file (fuselab.toml by default);
 values are parsed with the same converters as environment strings. Every
 command echoes its fully resolved settings into the output directory as
-run-config.json so a run can be reproduced from its artifacts alone.
+run-config.json so a run can be reproduced from its artifacts alone;
+read_json_object reads such a record, or a model.json, back.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
+
+from .errors import DataError
 
 ENV_PREFIX = "FUSELAB_"
 DEFAULT_CONFIG_FILE = "fuselab.toml"
@@ -78,3 +81,14 @@ class Resolver:
         }
         Path(out_dir).mkdir(parents=True, exist_ok=True)
         (Path(out_dir) / "run-config.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+
+
+def read_json_object(path) -> dict:
+    """The JSON object that the file at path holds; DataError if it holds anything else."""
+    try:
+        value = json.loads(Path(path).read_text())
+    except ValueError as exc:  # undecodable bytes or malformed JSON
+        raise DataError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(value, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    return value

@@ -64,22 +64,24 @@ class Samples:
     def __len__(self) -> int:
         return self.turns * len(self.classes)
 
-    def chips(self, index) -> tuple[np.ndarray, np.ndarray]:
-        """The A and B chips of the samples in index, each stacked into one new (n, H, W, C) array.
+    def chips(self, index, modalities: str = "ab") -> tuple[np.ndarray | None, np.ndarray | None]:
+        """The A and B chips of the samples in index, each stacked into one new (n, H, W, C) array;
+        a modality not named in modalities ("a", "b" or "ab") is None.
 
         Each modality is turned once per turn, as a view, and every sample's chip is copied once
         from its turn's view into the batch.
         """
         rows, turn = np.divmod(np.asarray(index, dtype=np.intp), self.turns)
         samples = list(zip(turn.tolist(), rows.tolist()))
-        stacks = []
-        for arr in (self.chips_a, self.chips_b):
+
+        def stack(arr):
             turned = [np.rot90(arr, k, axes=(1, 2)) for k in range(self.turns)]
             batch = np.empty((len(samples), *arr.shape[1:]), arr.dtype)
             for i, (k, row) in enumerate(samples):
                 batch[i] = turned[k][row]
-            stacks.append(batch)
-        return stacks[0], stacks[1]
+            return batch
+
+        return stack(self.chips_a) if "a" in modalities else None, stack(self.chips_b) if "b" in modalities else None
 
     def truth(self, index=None) -> np.ndarray:
         """The class index of each sample in index (of every sample by default)."""
@@ -256,6 +258,9 @@ def synth_generate(
     """
     if per_class < 1:
         raise ValueError("per_class must be >= 1")
+    if min(width, height, channels_a, channels_b) < 1:
+        raise ValueError(f"chip size and channel counts must be >= 1, got {width}x{height}, "
+                         f"P={channels_a}, B={channels_b}")
     plan = plan or default_plan(n_classes)
     names = class_names_for(n_classes)
     means_a, means_b = generative_fields(plan, width, height, channels_a, channels_b, n_classes, amp)
@@ -303,6 +308,8 @@ def load_chip(path) -> np.ndarray:
     _, version, _, w, h, c = _HEADER.unpack_from(data)
     if version != CHIP_VERSION:
         raise VersionMismatchError(f"{path}: chip format version {version}, expected {CHIP_VERSION}")
+    if 0 in (w, h, c):
+        raise DataError(f"{path}: header claims a {w}x{h}x{c} chip, which holds no value")
     expected = _HEADER.size + 4 * w * h * c
     if len(data) < expected:
         raise TruncatedPayloadError(

@@ -294,7 +294,8 @@ def emit_report(report: ParadigmReport, fmt: str, path) -> Path:
 
 
 def parse_metrics_csv(path) -> dict:
-    """Read a metrics CSV (as written by metrics_csv_text) back into tables; each metric is a number in [0, 1]."""
+    """Read a metrics CSV (as written by metrics_csv_text) back into tables; each metric is a number in
+    [0, 1], and every paradigm's block lists the same classes in the same order."""
     rows = list(csv.reader(Path(path).read_text().splitlines()))
     if not rows or tuple(rows[0]) != CSV_COLUMNS:
         raise DataError(f"{path}: expected header {','.join(CSV_COLUMNS)}")
@@ -306,9 +307,13 @@ def parse_metrics_csv(path) -> dict:
     tables = {}
     for paradigm, rws in grouped.items():
         columns = np.array([values for _, values in rws]).T.copy()  # one contiguous row per metric
-        tables[paradigm] = MetricsTable(class_names=tuple(name for name, _ in rws),
-                                        **dict(zip(_CSV_METRICS, columns)),
-                                        degenerate=np.zeros(len(rws), dtype=bool))
+        table = tables[paradigm] = MetricsTable(class_names=tuple(name for name, _ in rws),
+                                                **dict(zip(_CSV_METRICS, columns)),
+                                                degenerate=np.zeros(len(rws), dtype=bool))
+        first, first_table = next(iter(tables.items()))
+        if table.class_names != first_table.class_names:
+            raise DataError(f"{path}: {paradigm} has classes {list(table.class_names)}, "
+                            f"{first} has {list(first_table.class_names)}")
     return tables
 
 

@@ -38,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
+from .config import read_json_object
 from .errors import DataError, ShapeError
 
 # paradigm -> the inputs of each of its networks, in FusionModel.nets order:
@@ -310,15 +311,20 @@ def decisions(model: FusionModel, preds) -> np.ndarray:
     return pred
 
 
-def predict_batch(model: FusionModel, chips_a: np.ndarray, chips_b: np.ndarray) -> np.ndarray:
+def modalities(model: FusionModel) -> str:
+    """The modalities whose chips the model's networks read: a string holding "a", "b" or both."""
+    return "".join(source for sources in NETWORK_INPUTS[model.paradigm] for source in sources)
+
+
+def predict_batch(model: FusionModel, chips_a: np.ndarray | None, chips_b: np.ndarray | None) -> np.ndarray:
     """Route a batch of paired chips through the model; returns (N, C) decisions.
 
-    Forward only: the networks keep no layer cache (see nn.Network.infer).
+    The chips of a modality the model does not read (see modalities) may be
+    None. Forward only: the networks keep no layer cache (see nn.Network.infer).
     """
-    if chips_a.shape[1:] != model.chip_shape_a:
-        raise ShapeError(f"modality-A chips {chips_a.shape[1:]} != model spec {model.chip_shape_a}")
-    if chips_b.shape[1:] != model.chip_shape_b:
-        raise ShapeError(f"modality-B chips {chips_b.shape[1:]} != model spec {model.chip_shape_b}")
+    for name, chips, shape in (("A", chips_a, model.chip_shape_a), ("B", chips_b, model.chip_shape_b)):
+        if chips is not None and chips.shape[1:] != shape:
+            raise ShapeError(f"modality-{name} chips {chips.shape[1:]} != model spec {shape}")
     inputs = network_inputs(model, chips_a, chips_b)
     return decisions(model, [net.infer(xs) for net, xs in zip(model.nets, inputs)])
 
@@ -400,12 +406,7 @@ def load_model(model_dir) -> FusionModel:
     meta_path = model_dir / MODEL_META
     if not meta_path.exists():
         raise DataError(f"{model_dir}: no {MODEL_META} found")
-    try:
-        meta = json.loads(meta_path.read_text())
-    except ValueError as exc:  # undecodable bytes or malformed JSON
-        raise DataError(f"{meta_path}: not valid JSON ({exc})") from exc
-    if not isinstance(meta, dict):
-        raise DataError(f"{meta_path}: expected a JSON object")
+    meta = read_json_object(meta_path)
     missing = sorted(_META_KEYS.keys() - meta.keys())
     if missing:
         raise DataError(f"{meta_path}: missing key(s) {', '.join(missing)}")

@@ -13,7 +13,9 @@ the per-channel mean and standard deviation of each modality, with which the
 model standardizes every chip it sees (see fusion.InputStats).
 
 Every split is a data.Samples: a step stacks its batch with Samples.chips
-(augmented samples are read turned), and labels are class indices.
+(augmented samples are read turned, and only the modalities the network
+reads), and labels are class indices. Prediction follows one batching rule,
+batch_rows: each network predicts a split in batches of whole rows.
 
 A training step runs a network's forward pass, in which each convolution is
 nn.Conv (zero padding, tensor.im2col, one float32 GEMM), backpropagates the
@@ -24,7 +26,6 @@ TrainConfig.optimizer names in OPTIMIZERS.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,18 +119,20 @@ OPTIMIZERS = {"sgd": SGD, "adam": Adam}
 
 # --- batching ----------------------------------------------------------------
 
-EVAL_BATCH = 64  # the most samples one prediction batch holds
+# the most samples one prediction batch holds: at 32 samples a late model's single-a batch
+# left ~2 MB of freed heap resident beside its single-b network's wider columns
+EVAL_BATCH = 16
 EVAL_BYTES = 8 << 20  # what one prediction batch's widest conv may unfold
 
 
-def eval_batch(model: fusion.FusionModel) -> int:
-    """Samples per prediction batch: as many as keep the widest im2col unfolding
-    of any of the model's networks within EVAL_BYTES, at least 1 and at most
-    EVAL_BATCH. Every per-batch array of a forward pass shrinks with the batch,
-    and each row's decision is the same whatever the batch (see README)."""
-    h, w = model.chip_shape_a[:2]
-    widest = max(net.column_bytes(h, w) for net in model.nets)
-    return max(1, min(EVAL_BATCH, EVAL_BYTES // max(widest, 1)))
+def batch_rows(net: nn.Network, height: int, width: int, turns: int) -> int:
+    """Whole rows per prediction batch of one network on height x width chips
+    read in `turns` turns: as many as keep its widest im2col unfolding within
+    EVAL_BYTES and its samples within EVAL_BATCH, at least 1, rounded down to a
+    power of two so that a model's larger batches are whole multiples of its
+    smaller ones. A split is predicted in these batches from its first row."""
+    samples = min(EVAL_BATCH, EVAL_BYTES // max(net.column_bytes(height, width), 1))
+    return 1 << (max(1, samples // turns).bit_length() - 1)
 
 
 def _channel_stats(chips) -> tuple[np.ndarray, np.ndarray]:
@@ -158,11 +161,18 @@ def input_stats(samples) -> tuple:
 
 
 def _model_predictions(model: fusion.FusionModel, samples) -> np.ndarray:
-    """Decision vectors in sample order, computed forward-only in eval_batch(model) chunks."""
-    n, batch = len(samples), eval_batch(model)
+    """The model's decision vectors on samples, in sample order, computed forward-only.
+
+    A late model predicts as its two members do. A one-network model predicts
+    in batches of batch_rows whole rows, stacking only the chips it reads.
+    """
+    if model.paradigm in fusion.LATE_PARADIGMS:
+        return fusion.decisions(model, [_model_predictions(m, samples) for m in fusion.late_members(model)])
+    n, turns, reads = len(samples.classes), samples.turns, fusion.modalities(model)
+    rows = batch_rows(model.nets[0], *model.chip_shape_a[:2], turns)
     return np.concatenate([
-        fusion.predict_batch(model, *samples.chips(range(i, min(i + batch, n))))
-        for i in range(0, n, batch)
+        fusion.predict_batch(model, *samples.chips(range(r * turns, min(r + rows, n) * turns), reads))
+        for r in range(0, n, rows)
     ])
 
 
@@ -212,17 +222,19 @@ def _fit(model: fusion.FusionModel, dsplit, config: TrainConfig, stream: int) ->
         perm = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             batch = perm[start : start + config.batch_size]
-            (xs,) = fusion.network_inputs(model, *dsplit.train.chips(batch))
+            (xs,) = fusion.network_inputs(model, *dsplit.train.chips(batch, fusion.modalities(model)))
             y = dsplit.train.truth(batch)
-            pred = net.forward_batch(xs)
-            loss = nn.cross_entropy(pred, y)
-            if not math.isfinite(loss):
+            try:  # a kernel's non-finite check or numpy's floating-point error ends the run with this diagnostic
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    pred = net.forward_batch(xs)
+                    loss = nn.cross_entropy(pred, y)
+                    net.backward(nn.cross_entropy_grad(pred, y))
+                    optimizer.step(nn.gradients(net))
+            except (FloatingPointError, NumericError) as exc:
                 raise NumericError(
-                    f"non-finite training loss at epoch {epoch}, batch {start // config.batch_size} "
-                    f"({model.paradigm} network, RNG stream {stream}); try a lower learning rate"
-                )
-            net.backward(nn.cross_entropy_grad(pred, y))
-            optimizer.step(nn.gradients(net))
+                    f"training diverged at epoch {epoch}, batch {start // config.batch_size} ({model.paradigm} "
+                    f"network, RNG stream {stream}): non-finite values; try a lower learning rate"
+                ) from exc
             loss_sum += loss * len(batch)
             correct += int((pred.argmax(axis=1) == y).sum())
         val_pred = _model_predictions(model, dsplit.val) if dsplit.val else None

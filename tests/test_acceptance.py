@@ -13,6 +13,7 @@ import pytest
 from fuselab import data, evaluation as ev, fusion, nn
 from fuselab.cli import main
 
+from gradcheck import gradient_check
 from reference_tables import (
     CLASS_NAMES,
     METRIC_TOLERANCE,
@@ -136,7 +137,7 @@ def test_c5_gradient_correctness_all_architectures():
         for net, batch in zip(model.nets, fusion.network_inputs(model, xa[None], xb[None])):
             inputs = [x[0] for x in batch]
             kinds_seen.update(type(l).__name__ for l in net.all_layers())
-            rep = nn.gradient_check(net, inputs, 3, epsilon=1e-3, tolerance=1e-4)
+            rep = gradient_check(net, inputs, 3, epsilon=1e-3, tolerance=1e-4)
             worst = max(worst, rep.max_rel_error)
     elapsed = time.perf_counter() - t0
     all_kinds = {"Conv", "MaxPool2", "Flatten", "Dense", "ReLU", "Softmax"}

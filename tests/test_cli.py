@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fuselab import cli, data, evaluation as ev, fusion, nn, train as training
+from fuselab import cli, data, evaluation as ev, fusion, nn, tensor, train as training
 from fuselab.cli import main
 
 from reference_tables import (
@@ -94,6 +94,13 @@ def test_synth_refuses_nonempty_dir_without_force(tmp_path, capsys):
     assert main(synth_args(out, extra=("--force",))) == 0
 
 
+@pytest.mark.parametrize("flag", ["--p", "--b"])
+def test_synth_zero_channels_is_one_usage_error_that_writes_nothing(tmp_path, capsys, flag):
+    out = tmp_path / "d"
+    assert_one_error(capsys, synth_args(out, extra=(flag, "0")), "usage", "channel counts must be >= 1")
+    assert not out.exists()
+
+
 def test_synth_byte_identical_across_runs(tmp_path):
     out = tmp_path / "a"
     args = synth_args(out, per_class=3, extra=("--force",))
@@ -141,6 +148,30 @@ def test_dataset_split_changes_only_each_records_split(tiny_dataset_dir, tmp_pat
     assert "forest" in data.load_dataset(work).class_names
     assert main(["train", "--data", str(work), "--paradigm", "single-a", "--out", str(tmp_path / "m"),
                  "--epochs", "1", "--quiet"]) == 0
+
+
+def test_dataset_split_keeps_the_synth_record(tmp_path):
+    ds = tmp_path / "ds"
+    assert main(["dataset", "synth", "--out", str(ds), "--per-class", "4", "--size", "16", "--b", "3",
+                 "--seed", "5", "--quiet"]) == 0
+    made = json.loads((ds / "run-config.json").read_text())
+    for seed in ("3", "4"):  # a second split keeps the synth record, not the first split's
+        assert main(["dataset", "split", "--data", str(ds), "--seed", seed, "--quiet"]) == 0
+        record = json.loads((ds / "run-config.json").read_text())
+        assert record["synth"] == made
+        assert record["seed"] == int(seed) and "fractions" in record and "stratified" in record
+    assert {key: made[key] for key in ("per_class", "size", "p", "b", "classes", "seed")} == dict(
+        per_class=4, size=16, p=2, b=3, classes=5, seed=5)
+
+
+@pytest.mark.parametrize("record", ["{", "[1, 2]"])
+def test_dataset_split_bad_run_config_is_one_data_error(tiny_dataset_dir, tmp_path, capsys, record):
+    ds = tmp_path / "ds"
+    shutil.copytree(tiny_dataset_dir, ds)
+    (ds / "run-config.json").write_text(record)
+    manifest = (ds / "manifest.jsonl").read_text()
+    assert_one_error(capsys, ["dataset", "split", "--data", str(ds), "--seed", "3"], "data", "run-config.json")
+    assert (ds / "manifest.jsonl").read_text() == manifest
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "compare", "dataset split"])
@@ -497,6 +528,12 @@ def test_non_finite_chip_is_one_data_error(tmp_path, capsys, command, value):
     assert_one_error(capsys, argv, "data", str(chip), "non-finite")
 
 
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_zero_extent_chip_is_one_data_error(tmp_path, capsys, axis):
+    argv, chip = corrupted_dataset_args("train", tmp_path, lambda c: c.take(range(0), axis=axis))
+    assert_one_error(capsys, argv, "data", str(chip), "holds no value")
+
+
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_odd_chip_shape_is_one_data_error(tmp_path, capsys, command):
     argv, chip = corrupted_dataset_args(command, tmp_path, lambda c: np.ones((*c.shape[:2], 4), np.float32))
@@ -658,6 +695,17 @@ def test_compare_from_tables_reproduces_verdict(tmp_path, capsys):
     assert (out / "report.svg").exists()
     md = (out / "report.md").read_text()
     assert "Selected paradigm: late-weighted" in md
+
+
+def test_compare_from_tables_refuses_blocks_of_other_classes(tmp_path, capsys):
+    out = tmp_path / "cmp"
+    assert main(["compare", "--from-tables", str(write_reference_metrics_csv(tmp_path / "tables.csv")),
+                 "--out", str(out), "--quiet"]) == 0
+    cut = tmp_path / "cut.csv"
+    cut.write_text("".join((out / "report.csv").read_text().splitlines(keepends=True)[:-2]))
+    last = list(ev.parse_metrics_csv(out / "report.csv"))[-1]  # the block the cut leaves 3 of 5 classes
+    assert_one_error(capsys, ["compare", "--from-tables", str(cut), "--out", str(tmp_path / "o")], "data",
+                     f"{last} has classes {list(CLASS_NAMES[:3])}")
 
 
 @pytest.mark.parametrize("cell", ["abc", "nan", "inf", "-0.1", "1.5"])
@@ -871,6 +919,41 @@ def test_compare_scores_equal_eval_of_saved_models(small_compare, tmp_path):
         assert main(["eval", "--data", str(small_compare.parent / "d"), "--model", str(small_compare / paradigm),
                      "--split", "val", "--out", str(out), "--quiet"]) == 0
         assert (out / "confusion.csv").read_bytes() == (small_compare / paradigm / "confusion.csv").read_bytes(), paradigm
+
+
+@pytest.mark.parametrize("rate", ["1e30", "inf"])
+def test_diverging_training_is_one_numeric_error(tiny_dataset_dir, tmp_path, capsys, recwarn, rate):
+    assert_one_error(capsys, ["train", "--data", str(tiny_dataset_dir), "--paradigm", "single-a", "--out",
+                              str(tmp_path / "m"), "--epochs", "1", "--learning-rate", rate],
+                     "numeric", "at epoch 0, batch ", "(single-a network", "try a lower learning rate")
+    assert [str(w.message) for w in recwarn] == []  # numpy's overflow warnings would print beside the error
+
+
+@pytest.mark.parametrize("augment", ["true", "false"])
+@pytest.mark.parametrize("size", [32, 64])
+def test_eval_and_compare_decide_as_the_whole_split_is_predicted(tmp_path, monkeypatch, size, augment):
+    """With a float32 Dense product, a row's output depends on the batch it is predicted in. The
+    decisions that eval streams and that compare scores must still be, bit for bit, those of
+    train._model_predictions over the whole split."""
+    monkeypatch.setattr(tensor, "matmul", np.matmul)
+    scored, confusion_matrix = [], training.confusion_matrix  # every decision matrix that is scored
+    monkeypatch.setattr(training, "confusion_matrix", lambda pred, *a: scored.append(pred) or confusion_matrix(pred, *a))
+    ds, out = tmp_path / "d", tmp_path / "c"
+    assert main(synth_args(ds, per_class=10, size=size, b=13)) == 0
+    assert main(["dataset", "split", "--data", str(ds), "--fractions", "0.48,0.42,0.1", "--stratified", "false",
+                 "--quiet"]) == 0  # 21 validation rows: most batchings end in a batch of 1 to 3 samples
+    assert main(["compare", "--data", str(ds), "--out", str(out), "--epochs", "1", "--augment-eval", augment,
+                 "--quiet"]) == 0
+    val = data.augment(data.load_dataset(ds), augment == "true").val
+    models = {paradigm: fusion.load_model(out / paradigm) for paradigm in fusion.PARADIGMS}
+    whole = {paradigm: training._model_predictions(model, val).tobytes() for paradigm, model in models.items()}
+    members = [training._model_predictions(m, val).tobytes() for m in fusion.late_members(models["late-weighted"])]
+    assert [pred.tobytes() for pred in scored] == [*list(whole.values())[:-1], *members, whole["late-weighted"]]
+    for paradigm in fusion.PARADIGMS:
+        scored.clear()
+        assert main(["eval", "--data", str(ds), "--model", str(out / paradigm), "--split", "val",
+                     "--augment-eval", augment, "--out", str(tmp_path / paradigm), "--quiet"]) == 0
+        assert [pred.tobytes() for pred in scored] == [whole[paradigm]], paradigm
 
 
 # --- config precedence -----------------------------------------------------------------

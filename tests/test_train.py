@@ -28,11 +28,31 @@ def train_only(samples):
 
 @pytest.mark.parametrize(
     "paradigm, size, batch",
-    [("late-weighted", 32, 17), ("early", 64, 3), ("single-a", 64, 14), ("joint", 64, 4), ("single-a", 16, 64)],
+    [("late-weighted", 32, 17), ("early", 64, 3), ("single-a", 64, 14), ("joint", 64, 4), ("single-a", 16, 227)],
 )
 def test_eval_batch_keeps_the_widest_unfolding_within_eval_bytes(paradigm, size, batch):
+    """batch is how many samples of the model's widest network EVAL_BYTES holds. Each network's
+    batch is the most whole rows, a power of two, that its own budget and EVAL_BATCH allow, at least one."""
     model = fusion.build_model(paradigm, size, size, 2, 13, 5, seed=0)
-    assert tr.eval_batch(model) == batch
+    fits = [tr.EVAL_BYTES // net.column_bytes(size, size) for net in model.nets]
+    assert min(fits) == batch
+    for net, samples in zip(model.nets, fits):
+        samples = min(samples, tr.EVAL_BATCH)
+        for turns in (1, 4):
+            rows = tr.batch_rows(net, size, size, turns)
+            assert rows & (rows - 1) == 0
+            assert rows == 1 or rows * turns <= samples
+            assert 2 * rows * turns > samples
+
+
+@pytest.mark.parametrize(
+    "paradigm, size, turns, rows",
+    [("late-weighted", 64, 4, [2, 1]), ("late-weighted", 64, 1, [8, 4]), ("late-weighted", 32, 4, [4, 4]),
+     ("early", 32, 4, [2]), ("early", 64, 4, [1]), ("joint", 64, 1, [4]), ("single-a", 16, 1, [16])],
+)
+def test_batch_rows_per_network(paradigm, size, turns, rows):
+    model = fusion.build_model(paradigm, size, size, 2, 13, 5, seed=0)
+    assert [tr.batch_rows(net, size, size, turns) for net in model.nets] == rows
 
 
 def test_column_bytes_is_the_widest_conv_not_the_first():
