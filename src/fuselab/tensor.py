@@ -4,8 +4,10 @@ builds its GEMMs on, and 2x2 max pooling. ReLU is elementwise, in nn.ReLU.
 Layout convention, used everywhere in this package: arrays are row-major
 (C order), channel-last. Images are (H, W, C), batches are (N, H, W, C),
 so flat index = ((n*H + row)*W + col)*C + ch; the unfolding and pooling
-kernels take batches only. Storage dtype is float32; the same kernels run
-in float64 when handed float64 arrays (the gradient checker relies on this).
+kernels take batches only. Every kernel computes in its operands' dtype, so
+the one precision policy is float32 storage and float32 GEMMs (Dense's through
+matmul, Conv's on the im2col columns); the same kernels run in float64 when
+handed float64 arrays (the gradient checker relies on this).
 
 All kernels are pure functions of their inputs. matmul and maxpool2 raise
 NumericError instead of returning NaN/Inf; the others pass values through
@@ -28,18 +30,13 @@ def _check_finite(out: np.ndarray, op: str) -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with 64-bit accumulation, rounded back to the input dtype."""
-    a = np.asarray(a)
-    b = np.asarray(b)
+    """Checked 2-D matrix product a @ b in the operands' own dtype."""
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
-    out_dtype = np.result_type(a.dtype, b.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.matmul(a.astype(np.float64, copy=False), b.astype(np.float64, copy=False))
-        out = out.astype(out_dtype, copy=False)
-    return _check_finite(out, "matmul")
+        return _check_finite(a @ b, "matmul")
 
 
 def im2col(xp: np.ndarray, k: int) -> tuple[np.ndarray, int, int]:

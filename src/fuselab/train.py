@@ -89,7 +89,7 @@ class SGD:
 
     def step(self, grads):
         for p, g in zip(self.params, grads):
-            p -= (self.learning_rate * g).astype(p.dtype, copy=False)
+            p -= self.learning_rate * g
 
 
 class Adam:
@@ -111,7 +111,7 @@ class Adam:
             m += (1.0 - ADAM_BETA1) * g
             v *= ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * g * g
-            p -= (self.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)).astype(p.dtype, copy=False)
+            p -= self.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 OPTIMIZERS = {"sgd": SGD, "adam": Adam}

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fuselab import cli, data, evaluation as ev, fusion, nn, tensor, train as training
+from fuselab import cli, data, evaluation as ev, fusion, nn, train as training
 from fuselab.cli import main
 
 from reference_tables import (
@@ -932,10 +932,9 @@ def test_diverging_training_is_one_numeric_error(tiny_dataset_dir, tmp_path, cap
 @pytest.mark.parametrize("augment", ["true", "false"])
 @pytest.mark.parametrize("size", [32, 64])
 def test_eval_and_compare_decide_as_the_whole_split_is_predicted(tmp_path, monkeypatch, size, augment):
-    """With a float32 Dense product, a row's output depends on the batch it is predicted in. The
-    decisions that eval streams and that compare scores must still be, bit for bit, those of
+    """A float32 GEMM's rows depend on the batch they are predicted in. The decisions that eval
+    streams and that compare scores must still be, bit for bit, those of
     train._model_predictions over the whole split."""
-    monkeypatch.setattr(tensor, "matmul", np.matmul)
     scored, confusion_matrix = [], training.confusion_matrix  # every decision matrix that is scored
     monkeypatch.setattr(training, "confusion_matrix", lambda pred, *a: scored.append(pred) or confusion_matrix(pred, *a))
     ds, out = tmp_path / "d", tmp_path / "c"

@@ -237,23 +237,6 @@ def test_predict_batch_leaves_no_layer_cache(rng):
         assert all(layer._cache is None for net in model.nets for layer in net.all_layers()), paradigm
 
 
-@pytest.mark.parametrize("paradigm", fusion.PARADIGMS)
-def test_predict_batch_rows_do_not_depend_on_the_batch(paradigm, rng):
-    """Each sample's decision is bit-identical whether the split is predicted
-    in batches of 1, 3 or all at once, at the default network widths."""
-    n = 7
-    chips_a = rng.normal(1.0, 0.5, size=(n, 32, 32, 2)).astype(np.float32)
-    chips_b = rng.normal(1.0, 0.5, size=(n, 32, 32, 13)).astype(np.float32)
-    model = fusion.build_model(paradigm, 32, 32, 2, 13, 5, seed=8)
-    model.set_input_stats([1.0, 1.1], [0.5, 0.4], [0.9] * 13, [0.6] * 13)
-    if paradigm == "late-weighted":
-        model.set_fusion_weights([1, 0, 1, 0, 1], [0, 1, 0, 1, 0])
-    whole = fusion.predict_batch(model, chips_a, chips_b)
-    for batch in (1, 3):
-        parts = [fusion.predict_batch(model, chips_a[i : i + batch], chips_b[i : i + batch]) for i in range(0, n, batch)]
-        assert np.array_equal(np.concatenate(parts), whole), batch
-
-
 def test_late_weighted_predict_requires_weights(rng):
     model = _tiny_models()["late-weighted"]
     chips_a = rng.normal(size=(1, 8, 8, 2)).astype(np.float32)

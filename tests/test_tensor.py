@@ -105,13 +105,29 @@ def test_matmul_overflow_raises():
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_matmul_matches_triple_loop_oracle(seed):
+    """Within float32's forward-error bound for inner products of length k:
+    |got - want| <= k * 2**-24 * sum_l |a_il| |b_lj| (want is exact to float64)."""
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(8, 8)).astype(np.float32)
     b = rng.normal(size=(8, 8)).astype(np.float32)
     got = tensor.matmul(a, b).astype(np.float64)
     want = matmul_oracle(a, b)
-    denom = np.maximum(np.abs(want), 1e-3)
-    assert np.max(np.abs(got - want) / denom) < 1e-6
+    k = a.shape[1]
+    bound = k * 2.0**-24 * matmul_oracle(np.abs(a), np.abs(b))
+    assert np.all(np.abs(got - want) <= bound)
+
+
+@pytest.mark.parametrize("m, k, n", [(16, 4096, 128), (16, 128, 5), (4096, 16, 128), (16, 128, 4096), (3, 7, 2)])
+def test_matmul_is_the_plain_product_in_the_operands_dtype(m, k, n, rng):
+    """float32 operands give float32, bit-equal to np.matmul, at Dense's forward and backward
+    shapes (transposed views included); float64 operands give float64."""
+    a = rng.normal(size=(k, m)).astype(np.float32).T  # a transposed view, as Dense.backward passes x.T
+    b = rng.normal(size=(k, n)).astype(np.float32)
+    got = tensor.matmul(a, b)
+    assert got.dtype == np.float32 and np.array_equal(got.view(np.int32), np.matmul(a, b).view(np.int32))
+    a64, b64 = a.astype(np.float64), b.astype(np.float64)
+    got64 = tensor.matmul(a64, b64)
+    assert got64.dtype == np.float64 and np.array_equal(got64, np.matmul(a64, b64))
 
 
 # --- conv (nn.Conv, the program's only convolution) ----------------------------
