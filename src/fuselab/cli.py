@@ -308,26 +308,26 @@ def cmd_compare(args) -> int:
                 )
         stats = training.input_stats(dsplit.train)  # the same for every model, so measured once
         tables = {}
-        trained = {}  # single-a / single-b: (model, history), which the late paradigms aggregate
+        trained = {}  # single-a / single-b: (model, history, val predictions), which the late paradigms aggregate
         for idx, paradigm in enumerate(fusion.PARADIGMS):
             pdir = out / paradigm
             pdir.mkdir(parents=True, exist_ok=True)
             if paradigm in fusion.LATE_PARADIGMS:
-                (model_a, history_a), (model_b, history_b) = trained["single-a"], trained["single-b"]
+                (model_a, history_a, pred_a), (model_b, history_b, pred_b) = trained["single-a"], trained["single-b"]
                 model = fusion.late_model(paradigm, model_a, model_b)
-                net_histories = (history_a, history_b)
-                history = training.fuse_late(model, net_histories, dsplit)
+                predictions = (pred_a, pred_b)
+                history = training.fuse_late(model, (history_a, history_b), predictions, dsplit)
             else:
                 cfg = dataclasses.replace(cfg_probe, seed=seed + 10 * (idx + 1))
                 model = _model_for_dataset(paradigm, dsplit, seed + idx)
                 model.set_input_stats(*stats)
                 history = training.train(model, dsplit, cfg)
-                net_histories = (history,)
+                predictions = (training.val_predictions(model, history, dsplit),)
                 if paradigm in ("single-a", "single-b"):
-                    trained[paradigm] = model, history
+                    trained[paradigm] = model, history, predictions[0]
             fusion.save_model(pdir, model)
             training.save_history(pdir / "history.csv", history)
-            cm = training.val_confusion(model, net_histories, dsplit)  # scores training's last val pass
+            cm = training.val_confusion(model, predictions, dsplit)  # each network's one final val pass
             table = evaluation.metrics_from_cm(cm)
             _write_eval_files(pdir, paradigm, cm, table)
             tables[paradigm] = table

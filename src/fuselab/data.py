@@ -174,13 +174,6 @@ class SeparabilityPlan:
     alias_a: tuple
     alias_b: tuple
 
-    def visibility(self, c: int) -> str:
-        vis_a = self.alias_a[c] == c
-        vis_b = self.alias_b[c] == c
-        if vis_a and vis_b:
-            return "both"
-        return "a_only" if vis_a else "b_only"
-
 
 def default_plan(n_classes: int) -> SeparabilityPlan:
     """One class separable only in A, one only in B, the rest in both.

@@ -185,18 +185,16 @@ def confusion(model: fusion.FusionModel, chunks, class_names) -> ConfusionMatrix
     return confusion_matrix(np.concatenate(preds), np.concatenate(truth), class_names)
 
 
-def val_confusion(model: fusion.FusionModel, histories, dsplit) -> ConfusionMatrix:
-    """Confusion matrix of the trained model's decisions on the validation split.
+def val_predictions(model: fusion.FusionModel, history, dsplit) -> np.ndarray:
+    """A trained one-network model's final validation predictions: those its
+    last epoch recorded, or one fresh pass after 0 epochs."""
+    return history[-1].val_predictions if history else _model_predictions(model, dsplit.val)
 
-    histories hold one training history per network of the model. Training
-    predicted the split after its last step, so their last records already
-    hold each network's predictions, which fusion.decisions combines; only
-    after 0 epochs is the split predicted afresh.
-    """
-    if not all(histories):
-        return confusion(model, [dsplit.val], dsplit.class_names)
-    pred = fusion.decisions(model, [h[-1].val_predictions for h in histories])
-    return confusion_matrix(pred, dsplit.val.truth(), dsplit.class_names)
+
+def val_confusion(model: fusion.FusionModel, predictions, dsplit) -> ConfusionMatrix:
+    """Confusion matrix of the trained model's decisions on the validation split,
+    from each of its networks' val_predictions, which fusion.decisions combines."""
+    return confusion_matrix(fusion.decisions(model, predictions), dsplit.val.truth(), dsplit.class_names)
 
 
 def _record(epoch, loss_sum, correct, seen, val_pred, dsplit) -> EpochRecord:
@@ -242,22 +240,19 @@ def _fit(model: fusion.FusionModel, dsplit, config: TrainConfig, stream: int) ->
     return history
 
 
-def fuse_late(model: fusion.FusionModel, histories, dsplit) -> list[EpochRecord]:
+def fuse_late(model: fusion.FusionModel, histories, predictions, dsplit) -> list[EpochRecord]:
     """Finish a late model whose two networks are trained; return its history.
 
-    histories are the training histories of fusion.late_members(model).
-    late-weighted needs a non-empty validation split, which train and compare
-    check before training anything. It derives its weights from the members'
-    validation confusion matrices, the ones `weights derive` reads: those of
-    their last epoch's validation predictions, or of a fresh pass after 0
-    epochs. The late
-    history pools the members' training tallies epoch by epoch, and scores the
-    mean of their validation predictions.
+    histories are the training histories of fusion.late_members(model), and
+    predictions their val_predictions. late-weighted needs a non-empty
+    validation split, which train and compare check before training anything.
+    It derives its weights from the members' validation confusion matrices,
+    the ones `weights derive` reads. The late history pools the members'
+    training tallies epoch by epoch, and scores the mean of their validation
+    predictions.
     """
     if model.paradigm == "late-weighted":
-        preds = [h[-1].val_predictions if h else _model_predictions(member, dsplit.val)
-                 for h, member in zip(histories, fusion.late_members(model))]
-        cms = [confusion_matrix(pred, dsplit.val.truth(), dsplit.class_names) for pred in preds]
+        cms = [confusion_matrix(pred, dsplit.val.truth(), dsplit.class_names) for pred in predictions]
         model.set_fusion_weights(*fusion.weights_from_confusions(*cms))
     pooled = []
     for ra, rb in zip(*histories):
@@ -290,7 +285,9 @@ def train(model: fusion.FusionModel, dsplit, config: TrainConfig) -> list[EpochR
         return _fit(model, dsplit, config, stream=0)
     members = fusion.late_members(model)
     histories = [_fit(member, dsplit, config, stream) for stream, member in enumerate(members)]
-    return fuse_late(model, histories, dsplit)
+    # a generator that only late-weighted reads, so late-mean predicts nothing after 0 epochs
+    predictions = (val_predictions(m, h, dsplit) for m, h in zip(members, histories))
+    return fuse_late(model, histories, predictions, dsplit)
 
 
 def save_history(path, history: list[EpochRecord]) -> None:

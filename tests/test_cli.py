@@ -955,6 +955,27 @@ def test_eval_and_compare_decide_as_the_whole_split_is_predicted(tmp_path, monke
         assert [pred.tobytes() for pred in scored] == [whole[paradigm]], paradigm
 
 
+@pytest.mark.parametrize("epochs", [0, 1])
+def test_compare_predicts_validation_once_per_network_and_epoch(tmp_path, monkeypatch, epochs):
+    """compare predicts the validation split with each network once per epoch, or once after 0
+    epochs: the late paradigms aggregate single-a's and single-b's final predictions."""
+    predicted, predict_batch = {}, fusion.predict_batch
+
+    def counting(model, chips_a, chips_b):
+        nets = ("single-a", "single-b") if model.paradigm in fusion.LATE_PARADIGMS else (model.paradigm,)
+        for net in nets:  # a late model predicts with single-a's and single-b's networks
+            predicted[net] = predicted.get(net, 0) + len(chips_a if chips_a is not None else chips_b)
+        return predict_batch(model, chips_a, chips_b)
+
+    monkeypatch.setattr(fusion, "predict_batch", counting)
+    ds = tmp_path / "d"
+    assert main(synth_args(ds, per_class=10)) == 0
+    n_val = len(data.augment(data.load_dataset(ds), True).val.truth())
+    assert main(["compare", "--data", str(ds), "--out", str(tmp_path / "c"), "--epochs", str(epochs),
+                 "--quiet"]) == 0
+    assert predicted == {net: n_val * max(epochs, 1) for net in ("single-a", "single-b", "early", "joint")}
+
+
 # --- config precedence -----------------------------------------------------------------
 
 

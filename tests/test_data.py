@@ -163,9 +163,10 @@ def test_synth_deterministic():
 
 
 def test_default_plan_visibility():
+    """Class 4 hides in A behind class 0 and class 2 hides in B behind class 1; the rest are visible in both."""
     plan = data.default_plan(5)
-    vis = [plan.visibility(c) for c in range(5)]
-    assert vis == ["both", "both", "a_only", "both", "b_only"]
+    assert plan.alias_a == (0, 1, 2, 3, 0)
+    assert plan.alias_b == (0, 1, 1, 3, 4)
 
 
 def bayes_log_likelihoods(samples, plan, width, height, p, b, n_classes):
