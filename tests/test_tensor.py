@@ -106,7 +106,7 @@ def test_matmul_overflow_raises():
 @settings(max_examples=30, deadline=None)
 def test_matmul_matches_triple_loop_oracle(seed):
     """Within float32's forward-error bound for inner products of length k:
-    |got - want| <= k * 2**-24 * sum_l |a_il| |b_lj| (want is exact to float64)."""
+    |got - want| <= k * 2**-24 * sum_l |a_il| |b_lj| (want accumulates in float64)."""
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(8, 8)).astype(np.float32)
     b = rng.normal(size=(8, 8)).astype(np.float32)
