@@ -179,9 +179,7 @@ def cmd_dataset_synth(args) -> int:
     resolver.get("quiet", parse_bool, False)
     if out.exists() and any(out.iterdir()) and not force:
         raise DataError(f"output directory {out} is not empty (use --force to overwrite)")
-    samples = data.synth_generate(
-        per_class, width=size, height=size, channels_a=p, channels_b=b, n_classes=n_classes, seed=seed
-    )
+    samples = data.synth_generate(per_class, size=size, channels_a=p, channels_b=b, n_classes=n_classes, seed=seed)
     dsplit = data.split(samples, data.class_names_for(n_classes), seed=seed, stratified=True)
     data.save_dataset(out, dsplit)
     resolver.write_record(out)
@@ -221,11 +219,12 @@ def cmd_train(args) -> int:
     if model.alpha is not None:
         (out / "fusion_weights.json").write_text(_fusion_weights_line(model.alpha, model.beta) + "\n")
     resolver.write_record(out)
-    if history:
-        last = history[-1]
-        _say(resolver, f"trained {args.paradigm}: final val accuracy {last.val_accuracy:.3f}")
-    else:
+    if not history:
         _say(resolver, f"trained {args.paradigm}: 0 epochs (checkpoint equals initialization)")
+    elif not dsplit.val:
+        _say(resolver, f"trained {args.paradigm}: {args.data} has no validation split to score")
+    else:
+        _say(resolver, f"trained {args.paradigm}: final val accuracy {history[-1].val_accuracy:.3f}")
     return 0
 
 

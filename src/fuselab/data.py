@@ -36,7 +36,7 @@ CLASS_NAMES = ("city", "coastline", "lake", "river", "vegetation")
 SPLITS = ("train", "val", "test")
 DEFAULT_FRACTIONS = (0.85, 0.10, 0.05)
 
-# synthetic generative model knobs
+# synthetic generative model constants: pattern amplitude and the two noise sigmas
 PATTERN_AMP = 0.6
 SPECKLE_SIGMA = 0.35
 GAUSS_SIGMA = 0.35
@@ -191,12 +191,11 @@ def default_plan(n_classes: int) -> SeparabilityPlan:
     return SeparabilityPlan(tuple(alias_a), tuple(alias_b))
 
 
-def _ring_pattern(freq: float, height: int, width: int) -> np.ndarray:
-    # radial sinusoid: invariant under 90-degree rotations of a square chip
-    rows = np.arange(height) - (height - 1) / 2.0
-    cols = np.arange(width) - (width - 1) / 2.0
-    r = np.hypot(rows[:, None], cols[None, :])
-    return np.sin(2.0 * np.pi * freq * r / max(height, width))
+def _ring_pattern(freq: float, size: int) -> np.ndarray:
+    # radial sinusoid: invariant under 90-degree rotations of the square chip
+    axis = np.arange(size) - (size - 1) / 2.0
+    r = np.hypot(axis[:, None], axis[None, :])
+    return np.sin(2.0 * np.pi * freq * r / size)
 
 
 def _channel_gains(n_channels: int) -> np.ndarray:
@@ -204,15 +203,9 @@ def _channel_gains(n_channels: int) -> np.ndarray:
 
 
 def generative_fields(
-    plan: SeparabilityPlan,
-    width: int,
-    height: int,
-    channels_a: int,
-    channels_b: int,
-    n_classes: int,
-    amp: float = PATTERN_AMP,
+    plan: SeparabilityPlan, size: int, channels_a: int, channels_b: int, n_classes: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Noise-free per-class mean fields (C,H,W,P) and (C,H,W,B), float64.
+    """Noise-free per-class mean fields (C,size,size,P) and (C,size,size,B), float64.
 
     Aliased classes share a mean field exactly; these fields plus the noise
     sigmas fully determine the generative distribution, which is what the
@@ -220,55 +213,51 @@ def generative_fields(
     """
     gains_a = _channel_gains(channels_a)
     gains_b = _channel_gains(channels_b)
-    means_a = np.empty((n_classes, height, width, channels_a))
-    means_b = np.empty((n_classes, height, width, channels_b))
+    means_a = np.empty((n_classes, size, size, channels_a))
+    means_b = np.empty((n_classes, size, size, channels_b))
     for c in range(n_classes):
-        ring_a = _ring_pattern(plan.alias_a[c] + 1.0, height, width)
-        ring_b = _ring_pattern(plan.alias_b[c] + 1.0, height, width)
-        means_a[c] = 1.0 + amp * ring_a[:, :, None] * gains_a
-        means_b[c] = 1.0 + amp * ring_b[:, :, None] * gains_b
+        ring_a = _ring_pattern(plan.alias_a[c] + 1.0, size)
+        ring_b = _ring_pattern(plan.alias_b[c] + 1.0, size)
+        means_a[c] = 1.0 + PATTERN_AMP * ring_a[:, :, None] * gains_a
+        means_b[c] = 1.0 + PATTERN_AMP * ring_b[:, :, None] * gains_b
     return means_a, means_b
 
 
 def synth_generate(
     per_class: int,
-    width: int = 64,
-    height: int = 64,
+    size: int = 64,
     channels_a: int = 2,
     channels_b: int = 13,
     n_classes: int = 5,
     seed: int = 0,
     plan: SeparabilityPlan | None = None,
-    amp: float = PATTERN_AMP,
-    speckle_sigma: float = SPECKLE_SIGMA,
-    gauss_sigma: float = GAUSS_SIGMA,
 ) -> Samples:
-    """Seeded class-conditional random fields, `per_class` samples per class,
-    labelled by class_names_for(n_classes).
+    """Seeded class-conditional random fields on square size x size chips,
+    `per_class` samples per class, labelled by class_names_for(n_classes).
 
     Modality A gets unit-mean lognormal (speckle-like) multiplicative noise,
     modality B additive Gaussian noise.
     """
     if per_class < 1:
         raise ValueError("per_class must be >= 1")
-    if min(width, height, channels_a, channels_b) < 1:
-        raise ValueError(f"chip size and channel counts must be >= 1, got {width}x{height}, "
+    if min(size, channels_a, channels_b) < 1:
+        raise ValueError(f"chip size and channel counts must be >= 1, got {size}x{size}, "
                          f"P={channels_a}, B={channels_b}")
     plan = plan or default_plan(n_classes)
     names = class_names_for(n_classes)
-    means_a, means_b = generative_fields(plan, width, height, channels_a, channels_b, n_classes, amp)
+    means_a, means_b = generative_fields(plan, size, channels_a, channels_b, n_classes)
     rng = np.random.default_rng(seed)
     n = n_classes * per_class
     samples = Samples([f"{names[c]}-{i:04d}" for c in range(n_classes) for i in range(per_class)],
                       np.empty(n), np.empty(n), np.repeat(np.arange(n_classes), per_class),
-                      np.empty((n, height, width, channels_a), np.float32),
-                      np.empty((n, height, width, channels_b), np.float32))
+                      np.empty((n, size, size, channels_a), np.float32),
+                      np.empty((n, size, size, channels_b), np.float32))
     for row, c in enumerate(samples.classes):
         samples.lat[row] = rng.uniform(-55.0, 70.0)
         samples.lon[row] = rng.uniform(-180.0, 180.0)
-        speckle = np.exp(speckle_sigma * rng.standard_normal((height, width, channels_a)) - speckle_sigma**2 / 2.0)
+        speckle = np.exp(SPECKLE_SIGMA * rng.standard_normal((size, size, channels_a)) - SPECKLE_SIGMA**2 / 2.0)
         samples.chips_a[row] = means_a[c] * speckle
-        samples.chips_b[row] = means_b[c] + gauss_sigma * rng.standard_normal((height, width, channels_b))
+        samples.chips_b[row] = means_b[c] + GAUSS_SIGMA * rng.standard_normal((size, size, channels_b))
     return samples
 
 

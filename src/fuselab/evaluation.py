@@ -40,7 +40,6 @@ class ConfusionMatrix:
     counts: np.ndarray  # (C, C) int64, rows = truth, cols = prediction
     class_names: tuple
     row_normalized: np.ndarray = field(init=False)
-    degenerate_rows: np.ndarray = field(init=False)  # rows with zero samples
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
@@ -50,7 +49,6 @@ class ConfusionMatrix:
         if (self.counts < 0).any():
             raise ValueError("confusion counts must be non-negative")
         totals = self.counts.sum(axis=1)
-        self.degenerate_rows = totals == 0
         safe = np.where(totals == 0, 1, totals)
         self.row_normalized = self.counts / safe[:, None]
 
@@ -74,13 +72,6 @@ def confusion_matrix(predictions, classes, class_names=None) -> ConfusionMatrix:
     counts = np.zeros((c, c), dtype=np.int64)
     np.add.at(counts, (classes, predictions.argmax(axis=1)), 1)
     return ConfusionMatrix(counts, names)
-
-
-def confusion_from_fractions(fractions, per_class: int, class_names) -> ConfusionMatrix:
-    """Scale a row-normalized matrix (e.g. a published one) to integer counts."""
-    fractions = np.asarray(fractions, dtype=np.float64)
-    counts = np.rint(fractions * per_class).astype(np.int64)
-    return ConfusionMatrix(counts, tuple(class_names))
 
 
 @dataclass

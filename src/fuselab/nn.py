@@ -25,13 +25,13 @@ from .tensor import DTYPE
 PRED_CLAMP_FLOOR = 1e-7
 
 
-def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype=DTYPE) -> np.ndarray:
+def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
     lim = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-lim, lim, size=shape).astype(dtype)
+    return rng.uniform(-lim, lim, size=shape).astype(DTYPE)
 
 
 class Layer:
-    """What every layer shares: the cache slot, config, parameters and dtype casts.
+    """What every layer shares: the cache slot, config and parameters.
 
     A layer with parameters lists their attribute names in _param_names; its
     backward stores each one's gradient as grad_<name>. config() gives the
@@ -50,12 +50,6 @@ class Layer:
 
     def gradients(self) -> list:
         return [getattr(self, "grad_" + name) for name in self._param_names]
-
-    def astype(self, dtype):
-        clone = type(self)(*self.config())
-        for name in self._param_names:
-            setattr(clone, name, getattr(self, name).astype(dtype))
-        return clone
 
     def _take_cache(self):
         """Return what forward cached and clear it, so a second backward raises."""
@@ -279,10 +273,6 @@ class Network:
     def all_layers(self) -> list:
         return [layer for branch in self.branches for layer in branch] + self.head
 
-    def astype(self, dtype) -> "Network":
-        return Network(*([l.astype(dtype) for l in branch] for branch in self.branches),
-                       head=[l.astype(dtype) for l in self.head])
-
 
 def _as_input_list(inputs) -> list:
     return [inputs] if isinstance(inputs, np.ndarray) else list(inputs)
@@ -300,15 +290,6 @@ def gradients(net) -> list[np.ndarray]:
     for layer in net.all_layers():
         out.extend(layer.gradients())
     return out
-
-
-def n_params(net) -> int:
-    return sum(p.size for p in parameters(net))
-
-
-def forward(net, inputs) -> np.ndarray:
-    """Run one unbatched sample through the network, returning a length-C vector."""
-    return net.infer([x[None] for x in _as_input_list(inputs)])[0]
 
 
 def _target_index(pred: np.ndarray, classes) -> tuple[np.ndarray, np.ndarray]:

@@ -122,7 +122,9 @@ OPTIMIZERS = {"sgd": SGD, "adam": Adam}
 # the most samples one prediction batch holds: at 32 samples a late model's single-a batch
 # left ~2 MB of freed heap resident beside its single-b network's wider columns
 EVAL_BATCH = 16
-EVAL_BYTES = 8 << 20  # what one prediction batch's widest conv may unfold
+# what one prediction batch's widest conv may unfold, unless one row alone unfolds more
+# (an augmented 64x64 early row: 8.4 MiB); a batch still holds at least one whole row
+EVAL_BYTES = 8 << 20
 
 
 def batch_rows(net: nn.Network, height: int, width: int, turns: int) -> int:

@@ -7,7 +7,7 @@ from fuselab import data
 @pytest.fixture(scope="session")
 def tiny_samples():
     """Small but split-friendly synthetic set: 20/class, 16x16, P=2, B=3."""
-    return data.synth_generate(20, width=16, height=16, channels_a=2, channels_b=3, n_classes=5, seed=11)
+    return data.synth_generate(20, size=16, channels_a=2, channels_b=3, n_classes=5, seed=11)
 
 
 @pytest.fixture(scope="session")

@@ -1,15 +1,25 @@
 """Finite-difference gradient checking for fuselab networks, used by the tests.
 
-gradient_check promotes a network to float64 (nn.Network.astype; the
-kernels are dtype-generic) and compares every parameter's analytic
-gradient with central finite differences of one sample's cross-entropy.
+gradient_check runs a float64 copy of a network (float64_copy; the kernels
+are dtype-generic) and compares every parameter's analytic gradient with
+central finite differences of one sample's cross-entropy.
 """
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from fuselab import nn
+
+
+def float64_copy(net: nn.Network) -> nn.Network:
+    """A deep copy of the network whose parameters are float64; the original is untouched."""
+    clone = copy.deepcopy(net)
+    for layer in clone.all_layers():
+        for name in layer._param_names:
+            setattr(layer, name, getattr(layer, name).astype(np.float64))
+    return clone
 
 
 @dataclass
@@ -37,9 +47,10 @@ def gradient_check(net, inputs, target: int, epsilon: float = 1e-3, tolerance: f
     The whole computation is promoted to float64; the net must stay small
     (every parameter is perturbed twice).
     """
-    if nn.n_params(net) > 10_000:
-        raise ValueError(f"gradient_check limited to 1e4 params, net has {nn.n_params(net)}")
-    net64 = net.astype(np.float64)
+    n_params = sum(p.size for p in nn.parameters(net))
+    if n_params > 10_000:
+        raise ValueError(f"gradient_check limited to 1e4 params, net has {n_params}")
+    net64 = float64_copy(net)
     inputs64 = [np.asarray(x, dtype=np.float64)[None] for x in nn._as_input_list(inputs)]
     classes = np.array([target])
 

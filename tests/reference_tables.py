@@ -6,7 +6,12 @@ with 5 balanced classes. REFERENCE_METRICS holds the per-class metric values
 expected when those matrices are scaled to integer counts and pushed through
 the metrics pipeline (values carry the benchmark's two-decimal display
 rounding, hence the 0.015 comparison tolerance used by the tests).
+confusion_from_fractions is that scaling.
 """
+
+import numpy as np
+
+from fuselab.evaluation import ConfusionMatrix
 
 CLASS_NAMES = ("city", "coastline", "lake", "river", "vegetation")
 
@@ -114,3 +119,9 @@ REFERENCE_ALPHA = [0.0, 1.0, 1.0, 1.0, 0.0]
 REFERENCE_BETA = [1.0, 0.0, 0.0, 0.0, 1.0]
 
 METRIC_TOLERANCE = 0.015
+
+
+def confusion_from_fractions(fractions, per_class: int, class_names) -> ConfusionMatrix:
+    """Scale a row-normalized matrix (e.g. one above) to integer counts, per_class samples a row."""
+    counts = np.rint(np.asarray(fractions, dtype=np.float64) * per_class).astype(np.int64)
+    return ConfusionMatrix(counts, tuple(class_names))

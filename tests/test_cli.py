@@ -18,6 +18,7 @@ from reference_tables import (
     REFERENCE_BETA,
     REFERENCE_CONFUSION,
     REFERENCE_METRICS,
+    confusion_from_fractions,
 )
 
 
@@ -241,6 +242,16 @@ def test_train_zero_epochs_checkpoint_equals_initialization(tiny_dataset_dir, tm
     fresh = fusion.build_model("single-a", 16, 16, 2, 3, 5, seed=4)
     for p, q in zip(nn.parameters(loaded.nets[0]), nn.parameters(fresh.nets[0])):
         assert np.array_equal(p, q)
+
+
+def test_train_without_validation_split_says_so(tmp_path, capsys):
+    ds, out = tmp_path / "ds", tmp_path / "model"
+    assert main(synth_args(ds, per_class=3, b=2, extra=("--classes", "2"))) == 0  # 3 rows a class: no val row
+    capsys.readouterr()
+    assert main(["train", "--data", str(ds), "--paradigm", "single-a", "--epochs", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"trained single-a: {ds} has no validation split to score\n"
+    header, row = (out / "history.csv").read_text().splitlines()
+    assert header.endswith(",val_loss,val_accuracy") and row.endswith(",nan,nan")
 
 
 def test_train_unknown_paradigm_lists_options(tiny_dataset_dir, tmp_path, capsys):
@@ -638,8 +649,8 @@ def test_malformed_manifest_record_is_one_data_error(tmp_path, capsys, command, 
 def test_weights_derive_reproduces_reference(tmp_path, capsys):
     cm_a = tmp_path / "cm_a.csv"
     cm_b = tmp_path / "cm_b.csv"
-    cm_a.write_text(ev.confusion_csv_text(ev.confusion_from_fractions(REFERENCE_CONFUSION["single-a"], 1000, CLASS_NAMES)))
-    cm_b.write_text(ev.confusion_csv_text(ev.confusion_from_fractions(REFERENCE_CONFUSION["single-b"], 1000, CLASS_NAMES)))
+    cm_a.write_text(ev.confusion_csv_text(confusion_from_fractions(REFERENCE_CONFUSION["single-a"], 1000, CLASS_NAMES)))
+    cm_b.write_text(ev.confusion_csv_text(confusion_from_fractions(REFERENCE_CONFUSION["single-b"], 1000, CLASS_NAMES)))
     out = tmp_path / "w"
     assert main(["weights", "derive", "--cm-a", str(cm_a), "--cm-b", str(cm_b), "--out", str(out)]) == 0
     printed = json.loads(capsys.readouterr().out.strip())
@@ -651,7 +662,7 @@ def test_weights_derive_reproduces_reference(tmp_path, capsys):
 
 @pytest.mark.parametrize("cell", ["abc", "nan", "inf", "-3", "1e300"])
 def test_weights_derive_bad_confusion_cell_is_data_error(tmp_path, capsys, cell):
-    cm = ev.confusion_from_fractions(REFERENCE_CONFUSION["single-a"], 1000, CLASS_NAMES)
+    cm = confusion_from_fractions(REFERENCE_CONFUSION["single-a"], 1000, CLASS_NAMES)
     lines = ev.confusion_csv_text(cm).splitlines()
     fields = lines[3].split(",")
     fields[2] = cell

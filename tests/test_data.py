@@ -10,13 +10,13 @@ from fuselab.errors import BadMagicError, DataError, ShapeError, TruncatedPayloa
 
 
 def test_split_500_gives_425_50_25(tiny_samples):
-    samples = data.synth_generate(100, width=8, height=8, channels_a=1, channels_b=1, n_classes=5, seed=0)
+    samples = data.synth_generate(100, size=8, channels_a=1, channels_b=1, n_classes=5, seed=0)
     ds = data.split(samples, data.CLASS_NAMES, seed=0)
     assert ds.sizes() == (425, 50, 25)
 
 
 def test_split_100_single_class():
-    samples = data.synth_generate(100, width=8, height=8, channels_a=1, channels_b=1, n_classes=1, seed=0)
+    samples = data.synth_generate(100, size=8, channels_a=1, channels_b=1, n_classes=1, seed=0)
     ds = data.split(samples, ("city",), seed=0)
     assert ds.sizes() == (85, 10, 5)
 
@@ -69,7 +69,7 @@ def test_split_bad_fractions(tiny_samples):
 @given(seed=st.integers(0, 2**32 - 1), per_class=st.integers(4, 40))
 @settings(max_examples=25, deadline=None)
 def test_split_stratified_within_one(seed, per_class):
-    samples = data.synth_generate(per_class, width=8, height=8, channels_a=1, channels_b=1, n_classes=3, seed=seed)
+    samples = data.synth_generate(per_class, size=8, channels_a=1, channels_b=1, n_classes=3, seed=seed)
     ds = data.split(samples, data.class_names_for(3), seed=seed)
     n = 3 * per_class
     assert ds.sizes()[1] == 3 * int(per_class * 0.10)
@@ -88,7 +88,7 @@ def test_augment_multiplies_sizes_by_four(tiny_split):
 
 
 def test_augment_425_50_25_gives_1700_200_100():
-    samples = data.synth_generate(100, width=8, height=8, channels_a=1, channels_b=1, n_classes=5, seed=4)
+    samples = data.synth_generate(100, size=8, channels_a=1, channels_b=1, n_classes=5, seed=4)
     aug = data.augment(data.split(samples, data.CLASS_NAMES, seed=4))
     assert aug.sizes() == (1700, 200, 100)
 
@@ -145,7 +145,7 @@ def test_augment_never_mixes_splits(tiny_split):
 
 
 def test_synth_counts_and_shapes():
-    samples = data.synth_generate(7, width=12, height=12, channels_a=2, channels_b=3, n_classes=5, seed=0)
+    samples = data.synth_generate(7, size=12, channels_a=2, channels_b=3, n_classes=5, seed=0)
     assert len(samples) == 35
     counts = np.bincount(samples.classes, minlength=5)
     assert np.all(counts == 7)
@@ -155,8 +155,8 @@ def test_synth_counts_and_shapes():
 
 
 def test_synth_deterministic():
-    a = data.synth_generate(3, width=8, height=8, channels_a=2, channels_b=2, n_classes=3, seed=42)
-    b = data.synth_generate(3, width=8, height=8, channels_a=2, channels_b=2, n_classes=3, seed=42)
+    a = data.synth_generate(3, size=8, channels_a=2, channels_b=2, n_classes=3, seed=42)
+    b = data.synth_generate(3, size=8, channels_a=2, channels_b=2, n_classes=3, seed=42)
     assert a.ids == b.ids and np.array_equal(a.lat, b.lat)
     assert np.array_equal(a.chips_a, b.chips_a)
     assert np.array_equal(a.chips_b, b.chips_b)
@@ -169,9 +169,9 @@ def test_default_plan_visibility():
     assert plan.alias_b == (0, 1, 1, 3, 4)
 
 
-def bayes_log_likelihoods(samples, plan, width, height, p, b, n_classes):
+def bayes_log_likelihoods(samples, plan, size, p, b, n_classes):
     """Closed-form class log-likelihoods under the known generative model."""
-    means_a, means_b = data.generative_fields(plan, width, height, p, b, n_classes)
+    means_a, means_b = data.generative_fields(plan, size, p, b, n_classes)
     sa, sb = data.SPECKLE_SIGMA, data.GAUSS_SIGMA
     log_means_a = np.log(means_a) - sa**2 / 2.0
     lla = np.zeros((len(samples), n_classes))
@@ -185,11 +185,11 @@ def bayes_log_likelihoods(samples, plan, width, height, p, b, n_classes):
 
 
 def test_bayes_oracle_separability_margins():
-    n_classes, w, h, p, b = 5, 16, 16, 2, 3
+    n_classes, size, p, b = 5, 16, 2, 3
     plan = data.default_plan(n_classes)
-    samples = data.synth_generate(40, width=w, height=h, channels_a=p, channels_b=b, n_classes=n_classes, seed=77)
+    samples = data.synth_generate(40, size=size, channels_a=p, channels_b=b, n_classes=n_classes, seed=77)
     truths = samples.classes
-    lla, llb = bayes_log_likelihoods(samples, plan, w, h, p, b, n_classes)
+    lla, llb = bayes_log_likelihoods(samples, plan, size, p, b, n_classes)
     acc_both = float(((lla + llb).argmax(1) == truths).mean())
     acc_a = float((lla.argmax(1) == truths).mean())
     acc_b = float((llb.argmax(1) == truths).mean())

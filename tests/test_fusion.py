@@ -78,11 +78,14 @@ def test_parameter_count_ordering():
     early = fusion.build_model("early", 16, 16, 2, 13, 5, **kw)
     joint = fusion.build_model("joint", 16, 16, 2, 13, 5, **kw)
     late = fusion.build_model("late-mean", 16, 16, 2, 13, 5, **kw)
-    early_n = nn.n_params(early.nets[0])
+    def n_params(net):
+        return sum(p.size for p in nn.parameters(net))
+
+    early_n = n_params(early.nets[0])
     for s in singles:
-        assert early_n > nn.n_params(s.nets[0])
-    late_total = sum(nn.n_params(net) for net in late.nets)
-    assert nn.n_params(joint.nets[0]) < late_total
+        assert early_n > n_params(s.nets[0])
+    late_total = sum(n_params(net) for net in late.nets)
+    assert n_params(joint.nets[0]) < late_total
 
 
 # --- aggregation -----------------------------------------------------------------

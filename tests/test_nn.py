@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from fuselab import nn
 from fuselab.errors import ShapeError, StaleCacheError, VersionMismatchError
 
-from gradcheck import gradient_check
+from gradcheck import float64_copy, gradient_check
 
 
 def small_net(rng, cin=2, n_classes=5):
@@ -45,7 +45,7 @@ def test_softmax_output_sums_to_one():
     rng = np.random.default_rng(0)
     net = small_net(rng)
     x = rng.normal(size=(6, 6, 2)).astype(np.float32)
-    out = nn.forward(net, x)
+    out = net.infer(x[None])[0]
     assert out.shape == (5,)
     assert abs(out.sum() - 1.0) < 1e-6
     assert np.all(out >= 0) and np.all(out <= 1)
@@ -54,7 +54,7 @@ def test_softmax_output_sums_to_one():
 def test_zero_weight_net_is_uniform():
     net = small_net(None)  # all parameters zero
     x = np.random.default_rng(1).normal(size=(6, 6, 2)).astype(np.float32)
-    out = nn.forward(net, x)
+    out = net.infer(x[None])[0]
     assert np.allclose(out, 0.2, atol=1e-7)
 
 
@@ -62,8 +62,8 @@ def test_forward_deterministic_bitwise():
     rng = np.random.default_rng(5)
     net = small_net(rng)
     x = rng.normal(size=(6, 6, 2)).astype(np.float32)
-    a = nn.forward(net, x)
-    b = nn.forward(net, x)
+    a = net.infer(x[None])[0]
+    b = net.infer(x[None])[0]
     assert np.array_equal(a, b)
 
 
@@ -72,7 +72,7 @@ def test_forward_branch_count_mismatch():
     net = small_net(rng)
     x = np.zeros((6, 6, 2), dtype=np.float32)
     with pytest.raises(ShapeError):
-        nn.forward(net, [x, x])
+        net.infer([x[None], x[None]])
 
 
 def test_two_branch_net_fed_one_input_raises():
@@ -84,7 +84,7 @@ def test_two_branch_net_fed_one_input_raises():
     )
     x = np.zeros((6, 6, 2), dtype=np.float32)
     with pytest.raises(ShapeError):
-        nn.forward(net, x)
+        net.infer(x[None])
 
 
 @given(seed=st.integers(0, 2**32 - 1), shift=st.floats(-5, 5, allow_nan=False))
@@ -184,7 +184,7 @@ def finite_difference_grads(net, x, truth, epsilon=1e-3):
 
 def test_backward_matches_finite_differences():
     rng = np.random.default_rng(4)
-    net = small_net(rng).astype(np.float64)
+    net = float64_copy(small_net(rng))
     x = rng.normal(size=(1, 6, 6, 2))
     truth = np.array([1])
     pred = net.forward_batch([x])
@@ -319,22 +319,6 @@ def test_double_backward_raises(kind):
         layer.backward(dy)
 
 
-@pytest.mark.parametrize("kind", list(nn._LAYER_KINDS))
-def test_layer_astype_copies_every_kind(kind):
-    layer, _ = make_layer(kind, np.random.default_rng(11))
-    before = [p.copy() for p in layer.parameters()]
-    clone = layer.astype(np.float64)
-    assert type(clone) is type(layer) and clone.kind == kind
-    assert clone.config() == layer.config() == LAYER_CASES[kind][0]
-    assert len(clone.parameters()) == len(before) == (2 if kind in ("conv", "dense") else 0)
-    for p, q in zip(layer.parameters(), clone.parameters()):
-        assert q.dtype == np.float64 and np.array_equal(q, p.astype(np.float64))
-        assert not np.shares_memory(p, q)
-        q += 1.0
-    for p, b in zip(layer.parameters(), before):
-        assert p.dtype == np.float32 and np.array_equal(p, b)
-
-
 # --- checkpoint round trip -------------------------------------------------------------
 
 
@@ -343,13 +327,13 @@ def test_network_checkpoint_round_trip(tmp_path, make, channels):
     rng = np.random.default_rng(10)
     net = make(rng)
     xs = [rng.normal(size=(6, 6, c)).astype(np.float32) for c in channels]
-    before = nn.forward(net, xs)
+    before = net.infer([x[None] for x in xs])[0]
     path = tmp_path / "net.fnet"
     nn.save_network(path, net)
     loaded = nn.load_network(path)
     assert [len(b) for b in loaded.branches] == [len(b) for b in net.branches]
     assert len(loaded.head) == len(net.head)
-    assert np.array_equal(before, nn.forward(loaded, xs))
+    assert np.array_equal(before, loaded.infer([x[None] for x in xs])[0])
 
 
 def test_checkpoint_version_mismatch(tmp_path):

@@ -14,7 +14,7 @@ def tiny_model(paradigm, seed=0, p=2, b=3):
 
 
 def tiny_dataset(per_class=12, seed=5):
-    samples = data.synth_generate(per_class, width=16, height=16, channels_a=2, channels_b=3, n_classes=5, seed=seed)
+    samples = data.synth_generate(per_class, size=16, channels_a=2, channels_b=3, n_classes=5, seed=seed)
     return data.split(samples, data.class_names_for(5), seed=seed)
 
 
@@ -144,7 +144,7 @@ def test_empty_training_set_rejected():
 
 
 def test_overfits_ten_samples():
-    samples = data.synth_generate(2, width=16, height=16, channels_a=2, channels_b=3, n_classes=5, seed=21)
+    samples = data.synth_generate(2, size=16, channels_a=2, channels_b=3, n_classes=5, seed=21)
     ds = train_only(samples)
     model = fusion.build_model("single-a", 16, 16, 2, 3, 5, seed=2, conv_channels=(8, 16, 16), dense_units=32)
     history = tr.train(model, ds, tr.TrainConfig(epochs=60, batch_size=4, seed=0))
@@ -256,7 +256,7 @@ def test_late_weighted_derives_binary_weights_from_val():
 
 def test_late_weighted_without_val_split_rejected():
     model = tiny_model("late-weighted", seed=10)
-    samples = data.synth_generate(4, width=16, height=16, channels_a=2, channels_b=3, n_classes=5, seed=1)
+    samples = data.synth_generate(4, size=16, channels_a=2, channels_b=3, n_classes=5, seed=1)
     ds = train_only(samples)
     with pytest.raises(DataError, match="validation split"):
         tr.train(model, ds, tr.TrainConfig(epochs=1, batch_size=4))
