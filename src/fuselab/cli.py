@@ -272,6 +272,9 @@ def cmd_weights_derive(args) -> int:
     resolver = Resolver(args)
     cm_a = evaluation.parse_confusion_csv(args.cm_a)
     cm_b = evaluation.parse_confusion_csv(args.cm_b)
+    if cm_a.class_names != cm_b.class_names:  # recalls pair up by position
+        raise DataError(f"{args.cm_a} has classes {list(cm_a.class_names)}, "
+                        f"{args.cm_b} has {list(cm_b.class_names)}")
     alpha, beta = fusion.weights_from_confusions(cm_a, cm_b)
     line = _fusion_weights_line(alpha, beta)
     out = resolver.get("out", str, None)

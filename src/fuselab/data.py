@@ -6,8 +6,9 @@ modality A chip (H, W, P) with multiplicative speckle, and a
 multispectral-like modality B chip (H, W, B) with additive noise. Its label
 is an integer class index into the dataset's class names.
 
-In memory, each split is one Samples: its ids, coordinates and class indices,
-and its chips as two contiguous (N, H, W, C) float32 arrays, held once.
+In memory, each split is one Samples: its manifest records, their class
+indices, and its chips as two contiguous (N, H, W, C) float32 arrays, held
+once.
 Augmentation copies no chip: it sets each split's `turns` to split_turns, 4
 or 1, and sample j is row j // turns turned (j % turns) quarter turns, read
 turned when a batch is stacked.
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagicError, DataError, ShapeError, TruncatedPayloadError, VersionMismatchError
+from .errors import DataError, ShapeError
 
 CLASS_NAMES = ("city", "coastline", "lake", "river", "vegetation")
 
@@ -50,13 +51,11 @@ def class_names_for(n_classes: int) -> tuple[str, ...]:
 
 @dataclass
 class Samples:
-    """One split: N rows of metadata and chips, read as turns * N samples; sample j is
-    row j // turns turned (j % turns) quarter turns, both chips together."""
+    """One split: N rows of manifest records and chips, read as turns * N samples; sample j
+    is row j // turns turned (j % turns) quarter turns, both chips together."""
 
-    ids: list  # (N,) str
-    lat: np.ndarray  # (N,) float64
-    lon: np.ndarray  # (N,) float64
-    classes: np.ndarray  # (N,) int64 class indices
+    records: list  # (N,) manifest records: id, class, lat, lon, chip_a, chip_b
+    classes: np.ndarray  # (N,) int64 indices of the records' classes
     chips_a: np.ndarray  # (N, H, W, P) float32
     chips_b: np.ndarray  # (N, H, W, B) float32
     turns: int = 1
@@ -90,8 +89,7 @@ class Samples:
 
     def take(self, rows) -> Samples:
         """The unturned samples of the given rows, copied."""
-        return Samples([self.ids[i] for i in rows], self.lat[rows], self.lon[rows], self.classes[rows],
-                       self.chips_a[rows], self.chips_b[rows])
+        return Samples([self.records[i] for i in rows], self.classes[rows], self.chips_a[rows], self.chips_b[rows])
 
 
 @dataclass
@@ -248,13 +246,14 @@ def synth_generate(
     means_a, means_b = generative_fields(plan, size, channels_a, channels_b, n_classes)
     rng = np.random.default_rng(seed)
     n = n_classes * per_class
-    samples = Samples([f"{names[c]}-{i:04d}" for c in range(n_classes) for i in range(per_class)],
-                      np.empty(n), np.empty(n), np.repeat(np.arange(n_classes), per_class),
+    samples = Samples([], np.repeat(np.arange(n_classes), per_class),
                       np.empty((n, size, size, channels_a), np.float32),
                       np.empty((n, size, size, channels_b), np.float32))
     for row, c in enumerate(samples.classes):
-        samples.lat[row] = rng.uniform(-55.0, 70.0)
-        samples.lon[row] = rng.uniform(-180.0, 180.0)
+        sid = f"{names[c]}-{row % per_class:04d}"
+        samples.records.append({"id": sid, "class": names[c], "lat": rng.uniform(-55.0, 70.0),
+                                "lon": rng.uniform(-180.0, 180.0), "chip_a": _chip_filename(sid, "a"),
+                                "chip_b": _chip_filename(sid, "b")})
         speckle = np.exp(SPECKLE_SIGMA * rng.standard_normal((size, size, channels_a)) - SPECKLE_SIGMA**2 / 2.0)
         samples.chips_a[row] = means_a[c] * speckle
         samples.chips_b[row] = means_b[c] + GAUSS_SIGMA * rng.standard_normal((size, size, channels_b))
@@ -284,17 +283,17 @@ def load_chip(path) -> np.ndarray:
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 4 or data[:4] != CHIP_MAGIC:
-        raise BadMagicError(f"{path}: bad magic, not a chip file")
+        raise DataError(f"{path}: bad magic, not a chip file")
     if len(data) < _HEADER.size:
-        raise TruncatedPayloadError(f"{path}: header truncated ({len(data)} bytes)")
+        raise DataError(f"{path}: header truncated ({len(data)} bytes)")
     _, version, _, w, h, c = _HEADER.unpack_from(data)
     if version != CHIP_VERSION:
-        raise VersionMismatchError(f"{path}: chip format version {version}, expected {CHIP_VERSION}")
+        raise DataError(f"{path}: chip format version {version}, expected {CHIP_VERSION}")
     if 0 in (w, h, c):
         raise DataError(f"{path}: header claims a {w}x{h}x{c} chip, which holds no value")
     expected = _HEADER.size + 4 * w * h * c
     if len(data) < expected:
-        raise TruncatedPayloadError(
+        raise DataError(
             f"{path}: truncated payload, header claims {w}x{h}x{c} ({expected} bytes), file has {len(data)}"
         )
     if len(data) > expected:
@@ -320,27 +319,16 @@ def _write_manifest(manifest: Path, groups) -> None:
                                 for name in SPLITS for rec in groups[name]))
 
 
-def save_manifest(out_dir, dsplit: DatasetSplit) -> None:
-    groups = {}
-    for name in SPLITS:
-        samples = getattr(dsplit, name)
-        groups[name] = [
-            {"id": sid, "class": dsplit.class_names[c], "lat": float(lat), "lon": float(lon),
-             "chip_a": _chip_filename(sid, "a"), "chip_b": _chip_filename(sid, "b")}
-            for sid, c, lat, lon in zip(samples.ids, samples.classes, samples.lat, samples.lon)
-        ]
-    _write_manifest(Path(out_dir) / MANIFEST_NAME, groups)
-
-
 def save_dataset(out_dir, dsplit: DatasetSplit) -> None:
+    """Write each record's chips to its chip_a and chip_b paths under out_dir, then the manifest."""
     out_dir = Path(out_dir)
     (out_dir / "chips").mkdir(parents=True, exist_ok=True)
     for name in SPLITS:
         samples = getattr(dsplit, name)
-        for sid, chip_a, chip_b in zip(samples.ids, samples.chips_a, samples.chips_b):
-            save_chip(out_dir / _chip_filename(sid, "a"), chip_a)
-            save_chip(out_dir / _chip_filename(sid, "b"), chip_b)
-    save_manifest(out_dir, dsplit)
+        for rec, chip_a, chip_b in zip(samples.records, samples.chips_a, samples.chips_b):
+            save_chip(out_dir / rec["chip_a"], chip_a)
+            save_chip(out_dir / rec["chip_b"], chip_b)
+    _write_manifest(out_dir / MANIFEST_NAME, {name: getattr(dsplit, name).records for name in SPLITS})
 
 
 def _read_manifest(dataset_dir: Path) -> tuple[Path, list, tuple]:
@@ -401,10 +389,7 @@ def _read_pairs(dataset_dir: Path, records):
 
 def _samples(records, class_names, chips_a, chips_b, turns: int = 1) -> Samples:
     """The Samples of the given manifest records, holding the given chips."""
-    return Samples([r["id"] for r in records],
-                   np.array([r["lat"] for r in records], dtype=np.float64),
-                   np.array([r["lon"] for r in records], dtype=np.float64),
-                   np.array([class_names.index(r["class"]) for r in records], dtype=np.int64),
+    return Samples(list(records), np.array([class_names.index(r["class"]) for r in records], dtype=np.int64),
                    chips_a, chips_b, turns)
 
 

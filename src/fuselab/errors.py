@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: DataError -> 3, NumericError -> 4,
-argparse usage failures -> 2.
+cli.main maps every failure onto an exit code: DataError, ShapeError and
+OSError give 3, NumericError 4, and any other ValueError (argparse usage
+failures included) 2.
 """
 
 
@@ -13,21 +14,5 @@ class NumericError(ArithmeticError):
     """A kernel or training step produced NaN/Inf, or overflowed."""
 
 
-class StaleCacheError(RuntimeError):
-    """backward() called without a matching forward() on the same input."""
-
-
 class DataError(ValueError):
     """Invalid on-disk data (chip files, manifests, checkpoints)."""
-
-
-class BadMagicError(DataError):
-    """File does not start with the expected magic bytes."""
-
-
-class TruncatedPayloadError(DataError):
-    """File header promises more bytes than the file contains."""
-
-
-class VersionMismatchError(DataError):
-    """File format version is not supported by this reader."""

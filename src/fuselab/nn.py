@@ -19,7 +19,7 @@ import struct
 import numpy as np
 
 from . import tensor
-from .errors import BadMagicError, DataError, ShapeError, StaleCacheError, TruncatedPayloadError, VersionMismatchError
+from .errors import DataError, ShapeError
 from .tensor import DTYPE
 
 PRED_CLAMP_FLOOR = 1e-7
@@ -54,7 +54,7 @@ class Layer:
     def _take_cache(self):
         """Return what forward cached and clear it, so a second backward raises."""
         if self._cache is None:
-            raise StaleCacheError(f"{type(self).__name__}.backward before forward")
+            raise RuntimeError(f"{type(self).__name__}.backward before forward")
         cache, self._cache = self._cache, None
         return cache
 
@@ -359,7 +359,7 @@ class _Reader:
 
     def take(self, n: int) -> bytes:
         if self.off + n > len(self.data):
-            raise TruncatedPayloadError(f"{self.path}: truncated (wanted {n} bytes at offset {self.off})")
+            raise DataError(f"{self.path}: truncated (wanted {n} bytes at offset {self.off})")
         out = self.data[self.off : self.off + n]
         self.off += n
         return out
@@ -431,10 +431,10 @@ def load_network(path):
         data = fh.read()
     r = _Reader(data, str(path))
     if r.take(4) != NET_MAGIC:
-        raise BadMagicError(f"{path}: bad magic, not a network checkpoint")
+        raise DataError(f"{path}: bad magic, not a network checkpoint")
     version, _, net_type = r.unpack("<HHB")
     if version != NET_VERSION:
-        raise VersionMismatchError(f"{path}: checkpoint version {version}, expected {NET_VERSION}")
+        raise DataError(f"{path}: checkpoint version {version}, expected {NET_VERSION}")
     if net_type == 0:
         return Network(_unpack_section(r, "network"))
     if net_type == 1:

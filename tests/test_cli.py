@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import shlex
 import shutil
 import struct
@@ -693,6 +694,20 @@ def test_weights_derive_fractions_and_counts_agree(tmp_path, capsys):
     assert printed["fractions"] == printed["counts"] == {"alpha": [1.0, 0.0], "beta": [0.0, 1.0]}
 
 
+@pytest.mark.parametrize("table_b", ["class,lake,city\nlake,9,1\ncity,5,5\n",
+                                     "class,city,lake,river\ncity,5,5,0\nlake,1,9,0\nriver,0,0,1\n"],
+                         ids=["reordered", "another-count"])
+def test_weights_derive_refuses_tables_of_other_classes(tmp_path, capsys, table_b):
+    """Recalls pair up by position: reordered, city's 0.9 in A met lake's 0.9 in B."""
+    cm_a, cm_b = tmp_path / "a.csv", tmp_path / "b.csv"
+    cm_a.write_text("class,city,lake\ncity,9,1\nlake,2,8\n")
+    cm_b.write_text(table_b)
+    names_b = table_b.splitlines()[0].split(",")[1:]
+    out = assert_one_error(capsys, ["weights", "derive", "--cm-a", str(cm_a), "--cm-b", str(cm_b)], "data",
+                           f"{cm_a} has classes ['city', 'lake'], {cm_b} has {names_b}")
+    assert out == ""
+
+
 # --- compare -----------------------------------------------------------------------
 
 
@@ -789,6 +804,111 @@ def test_malformed_command_line_is_one_usage_error(tmp_path, capsys, case):
 def test_help_exits_zero(capsys):
     assert main(["train", "--help"]) == 0
     assert "--paradigm" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def error_inputs(tmp_path_factory):
+    """ds: a 16x16 dataset of 10 rows a class, so each class has one val row and no test row;
+    model: a single-a model of it, trained for no epoch; ev: that model's eval files."""
+    t = tmp_path_factory.mktemp("errors")
+    assert main(synth_args(t / "ds", per_class=10)) == 0
+    assert main(["train", "--data", str(t / "ds"), "--paradigm", "single-a", "--epochs", "0",
+                 "--out", str(t / "model"), "--quiet"]) == 0
+    assert main(["eval", "--data", str(t / "ds"), "--model", str(t / "model"), "--out", str(t / "ev"), "--quiet"]) == 0
+    return t
+
+
+def edit_bytes(name, edit):
+    """An edit of a copy t of error_inputs: the file t/name's bytes become edit(a bytearray of them)."""
+    def apply(t):
+        (t / name).write_bytes(bytes(edit(bytearray((t / name).read_bytes()))))
+    return apply
+
+
+def edit_line(name, index, edit):
+    """An edit of a copy t of error_inputs: line `index` of the text file t/name becomes edit(that line)."""
+    def apply(t):
+        lines = (t / name).read_text().splitlines()
+        lines[index] = edit(lines[index])
+        (t / name).write_text("\n".join(lines) + "\n")
+    return apply
+
+
+def packed(fmt, offset, value):
+    """An edit of bytes that packs value as fmt at offset."""
+    def apply(blob):
+        struct.pack_into(fmt, blob, offset, value)
+        return blob
+    return apply
+
+
+CHIP, FNET = "ds/chips/city-0000_a.fchp", "model/net_0.fnet"
+TRAIN = "train --data {t}/ds --paradigm single-a --epochs 0 --out {t}/o"
+EVAL = "eval --data {t}/ds --model {t}/model --out {t}/o"
+DERIVE = "weights derive --cm-a {t}/ev/confusion.csv --cm-b {t}/ev/confusion.csv"
+FROM_TABLES = "compare --from-tables {t}/ev/metrics.csv --out {t}/o"
+# name -> (edit of a copy t of error_inputs or None, command with leading VAR=value settings of the environment,
+# error kind, texts its line must hold). A .fnet holds magic (4 bytes), version and reserved (u16 each), network
+# type (u8, offset 8), the layer count (u32), then the first layer's kind tag (u8, offset 13), config count (u8)
+# and config values (u32 each, from offset 15).
+TYPED_ERRORS = {
+    "chip-header-truncated": (edit_bytes(CHIP, lambda b: b[:10]), TRAIN, "data",
+                              ["city-0000_a.fchp: header truncated (10 bytes)"]),
+    "chip-trailing-bytes": (edit_bytes(CHIP, lambda b: b + bytes(4)), TRAIN, "data",
+                            ["city-0000_a.fchp: 4 trailing bytes after payload"]),
+    "manifest-invalid-json": (edit_line("ds/manifest.jsonl", 1, lambda line: "{"), TRAIN, "data",
+                              ["manifest.jsonl:2: invalid JSON record"]),
+    "manifest-bad-split": (edit_line("ds/manifest.jsonl", 1, lambda line: line.replace('"split": "train"',
+                                                                                      '"split": "dev"')),
+                           TRAIN, "data", ["manifest.jsonl:2: bad split 'dev'"]),
+    "synth-no-sample": (None, "dataset synth --out {t}/new --per-class 0", "usage", ["per_class must be >= 1"]),
+    "fnet-unknown-layer-tag": (edit_bytes(FNET, packed("<B", 13, 99)), EVAL, "data",
+                               ["net_0.fnet: unknown layer kind tag 99"]),
+    "fnet-params-unlike-config": (edit_bytes(FNET, packed("<I", 15, 5)), EVAL, "data",
+                                  ["net_0.fnet: layer conv(5, 2,", "expects params [(5, 5, 2,"]),
+    "fnet-bad-magic": (edit_bytes(FNET, lambda b: b"NOPE" + b[4:]), EVAL, "data",
+                       ["net_0.fnet: bad magic, not a network checkpoint"]),
+    "fnet-unknown-network-type": (edit_bytes(FNET, packed("<B", 8, 7)), EVAL, "data",
+                                  ["net_0.fnet: unknown network type 7"]),
+    "metrics-row-field-count": (edit_line("ev/metrics.csv", -1, lambda line: line.rsplit(",", 1)[0]),
+                                FROM_TABLES, "data", ["metrics.csv:6: expected", "fields, got"]),
+    "confusion-no-class-header": (edit_line("ev/confusion.csv", 0, lambda line: line.replace("class", "truth", 1)),
+                                  DERIVE, "data", ["confusion.csv: expected a 'class,<names...>' header"]),
+    "confusion-row-width": (edit_line("ev/confusion.csv", 1, lambda line: line.rsplit(",", 1)[0]),
+                            DERIVE, "data", ["confusion.csv:2: expected 6 fields, got 5"]),
+    "confusion-not-square": (edit_line("ev/confusion.csv", -1, lambda line: f"{line}\n{line}"),
+                             DERIVE, "data", ["confusion.csv: confusion table must be square"]),
+    "no-out": (None, "train --data {t}/ds --paradigm single-a", "usage", ["--out is required"]),
+    "eval-split-from-env": (None, "FUSELAB_SPLIT=bogus " + EVAL, "usage",
+                            ["--split must be train, val or test, got 'bogus'"]),
+    "eval-empty-split": (None, EVAL + " --split test", "data", ["split 'test' of", "is empty"]),
+    "compare-one-block": (None, FROM_TABLES, "data", ["metrics.csv: need at least two paradigm blocks"]),
+    "augment-eval-not-a-boolean": (None, EVAL + " --augment-eval maybe", "usage", ["not a boolean: 'maybe'"]),
+    "two-fractions": (None, "dataset split --data {t}/ds --fractions 0.5,0.5", "usage",
+                      ["fractions need three comma-separated values, got '0.5,0.5'"]),
+    "config-line-without-equals": (None, TRAIN + " --config {t}/ev/confusion.csv", "usage",
+                                   ["confusion.csv:1: expected key = value"]),
+    "model-chip-shape-numpy-cannot-describe": (
+        edit_bytes("model/model.json", lambda b: json.dumps({**json.loads(b), "chip_shape_a": [10**30, 10**30, 2],
+                                                             "chip_shape_b": [10**30, 10**30, 3]}).encode()),
+        EVAL, "data", ["model.json: chip shapes"]),
+}
+
+
+@pytest.mark.parametrize("case", TYPED_ERRORS)
+def test_every_typed_error_is_one_line_and_its_exit_code(error_inputs, tmp_path, capsys, monkeypatch, case):
+    """Each input the command line refuses gives its kind's exit code and one error[kind] line naming the fault."""
+    for key in [k for k in os.environ if k.startswith("FUSELAB_")]:
+        monkeypatch.delenv(key)
+    t = tmp_path / "t"
+    shutil.copytree(error_inputs, t)
+    edit, command, kind, texts = TYPED_ERRORS[case]
+    if edit is not None:
+        edit(t)
+    argv = command.format(t=t).split()
+    while "=" in argv[0]:
+        monkeypatch.setenv(*argv.pop(0).split("=", 1))
+    assert_one_error(capsys, argv, kind, *texts)
 
 
 def test_readme_cli_lines_parse():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuselab import data
-from fuselab.errors import BadMagicError, DataError, ShapeError, TruncatedPayloadError, VersionMismatchError
+from fuselab.errors import DataError, ShapeError
 
 
 # --- split ---------------------------------------------------------------------
@@ -24,23 +24,23 @@ def test_split_100_single_class():
 def test_split_deterministic(tiny_samples):
     a = data.split(tiny_samples, data.CLASS_NAMES, seed=9)
     b = data.split(tiny_samples, data.CLASS_NAMES, seed=9)
-    assert a.train.ids == b.train.ids
-    assert a.test.ids == b.test.ids
+    assert a.train.records == b.train.records
+    assert a.test.records == b.test.records
 
 
 def test_split_disjoint_and_complete(tiny_samples):
     ds = data.split(tiny_samples, data.CLASS_NAMES, seed=1)
-    ids = ds.train.ids + ds.val.ids + ds.test.ids
+    ids = [r["id"] for r in ds.train.records + ds.val.records + ds.test.records]
     assert len(ids) == len(set(ids)) == len(tiny_samples)
 
 
 def test_split_copies_each_row_whole(tiny_samples):
     ds = data.split(tiny_samples, data.CLASS_NAMES, seed=1)
-    rows = {sid: i for i, sid in enumerate(tiny_samples.ids)}
+    rows = {r["id"]: i for i, r in enumerate(tiny_samples.records)}
     for group in (ds.train, ds.val, ds.test):
-        for j, sid in enumerate(group.ids):
-            i = rows[sid]
-            assert group.classes[j] == tiny_samples.classes[i] and group.lat[j] == tiny_samples.lat[i]
+        for j, rec in enumerate(group.records):
+            i = rows[rec["id"]]
+            assert group.classes[j] == tiny_samples.classes[i] and rec == tiny_samples.records[i]
             assert np.array_equal(group.chips_a[j], tiny_samples.chips_a[i])
             assert np.array_equal(group.chips_b[j], tiny_samples.chips_b[i])
 
@@ -102,7 +102,7 @@ def test_rot90_four_times_is_identity(tiny_samples):
 
 
 def one_row(chip_a, chip_b):
-    return data.Samples(["x"], np.zeros(1), np.zeros(1), np.zeros(1, np.int64), chip_a[None], chip_b[None])
+    return data.Samples([{"id": "x"}], np.zeros(1, np.int64), chip_a[None], chip_b[None])
 
 
 def test_augment_constant_chip_copies_identical():
@@ -137,7 +137,7 @@ def test_augment_rejects_non_square():
 def test_augment_never_mixes_splits(tiny_split):
     aug = data.augment(tiny_split)
     for name in data.SPLITS:
-        assert getattr(aug, name).ids == getattr(tiny_split, name).ids
+        assert getattr(aug, name).records == getattr(tiny_split, name).records
         assert getattr(aug, name).chips_a is getattr(tiny_split, name).chips_a
 
 
@@ -157,7 +157,7 @@ def test_synth_counts_and_shapes():
 def test_synth_deterministic():
     a = data.synth_generate(3, size=8, channels_a=2, channels_b=2, n_classes=3, seed=42)
     b = data.synth_generate(3, size=8, channels_a=2, channels_b=2, n_classes=3, seed=42)
-    assert a.ids == b.ids and np.array_equal(a.lat, b.lat)
+    assert a.records == b.records
     assert np.array_equal(a.chips_a, b.chips_a)
     assert np.array_equal(a.chips_b, b.chips_b)
 
@@ -241,7 +241,7 @@ def test_chip_header_layout(tmp_path):
 def test_chip_bad_magic(tmp_path):
     path = tmp_path / "c.fchp"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
-    with pytest.raises(BadMagicError):
+    with pytest.raises(DataError, match="bad magic"):
         data.load_chip(path)
 
 
@@ -251,7 +251,7 @@ def test_chip_truncated(tmp_path):
     data.save_chip(path, chip)
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) // 2])
-    with pytest.raises(TruncatedPayloadError):
+    with pytest.raises(DataError, match="truncated payload"):
         data.load_chip(path)
 
 
@@ -262,7 +262,7 @@ def test_chip_version_mismatch(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[4] = 9
     path.write_bytes(bytes(raw))
-    with pytest.raises(VersionMismatchError):
+    with pytest.raises(DataError, match="chip format version 9, expected 1"):
         data.load_chip(path)
 
 
@@ -281,8 +281,8 @@ def test_dataset_round_trip(tmp_path, tiny_split):
     assert loaded.class_names == tiny_split.class_names
     for name in data.SPLITS:
         got, ref = getattr(loaded, name), getattr(tiny_split, name)
-        assert got.ids == ref.ids
-        for field in ("lat", "lon", "classes", "chips_a", "chips_b"):
+        assert got.records == [{**rec, "split": name} for rec in ref.records]
+        for field in ("classes", "chips_a", "chips_b"):
             assert np.array_equal(getattr(got, field), getattr(ref, field)), field
         assert got.classes.dtype == np.int64 and got.chips_a.dtype == np.float32
 
@@ -353,7 +353,7 @@ def test_stream_split_chunks_hold_the_split_rows_in_order(tmp_path, tiny_split):
     assert [len(c.classes) for c in chunks] == [16] * 5 + [5]
     assert all(c.turns == 4 for c in chunks)
     whole = data.load_dataset(tmp_path).train
-    assert sum((c.ids for c in chunks), []) == whole.ids
+    assert sum((c.records for c in chunks), []) == whole.records
     assert np.array_equal(np.concatenate([c.classes for c in chunks]), whole.classes)
     assert np.array_equal(np.concatenate([c.chips_b for c in chunks]), whole.chips_b)
 

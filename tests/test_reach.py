@@ -1,4 +1,4 @@
-"""Every function in src/fuselab is one the CLI runs.
+"""Every function in src/fuselab is one the CLI runs, and every error type one a handler tells apart.
 
 One small session of every command runs under sys.setprofile, which records
 the code object (file, first line) of each call entered in the package. Each
@@ -81,3 +81,17 @@ def test_cli_session_enters_every_function_in_src(tmp_path, monkeypatch, capsys)
     entered = {(str(Path(f).resolve()), line) for f, line in entered}
     never = sorted(name for key, name in defined_functions().items() if key not in entered)
     assert not never, f"functions no CLI command runs: {never}"
+
+
+def test_every_error_type_is_named_by_an_except_clause():
+    """A class in errors.py that no except clause in the package names is handled only as
+    its base, so it tells nothing its message does not; raise the base instead."""
+    defined = {node.name for node in ast.parse((PACKAGE / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef)}
+    caught = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught |= {getattr(t, "id", getattr(t, "attr", None)) for t in types}  # Name or module.Name
+    assert not defined - caught, f"error types no except clause names: {sorted(defined - caught)}"
