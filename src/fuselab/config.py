@@ -4,7 +4,8 @@ The config file is a flat `key = value` text file (fuselab.toml by default);
 values are parsed with the same converters as environment strings. Every
 command echoes its fully resolved settings into the output directory as
 run-config.json so a run can be reproduced from its artifacts alone;
-read_json_object reads such a record, or a model.json, back.
+read_json_object reads such a record, or a model.json, back, and read_text
+reads any data file's text.
 """
 
 from __future__ import annotations
@@ -83,11 +84,20 @@ class Resolver:
         (Path(out_dir) / "run-config.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
+def read_text(path) -> str:
+    """The text of the data file at path; DataError naming the file if its bytes do not decode."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: undecodable text ({exc})") from exc
+
+
 def read_json_object(path) -> dict:
     """The JSON object that the file at path holds; DataError if it holds anything else."""
+    text = read_text(path)
     try:
-        value = json.loads(Path(path).read_text())
-    except ValueError as exc:  # undecodable bytes or malformed JSON
+        value = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # malformed JSON, or nested deeper than the parser recurses
         raise DataError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(value, dict):
         raise DataError(f"{path}: expected a JSON object")

@@ -30,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import read_text
 from .errors import DataError, ShapeError
 
 CLASS_NAMES = ("city", "coastline", "lake", "river", "vegetation")
@@ -337,12 +338,12 @@ def _read_manifest(dataset_dir: Path) -> tuple[Path, list, tuple]:
     if not manifest.exists():
         raise DataError(f"{dataset_dir}: no {MANIFEST_NAME} found")
     records = []
-    for ln, line in enumerate(manifest.read_text().splitlines(), 1):
+    for ln, line in enumerate(read_text(manifest).splitlines(), 1):
         if not line.strip():
             continue
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested deeper than the parser recurses
             raise DataError(f"{manifest}:{ln}: invalid JSON record: {exc}") from exc
         if not isinstance(rec, dict):
             raise DataError(f"{manifest}:{ln}: a record must be a JSON object, got {type(rec).__name__}")

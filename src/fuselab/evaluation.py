@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import read_text
 from .errors import DataError, ShapeError
 
 TIE_EPS = 1e-9  # macro-F1 differences below this count as a tie
@@ -287,7 +288,7 @@ def emit_report(report: ParadigmReport, fmt: str, path) -> Path:
 def parse_metrics_csv(path) -> dict:
     """Read a metrics CSV (as written by metrics_csv_text) back into tables; each metric is a number in
     [0, 1], and every paradigm's block lists the same classes in the same order."""
-    rows = list(csv.reader(Path(path).read_text().splitlines()))
+    rows = list(csv.reader(read_text(path).splitlines()))
     if not rows or tuple(rows[0]) != CSV_COLUMNS:
         raise DataError(f"{path}: expected header {','.join(CSV_COLUMNS)}")
     grouped: dict[str, list] = {}  # paradigm -> (class name, metric values) per row
@@ -335,7 +336,7 @@ def parse_confusion_csv(path) -> ConfusionMatrix:
     exactly by 10**max(3, d), d the most decimal places any cell is written
     with, so every digit as written reaches the counts.
     """
-    rows = list(csv.reader(Path(path).read_text().splitlines()))
+    rows = list(csv.reader(read_text(path).splitlines()))
     if len(rows) < 2 or rows[0][0] != "class":
         raise DataError(f"{path}: expected a 'class,<names...>' header")
     names = tuple(rows[0][1:])

@@ -133,7 +133,8 @@ def _standardized(chips: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.nd
 def _conv_stack(cin: int, conv_channels, rng) -> list:
     layers = []
     for cout in conv_channels:
-        layers += [nn.Conv(3, cin, cout, rng), nn.ReLU(), nn.MaxPool2()]
+        # relu(maxpool2(x)) == maxpool2(relu(x)), and ReLU then runs on the 4x smaller pooled array
+        layers += [nn.Conv(3, cin, cout, rng), nn.MaxPool2(), nn.ReLU()]
         cin = cout
     layers.append(nn.Flatten())
     return layers

@@ -83,12 +83,14 @@ class Conv(Layer):
         if x.ndim != 4 or x.shape[3] != self.cin:
             raise ShapeError(f"Conv({self.cin}->{self.cout}) got input {x.shape}")
         pad = self.k // 2
-        xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+        n, h, w, _ = x.shape
+        xp = np.zeros((n, h + 2 * pad, w + 2 * pad, self.cin), dtype=x.dtype)
+        xp[:, pad : pad + h, pad : pad + w] = x
         cols, h_out, w_out = tensor.im2col(xp, self.k)
         out = cols @ self.weights.reshape(-1, self.cout)
         out += self.bias
         self._cache = (cols, xp.shape, x.shape)
-        return out.reshape(x.shape[0], h_out, w_out, self.cout)
+        return out.reshape(n, h_out, w_out, self.cout)
 
     def backward(self, dy: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
         """Fill the parameter gradients; return dx, or None when need_dx is False."""
@@ -162,7 +164,7 @@ class ReLU(Layer):
     kind = "relu"
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        # caching the output, not x, lets a following MaxPool2 share the buffer
+        # backward needs only where the output is positive
         y = np.maximum(x, 0)
         self._cache = y
         return y

@@ -1,5 +1,8 @@
 """Dense tensor kernels: matmul, the im2col/col2im_add unfolding that nn.Conv
-builds its GEMMs on, and 2x2 max pooling. ReLU is elementwise, in nn.ReLU.
+builds its GEMMs on, and 2x2 max pooling. The pooling kernels view an
+even-sized batch as (N, H/2, 2, W/2, 2, C) windows, so each pass reads
+contiguous runs of a row. ReLU is elementwise, in nn.ReLU; the backbone
+applies it after pooling, to the 4x smaller pooled array.
 
 Layout convention, used everywhere in this package: arrays are row-major
 (C order), channel-last. Images are (H, W, C), batches are (N, H, W, C),
@@ -81,19 +84,25 @@ def _pad_even(x: np.ndarray) -> np.ndarray:
     return xp
 
 
+def _windows(xp: np.ndarray) -> np.ndarray:
+    """View an even (N, H, W, C) array as (N, H/2, 2, W/2, 2, C): [:, i, r, j, s] is tap (r, s) of window (i, j)."""
+    n, h, w, c = xp.shape
+    return xp.reshape(n, h // 2, 2, w // 2, 2, c)
+
+
 def maxpool2(x: np.ndarray) -> np.ndarray:
     """2x2 stride-2 per-channel max pool of an (N, H, W, C) batch.
 
-    Odd trailing edges are padded with -inf. The maximum is taken over the
-    four strided views x[:, r::2, s::2], so no window index is stored;
-    maxpool2_scatter recovers it from x and the pooled output.
+    Odd trailing edges are padded with -inf. The maximum is taken over each
+    window's two rows, then over its two columns, so both passes read runs of
+    contiguous memory; no window index is stored, and maxpool2_scatter
+    recovers it from x and the pooled output.
     """
     if x.ndim != 4:
         raise ShapeError(f"maxpool2 expects (N,H,W,C), got {x.shape}")
-    xp = _pad_even(x)
-    out = np.maximum(xp[:, 0::2, 0::2], xp[:, 0::2, 1::2])
-    np.maximum(out, xp[:, 1::2, 0::2], out=out)
-    np.maximum(out, xp[:, 1::2, 1::2], out=out)
+    win = _windows(_pad_even(x))
+    rows = np.maximum(win[:, :, 0], win[:, :, 1])  # (N, H/2, W/2, 2, C)
+    out = np.maximum(rows[:, :, :, 0], rows[:, :, :, 1])
     return _check_finite(out, "maxpool2")
 
 
@@ -106,15 +115,23 @@ def maxpool2_scatter(grad: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.nda
     """
     h, w = x.shape[1:3]
     xp = _pad_even(x)
-    dx = np.empty(xp.shape, dtype=grad.dtype)  # the four strided views below cover it exactly once
+    n, hp, wp, c = xp.shape
+    rows = xp.reshape(n, hp // 2, 2, wp, c)  # [:, i, r] is row r of window row i
+    # One compare of each position against its window's maximum, repeated along
+    # the row so that both operands are read in contiguous runs of a whole row.
+    # Every window holds at least one hit, so more hits than windows means a tie.
+    hit = rows == np.repeat(out, 2, axis=2)[:, :, None]
+    if np.count_nonzero(hit) != out.size:  # keep each window's first hit only
+        taps = _windows(hit.reshape(xp.shape))
+        free = ~taps[:, :, 0, :, 0]  # windows whose maximum is not yet routed
+        for r, s in ((0, 1), (1, 0), (1, 1)):
+            tap = taps[:, :, r, :, s]
+            tap &= free
+            free ^= tap
     # An integer multiply by the 0/1 mask keeps grad's bits or writes +0; a float
     # multiply would write -0 under a negative gradient.
     bits = f"i{grad.itemsize}"
-    free = np.ones(out.shape, dtype=bool)  # windows whose maximum is not yet routed
-    for r, s in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        hit = xp[:, r::2, s::2] == out
-        hit &= free
-        free ^= hit
-        np.multiply(grad.view(bits), hit, out=dx[:, r::2, s::2].view(bits))
-    return dx[:, :h, :w]
-
+    dx = np.empty(xp.shape, dtype=grad.dtype)
+    np.multiply(np.repeat(grad.view(bits), 2, axis=2)[:, :, None], hit, out=dx.view(bits).reshape(rows.shape))
+    # contiguous, as the elementwise layers return: a strided gradient can change how BLAS sums a Conv's GEMMs
+    return np.ascontiguousarray(dx[:, :h, :w])

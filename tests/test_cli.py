@@ -892,6 +892,21 @@ TYPED_ERRORS = {
         edit_bytes("model/model.json", lambda b: json.dumps({**json.loads(b), "chip_shape_a": [10**30, 10**30, 2],
                                                              "chip_shape_b": [10**30, 10**30, 3]}).encode()),
         EVAL, "data", ["model.json: chip shapes"]),
+    # bytes that do not decode as text, in each data file read as text
+    "manifest-undecodable": (edit_bytes("ds/manifest.jsonl", lambda b: b[:20] + b"\xff" + b[20:]), TRAIN, "data",
+                             ["manifest.jsonl: undecodable text", "0xff"]),
+    "metrics-undecodable": (edit_bytes("ev/metrics.csv", lambda b: b + b"\xff\n"), FROM_TABLES, "data",
+                            ["metrics.csv: undecodable text", "0xff"]),
+    "confusion-undecodable": (edit_bytes("ev/confusion.csv", lambda b: b + b"\xff\n"), DERIVE, "data",
+                              ["confusion.csv: undecodable text", "0xff"]),
+    # JSON nested deeper than the parser recurses
+    "manifest-deep-nesting": (edit_line("ds/manifest.jsonl", 1, lambda line: "[" * 200_000), TRAIN, "data",
+                              ["manifest.jsonl:2: invalid JSON record", "recursion"]),
+    "model-json-deep-nesting": (edit_bytes("model/model.json", lambda b: b"[" * 200_000), EVAL, "data",
+                                ["model.json: not valid JSON", "recursion"]),
+    "run-config-deep-nesting": (edit_bytes("ds/run-config.json", lambda b: b"[" * 200_000),
+                                "dataset split --data {t}/ds", "data",
+                                ["run-config.json: not valid JSON", "recursion"]),
 }
 
 

@@ -349,6 +349,17 @@ def test_joint_model_round_trip(tmp_path, rng):
 
 # SHA-256 of each network's .fnet, in model.nets order, for _tiny_models(seed=0)
 TINY_FNET_SHA256 = {
+    "single-a": ["46f18fbaaa02eda54a7833ad93e6363a35748342355cb4c16a2454909af4e747"],
+    "single-b": ["9402a494855696ce1cda4ba25fa1cb716eaf1735b191a31a7611bf4ba360c116"],
+    "early": ["4e603a570fb48d93ff36e45f4d3f26e8b152681b8fdc40efa0d71b3855344876"],
+    "joint": ["468c2a8b8d4210e4f549059435afdc00e3acbad6164a8d7cfc2ebb341358abf3"],
+    "late-mean": ["46f18fbaaa02eda54a7833ad93e6363a35748342355cb4c16a2454909af4e747",
+                  "f631a746616164c31e50d229fd977d50e93fa82c43ae00ca05c5a8d01fcc8043"],
+    "late-weighted": ["46f18fbaaa02eda54a7833ad93e6363a35748342355cb4c16a2454909af4e747",
+                      "f631a746616164c31e50d229fd977d50e93fa82c43ae00ca05c5a8d01fcc8043"],
+}
+# The same, as written while each conv block ran Conv, ReLU, MaxPool2 (before blocks pooled first)
+RELU_FIRST_FNET_SHA256 = {
     "single-a": ["b2c753c5fc8e3df2ae48443be77b5f117024031d751e22fd2b556a321a690148"],
     "single-b": ["7987b8e81014ee1a1e6df7621d711dea9b285d8bf3a5142edca174e65a6df23d"],
     "early": ["f2dc1a4ee0100bc05178cea655ee61c7c829a3d98111afdf2f8cbf4316961e32"],
@@ -377,3 +388,32 @@ def test_fnet_bytes_are_stable_and_round_trip(tmp_path, paradigm):
         nn.save_network(path, loaded)
         assert path.read_bytes() == blob
     assert len(model.nets) == len(TINY_FNET_SHA256[paradigm])
+
+
+def relu_first(layers) -> list:
+    """The layers with each (MaxPool2, ReLU) pair swapped back to (ReLU, MaxPool2)."""
+    out = list(layers)
+    for i in range(len(out) - 1):
+        if isinstance(out[i], nn.MaxPool2) and isinstance(out[i + 1], nn.ReLU):
+            out[i], out[i + 1] = out[i + 1], out[i]
+    return out
+
+
+@pytest.mark.parametrize("paradigm", fusion.PARADIGMS)
+def test_relu_first_checkpoints_keep_their_bytes_and_predictions(tmp_path, rng, paradigm):
+    """A checkpoint written in the old block order still loads and predicts the pool-first model's bits:
+    only the layer tags moved."""
+    model, old = _tiny_models()[paradigm], _tiny_models()[paradigm]
+    if paradigm == "late-weighted":
+        for m in (model, old):
+            m.set_fusion_weights(np.array([0, 1, 1, 1, 0.0]), np.array([1, 0, 0, 0, 1.0]))
+    for i, net in enumerate(model.nets):
+        path = tmp_path / f"net_{i}.fnet"
+        nn.save_network(path, nn.Network(*[relu_first(b) for b in net.branches], head=net.head))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == RELU_FIRST_FNET_SHA256[paradigm][i], (paradigm, i)
+        old.nets[i] = nn.load_network(path)
+        assert [b[1:3] for b in layer_kinds(old.nets[i])[0]] == [["relu", "maxpool2"]] * len(net.branches)
+    chips_a = rng.normal(size=(3, 8, 8, 2)).astype(np.float32)
+    chips_b = rng.normal(size=(3, 8, 8, 3)).astype(np.float32)
+    predicted = fusion.predict_batch(old, chips_a, chips_b)
+    assert predicted.tobytes() == fusion.predict_batch(model, chips_a, chips_b).tobytes()

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fuselab import nn
 from fuselab.errors import DataError, ShapeError
@@ -219,6 +219,49 @@ def test_network_backward_skips_only_the_input_gradient(make, channels):
         assert backward_with_input_gradient(branch, dy).shape == x.shape
     for a, b in zip(skipped, nn.gradients(net)):
         assert np.array_equal(a, b)
+
+
+def conv_block(conv, order):
+    """A Conv, MaxPool2 and ReLU block in `order`, with its own Conv holding conv's parameters."""
+    own = nn.Conv(conv.k, conv.cin, conv.cout)
+    own.weights, own.bias = conv.weights.copy(), conv.bias.copy()
+    return [own] + [nn.MaxPool2() if kind == "maxpool2" else nn.ReLU() for kind in order]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 2),
+    h=st.integers(1, 7),
+    w=st.integers(1, 7),
+    cin=st.integers(1, 3),
+    cout=st.integers(1, 3),
+    bias=st.sampled_from(["mixed", "negative"]),
+    zero_patch=st.booleans(),
+    dtype=st.sampled_from([np.float32, np.float64]),
+)
+# width 1: the pool pads each row to 2 and hands the conv a strided slice unless it makes it contiguous
+@example(seed=0, n=1, h=4, w=1, cin=1, cout=2, bias="mixed", zero_patch=False, dtype=np.float32)
+@example(seed=0, n=1, h=5, w=1, cin=2, cout=1, bias="mixed", zero_patch=False, dtype=np.float32)
+@settings(max_examples=100, deadline=None)
+def test_pool_first_block_equals_relu_first_block(seed, n, h, w, cin, cout, bias, zero_patch, dtype):
+    """relu(maxpool2(x)) == maxpool2(relu(x)): both orders give the same bits, forward and in every
+    parameter gradient, on odd sizes, on all-negative windows (a negative bias makes most of them), and
+    on exact ties of the pre-ReLU values (a zero input patch makes every conv output over it the bias)."""
+    rng = np.random.default_rng(seed)
+    conv = nn.Conv(3, cin, cout, rng)
+    conv.bias[...] = rng.normal(size=cout) - (3.0 if bias == "negative" else 0.0)
+    conv.weights, conv.bias = conv.weights.astype(dtype), conv.bias.astype(dtype)
+    x = rng.normal(size=(n, h, w, cin)).astype(dtype)
+    if zero_patch:
+        x[:, :4, :4] = 0
+    pool_first, relu_first = conv_block(conv, ("maxpool2", "relu")), conv_block(conv, ("relu", "maxpool2"))
+    y = nn._run_forward(pool_first, x)
+    assert y.tobytes() == nn._run_forward(relu_first, x).tobytes()
+    dy = rng.normal(size=y.shape).astype(dtype)
+    dx = backward_with_input_gradient(pool_first, dy)
+    assert np.array_equal(dx, backward_with_input_gradient(relu_first, dy))  # equal values; zeros may differ in sign
+    for a, b in zip(pool_first[0].gradients(), relu_first[0].gradients()):
+        assert a.dtype == dtype and a.tobytes() == b.tobytes()
 
 
 def test_single_input_network_is_one_branch():

@@ -329,11 +329,16 @@ def test_maxpool2_scatter_inverts_selection():
     w=st.integers(1, 7),
     c=st.integers(1, 3),
     dtype=st.sampled_from([np.float32, np.float64]),
+    distinct=st.booleans(),
 )
 @settings(max_examples=80, deadline=None)
-def test_maxpool2_scatter_matches_loop_oracle_on_ties(seed, n, h, w, c, dtype):
+def test_maxpool2_scatter_matches_loop_oracle_on_ties(seed, n, h, w, c, dtype, distinct):
+    """Distinct values take the kernel's no-tie path; few values tie in most windows and take the tie path."""
     rng = np.random.default_rng(seed)
-    x = rng.integers(-2, 3, size=(n, h, w, c)).astype(dtype)  # few values: ties in most windows
+    if distinct:
+        x = (rng.permutation(n * h * w * c) - n * h * w * c // 2).reshape(n, h, w, c).astype(dtype)
+    else:
+        x = rng.integers(-2, 3, size=(n, h, w, c)).astype(dtype)
     out = tensor.maxpool2(x)
     grad = rng.integers(-4, 5, size=out.shape).astype(dtype)
     back = tensor.maxpool2_scatter(grad, x, out)
