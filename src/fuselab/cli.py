@@ -12,7 +12,6 @@ a single `error[kind]: message` line on stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -133,27 +132,29 @@ def _load_and_augment(resolver, data_dir) -> data.DatasetSplit:
     return data.augment(data.load_dataset(data_dir), resolver.get("augment_eval", parse_bool, True))
 
 
-def _train_config(resolver, seed: int, **defaults) -> training.TrainConfig:
-    """The resolved training settings; unset ones take `defaults`, else TrainConfig's own defaults."""
+def _train_config(resolver, **defaults) -> training.TrainConfig:
+    """The resolved seed and training settings; unset ones take `defaults`, else TrainConfig's own defaults."""
     base = training.TrainConfig(**defaults)
     return training.TrainConfig(
+        seed=resolver.get("seed", int, base.seed),
         epochs=resolver.get("epochs", int, base.epochs),
         batch_size=resolver.get("batch_size", int, base.batch_size),
         learning_rate=resolver.get("learning_rate", float, base.learning_rate),
         optimizer=resolver.get("optimizer", str, base.optimizer),
-        seed=seed,
     )
-
-
-def _model_for_dataset(paradigm: str, dsplit: data.DatasetSplit, seed: int) -> fusion.FusionModel:
-    h, w, p = dsplit.train.chips_a.shape[1:]
-    b = dsplit.train.chips_b.shape[3]
-    return fusion.build_model(paradigm, w, h, p, b, len(dsplit.class_names), seed, class_names=dsplit.class_names)
 
 
 def _fusion_weights_line(alpha, beta) -> str:
     """fusion_weights.json's one line, without its newline; `weights derive` also prints it."""
     return '{"alpha": %s, "beta": %s}' % ([float(v) for v in alpha], [float(v) for v in beta])
+
+
+def _save_trained(out_dir: Path, model: fusion.FusionModel, history) -> None:
+    """A trained paradigm's files: the model, history.csv, and fusion_weights.json for late-weighted."""
+    fusion.save_model(out_dir, model)
+    training.save_history(out_dir / "history.csv", history)
+    if model.alpha is not None:
+        (out_dir / "fusion_weights.json").write_text(_fusion_weights_line(model.alpha, model.beta) + "\n")
 
 
 def _write_eval_files(out_dir: Path, paradigm: str, cm, table) -> None:
@@ -180,7 +181,7 @@ def cmd_dataset_synth(args) -> int:
     if out.exists() and any(out.iterdir()) and not force:
         raise DataError(f"output directory {out} is not empty (use --force to overwrite)")
     samples = data.synth_generate(per_class, size=size, channels_a=p, channels_b=b, n_classes=n_classes, seed=seed)
-    dsplit = data.split(samples, data.class_names_for(n_classes), seed=seed, stratified=True)
+    dsplit = data.split(samples, seed=seed, stratified=True)
     data.save_dataset(out, dsplit)
     resolver.write_record(out)
     _say(resolver, f"wrote {len(samples)} samples ({'/'.join(map(str, dsplit.sizes()))} train/val/test) to {out}")
@@ -206,18 +207,12 @@ def cmd_dataset_split(args) -> int:
 def cmd_train(args) -> int:
     resolver = Resolver(args)
     out = _require_out(resolver)
-    seed = resolver.get("seed", int, 0)
-    cfg = _train_config(resolver, seed)
+    cfg = _train_config(resolver)
     resolver.resolved["paradigm"] = args.paradigm
     resolver.get("quiet", parse_bool, False)
     dsplit = _load_and_augment(resolver, args.data)
-    model = _model_for_dataset(args.paradigm, dsplit, seed)
-    history = training.train(model, dsplit, cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    fusion.save_model(out, model)
-    training.save_history(out / "history.csv", history)
-    if model.alpha is not None:
-        (out / "fusion_weights.json").write_text(_fusion_weights_line(model.alpha, model.beta) + "\n")
+    model, history, _ = training.train_paradigm(args.paradigm, dsplit, cfg, {})
+    _save_trained(out, model, history)
     resolver.write_record(out)
     if not history:
         _say(resolver, f"trained {args.paradigm}: 0 epochs (checkpoint equals initialization)")
@@ -300,40 +295,23 @@ def cmd_compare(args) -> int:
             raise DataError(f"{args.from_tables}: need at least two paradigm blocks to compare")
         report = evaluation.compare_paradigms(tables)
     else:
-        seed = resolver.get("seed", int, 0)
-        cfg_probe = _train_config(resolver, seed, epochs=COMPARE_EPOCHS_DEFAULT)
+        cfg = _train_config(resolver, epochs=COMPARE_EPOCHS_DEFAULT)
         dsplit = _load_and_augment(resolver, args.data)
         for name in ("train", "val"):  # every paradigm trains on the one and is scored on the other
             if not getattr(dsplit, name):
                 raise DataError(
                     f"compare needs non-empty train and val splits; split {name!r} of {args.data} is empty"
                 )
-        stats = training.input_stats(dsplit.train)  # the same for every model, so measured once
-        tables = {}
-        trained = {}  # single-a / single-b: (model, history, val predictions), which the late paradigms aggregate
+        tables, trained = {}, {}  # every row is its paradigm's `train` run; the late rows reuse the singles
         for idx, paradigm in enumerate(fusion.PARADIGMS):
-            pdir = out / paradigm
-            pdir.mkdir(parents=True, exist_ok=True)
-            if paradigm in fusion.LATE_PARADIGMS:
-                (model_a, history_a, pred_a), (model_b, history_b, pred_b) = trained["single-a"], trained["single-b"]
-                model = fusion.late_model(paradigm, model_a, model_b)
-                predictions = (pred_a, pred_b)
-                history = training.fuse_late(model, (history_a, history_b), predictions, dsplit)
-            else:
-                cfg = dataclasses.replace(cfg_probe, seed=seed + 10 * (idx + 1))
-                model = _model_for_dataset(paradigm, dsplit, seed + idx)
-                model.set_input_stats(*stats)
-                history = training.train(model, dsplit, cfg)
-                predictions = (training.val_predictions(model, history, dsplit),)
-                if paradigm in ("single-a", "single-b"):
-                    trained[paradigm] = model, history, predictions[0]
-            fusion.save_model(pdir, model)
-            training.save_history(pdir / "history.csv", history)
+            model, history, predictions = training.train_paradigm(paradigm, dsplit, cfg, trained)
+            _save_trained(out / paradigm, model, history)
             cm = training.val_confusion(model, predictions, dsplit)  # each network's one final val pass
             table = evaluation.metrics_from_cm(cm)
-            _write_eval_files(pdir, paradigm, cm, table)
+            _write_eval_files(out / paradigm, paradigm, cm, table)
             tables[paradigm] = table
             _say(resolver, f"[{idx + 1}/{len(fusion.PARADIGMS)}] {paradigm}: macro F1 {table.macro_f1:.3f}")
+            del model, history, predictions  # so the next paradigm trains without this one's parameters
         report = evaluation.compare_paradigms(tables)
 
     out.mkdir(parents=True, exist_ok=True)

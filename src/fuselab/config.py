@@ -39,9 +39,14 @@ def parse_fractions(value) -> tuple[float, float, float]:
 
 
 def read_config_file(path) -> dict:
-    """Parse `key = value` lines; '#' starts a comment, quotes are stripped."""
+    """Parse `key = value` lines; '#' starts a comment, quotes are stripped. A config file
+    is a usage input: each of its faults, undecodable bytes too, is a ValueError naming it."""
+    try:
+        lines = read_text(path).splitlines()
+    except DataError as exc:  # exit 2, where a data file's undecodable bytes exit 3
+        raise ValueError(str(exc)) from exc
     values = {}
-    for ln, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for ln, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

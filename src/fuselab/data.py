@@ -129,11 +129,13 @@ def _partition(classes, n_classes: int, fractions, seed: int, stratified: bool) 
     return [np.concatenate([part[i] for part in parts]) for i in range(3)]
 
 
-def split(samples: Samples, class_names, fractions=DEFAULT_FRACTIONS, seed: int = 0,
-          stratified: bool = True) -> DatasetSplit:
-    """Deterministic train/val/test partition of unturned samples labelled by class_names."""
-    parts = _partition(samples.classes, len(class_names), fractions, seed, stratified)
-    return DatasetSplit(*(samples.take(rows) for rows in parts), tuple(class_names))
+def split(samples: Samples, fractions=DEFAULT_FRACTIONS, seed: int = 0, stratified: bool = True) -> DatasetSplit:
+    """Deterministic train/val/test partition of unturned samples, stratified by samples.classes. Its
+    class names are its records', in the order load_dataset reads them back, and its class indices theirs."""
+    names = _class_names(samples.records)
+    labelled = _samples(samples.records, names, samples.chips_a, samples.chips_b)
+    parts = _partition(samples.classes, len(names), fractions, seed, stratified)
+    return DatasetSplit(*(labelled.take(rows) for rows in parts), names)
 
 
 def _require_square(hw) -> None:
@@ -360,9 +362,13 @@ def _read_manifest(dataset_dir: Path) -> tuple[Path, list, tuple]:
         records.append(rec)
     if not records:
         raise DataError(f"{manifest}: no records")
+    return manifest, records, _class_names(records)
+
+
+def _class_names(records) -> tuple:
+    """The classes the records name: those of CLASS_NAMES in its order, then the others sorted."""
     present = {r["class"] for r in records}
-    known = [n for n in CLASS_NAMES if n in present]
-    return manifest, records, tuple(known + sorted(present - set(CLASS_NAMES)))
+    return tuple([n for n in CLASS_NAMES if n in present] + sorted(present - set(CLASS_NAMES)))
 
 
 def _read_pairs(dataset_dir: Path, records):

@@ -163,11 +163,17 @@ def build_model(
 ) -> FusionModel:
     """Construct an untrained model for the given paradigm; seeded, deterministic.
 
-    Parameters are drawn network by network, and within a network branch by
-    branch, then the head.
+    A network's parameters are drawn from RNG `seed`, branch by branch, then
+    the head. A late model is late_model over the single-a and single-b models
+    built with the same seed, so each of its networks starts as that single
+    model's does.
     """
     if paradigm not in PARADIGMS:
         raise ValueError(f"unknown paradigm {paradigm!r}; valid: {', '.join(PARADIGMS)}")
+    if paradigm in LATE_PARADIGMS:
+        return late_model(paradigm, *(build_model(single, width, height, channels_a, channels_b, n_classes, seed,
+                                                  conv_channels, dense_units, class_names)
+                                      for single in ("single-a", "single-b")))
     if min(width, height) < 2 ** len(conv_channels):
         raise ShapeError(
             f"chips {width}x{height} too small for {len(conv_channels)} pooling stages"
@@ -181,10 +187,10 @@ def build_model(
         n_classes=n_classes,
         class_names=class_names,
     )
-    for xs in _empty_inputs(model):
-        branches = [_conv_stack(x.shape[3], conv_channels, rng) for x in xs]
-        n_features = nn.Network(*branches).infer(xs).shape[1]  # the branches' concatenated output width
-        model.nets.append(nn.Network(*branches, head=_head(n_features, dense_units, n_classes, rng)))
+    (xs,) = _empty_inputs(model)
+    branches = [_conv_stack(x.shape[3], conv_channels, rng) for x in xs]
+    n_features = nn.Network(*branches).infer(xs).shape[1]  # the branches' concatenated output width
+    model.nets.append(nn.Network(*branches, head=_head(n_features, dense_units, n_classes, rng)))
     return model
 
 

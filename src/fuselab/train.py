@@ -1,12 +1,14 @@
-"""Supervised training for any fusion model, plus the SGD/Adam optimizers.
+"""Supervised training for any fusion paradigm, plus the SGD/Adam optimizers.
 
-A late model is the aggregation of a single-a and a single-b model (see
-fusion.late_model): each of its two networks trains as that single-modality
-model, on its own RNG stream, and only ever sees its own modality. The late
-history pools the two networks' training tallies, and its validation columns
-score the mean of the two networks' predictions after each epoch. The weighted
-variant derives its per-class binary weights from the two networks' validation
-recalls, leaving the test split untouched.
+train_paradigm trains every paradigm by one seed rule: each network starts as
+fusion.build_model(<its single-network paradigm>, ..., seed) and shuffles on
+RNG [seed, 0]. A late model is fusion.late_model over the single-a and
+single-b models trained by that rule, so each of its networks only ever sees
+its own modality, and `train` and `compare` give a paradigm the same model.
+The late history pools the two networks' training tallies, and its validation
+columns score the mean of their predictions after each epoch. The weighted
+variant derives its per-class binary weights from the two networks'
+validation recalls, leaving the test split untouched.
 
 Training first gives a model without input stats those of its training split:
 the per-channel mean and standard deviation of each modality, with which the
@@ -187,15 +189,10 @@ def confusion(model: fusion.FusionModel, chunks, class_names) -> ConfusionMatrix
     return confusion_matrix(np.concatenate(preds), np.concatenate(truth), class_names)
 
 
-def val_predictions(model: fusion.FusionModel, history, dsplit) -> np.ndarray:
-    """A trained one-network model's final validation predictions: those its
-    last epoch recorded, or one fresh pass after 0 epochs."""
-    return history[-1].val_predictions if history else _model_predictions(model, dsplit.val)
-
-
 def val_confusion(model: fusion.FusionModel, predictions, dsplit) -> ConfusionMatrix:
     """Confusion matrix of the trained model's decisions on the validation split,
-    from each of its networks' val_predictions, which fusion.decisions combines."""
+    from each of its networks' final validation predictions (see train_paradigm),
+    which fusion.decisions combines."""
     return confusion_matrix(fusion.decisions(model, predictions), dsplit.val.truth(), dsplit.class_names)
 
 
@@ -209,11 +206,20 @@ def _record(epoch, loss_sum, correct, seen, val_pred, dsplit) -> EpochRecord:
     return EpochRecord(epoch, loss_sum, correct, seen, val_loss, val_acc, val_pred)
 
 
-def _fit(model: fusion.FusionModel, dsplit, config: TrainConfig, stream: int) -> list[EpochRecord]:
-    """Train a one-network model in place, shuffling with RNG stream [config.seed, stream]."""
-    net = model.nets[0]
+def train(model: fusion.FusionModel, dsplit, config: TrainConfig) -> list[EpochRecord]:
+    """Train a one-network model in place, shuffling with RNG [config.seed, 0]; deterministic.
+
+    A model without input stats first gets those of the training split.
+    Raises NumericError with a diagnostic if the loss goes non-finite, and
+    DataError before any training if the training split is empty.
+    """
+    if not dsplit.train:
+        raise DataError("training split is empty")
+    if model.input_stats is None:
+        model.set_input_stats(*input_stats(dsplit.train))
+    (net,) = model.nets
     optimizer = OPTIMIZERS[config.optimizer](nn.parameters(net), config.learning_rate)
-    rng = np.random.default_rng([config.seed, stream])
+    rng = np.random.default_rng([config.seed, 0])
     n = len(dsplit.train)
     history = []
     for epoch in range(config.epochs):
@@ -233,7 +239,7 @@ def _fit(model: fusion.FusionModel, dsplit, config: TrainConfig, stream: int) ->
             except (FloatingPointError, NumericError) as exc:
                 raise NumericError(
                     f"training diverged at epoch {epoch}, batch {start // config.batch_size} ({model.paradigm} "
-                    f"network, RNG stream {stream}): non-finite values; try a lower learning rate"
+                    f"network): non-finite values; try a lower learning rate"
                 ) from exc
             loss_sum += loss * len(batch)
             correct += int((pred.argmax(axis=1) == y).sum())
@@ -242,54 +248,49 @@ def _fit(model: fusion.FusionModel, dsplit, config: TrainConfig, stream: int) ->
     return history
 
 
-def fuse_late(model: fusion.FusionModel, histories, predictions, dsplit) -> list[EpochRecord]:
-    """Finish a late model whose two networks are trained; return its history.
+def train_paradigm(paradigm: str, dsplit, config: TrainConfig, trained: dict) -> tuple:
+    """(model, history, predictions) of the paradigm trained on dsplit by the one seed rule.
 
-    histories are the training histories of fusion.late_members(model), and
-    predictions their val_predictions. late-weighted needs a non-empty
-    validation split, which train and compare check before training anything.
-    It derives its weights from the members' validation confusion matrices,
-    the ones `weights derive` reads. The late history pools the members'
-    training tallies epoch by epoch, and scores the mean of their validation
-    predictions.
+    predictions holds each network's final validation predictions: its last
+    epoch's, one fresh pass after 0 epochs, or None without a validation
+    split. A late model is built over the single-a and single-b results in
+    `trained` (the dsplit's so far), training any that is missing into it.
     """
-    if model.paradigm == "late-weighted":
-        cms = [confusion_matrix(pred, dsplit.val.truth(), dsplit.class_names) for pred in predictions]
-        model.set_fusion_weights(*fusion.weights_from_confusions(*cms))
-    pooled = []
-    for ra, rb in zip(*histories):
-        val_pred = None
-        if ra.val_predictions is not None:
-            val_pred = fusion.late_aggregate_mean(ra.val_predictions, rb.val_predictions)
-        pooled.append(_record(
-            ra.epoch, ra.train_loss_sum + rb.train_loss_sum, ra.train_correct + rb.train_correct,
-            ra.train_seen + rb.train_seen, val_pred, dsplit,
-        ))
-    return pooled
-
-
-def train(model: fusion.FusionModel, dsplit, config: TrainConfig) -> list[EpochRecord]:
-    """Train the model in place; deterministic given config.seed.
-
-    A model without input stats first gets those of the training split. A late
-    model's networks train one after the other as its single-a and single-b
-    members, on RNG streams [seed, 0] and [seed, 1]; fuse_late then
-    aggregates them. Raises NumericError with a diagnostic if the loss goes
-    non-finite, and DataError before any training if a split it needs is empty.
-    """
-    if not dsplit.train:
-        raise DataError("training split is empty")
-    if model.paradigm == "late-weighted" and not dsplit.val:
-        raise DataError("late-weighted needs a non-empty validation split to derive its weights")
-    if model.input_stats is None:
-        model.set_input_stats(*input_stats(dsplit.train))
-    if model.paradigm not in fusion.LATE_PARADIGMS:
-        return _fit(model, dsplit, config, stream=0)
-    members = fusion.late_members(model)
-    histories = [_fit(member, dsplit, config, stream) for stream, member in enumerate(members)]
-    # a generator that only late-weighted reads, so late-mean predicts nothing after 0 epochs
-    predictions = (val_predictions(m, h, dsplit) for m, h in zip(members, histories))
-    return fuse_late(model, histories, predictions, dsplit)
+    if paradigm in fusion.LATE_PARADIGMS:
+        if paradigm == "late-weighted" and not dsplit.val:
+            raise DataError("late-weighted needs a non-empty validation split to derive its weights")
+        (model_a, history_a, pred_a), (model_b, history_b, pred_b) = (
+            trained[single] if single in trained else train_paradigm(single, dsplit, config, trained)
+            for single in ("single-a", "single-b")
+        )
+        model = fusion.late_model(paradigm, model_a, model_b)
+        predictions = pred_a + pred_b
+        if paradigm == "late-weighted":  # from the confusion matrices that `weights derive` reads
+            cms = [confusion_matrix(pred, dsplit.val.truth(), dsplit.class_names) for pred in predictions]
+            model.set_fusion_weights(*fusion.weights_from_confusions(*cms))
+        history = []  # the members' tallies pooled epoch by epoch; the val columns score their mean
+        for ra, rb in zip(history_a, history_b):
+            val_pred = None
+            if ra.val_predictions is not None:
+                val_pred = fusion.late_aggregate_mean(ra.val_predictions, rb.val_predictions)
+            history.append(_record(
+                ra.epoch, ra.train_loss_sum + rb.train_loss_sum, ra.train_correct + rb.train_correct,
+                ra.train_seen + rb.train_seen, val_pred, dsplit,
+            ))
+    else:
+        h, w, p = dsplit.train.chips_a.shape[1:]
+        model = fusion.build_model(paradigm, w, h, p, dsplit.train.chips_b.shape[3], len(dsplit.class_names),
+                                   config.seed, class_names=dsplit.class_names)
+        if trained:  # the training split's stats, the same for every model of a run, measured once
+            model.input_stats = next(iter(trained.values()))[0].input_stats
+        history = train(model, dsplit, config)
+        if history or not dsplit.val:
+            predictions = (history[-1].val_predictions if history else None,)
+        else:
+            predictions = (_model_predictions(model, dsplit.val),)
+    if paradigm in ("single-a", "single-b"):  # kept for the late models; other models are freed with their row
+        trained[paradigm] = model, history, predictions
+    return model, history, predictions
 
 
 def save_history(path, history: list[EpochRecord]) -> None:

@@ -12,7 +12,7 @@ def tiny_samples():
 
 @pytest.fixture(scope="session")
 def tiny_split(tiny_samples):
-    return data.split(tiny_samples, data.CLASS_NAMES, seed=3)
+    return data.split(tiny_samples, seed=3)
 
 
 @pytest.fixture()

@@ -113,7 +113,7 @@ def test_c3_selection_verdict_reproduction(tmp_path, capsys):
 def test_c4_dataset_arithmetic():
     t0 = time.perf_counter()
     samples = data.synth_generate(100, seed=0)
-    ds = data.split(samples, data.CLASS_NAMES, seed=0)
+    ds = data.split(samples, seed=0)
     aug = data.augment(ds)
     elapsed = time.perf_counter() - t0
     ok = (

@@ -212,15 +212,30 @@ def test_train_late_weighted_writes_two_checkpoints_and_weights(tiny_dataset_dir
     assert (out / "history.csv").exists()
 
 
-def test_train_late_net_0_equals_single_a(tiny_dataset_dir, tmp_path):
-    outs = {}
-    for paradigm in ("single-a", "late-mean"):
-        outs[paradigm] = tmp_path / paradigm
-        assert main(
-            ["train", "--data", str(tiny_dataset_dir), "--paradigm", paradigm,
-             "--out", str(outs[paradigm]), "--epochs", "1", "--seed", "7", "--quiet"]
-        ) == 0
-    assert (outs["late-mean"] / "net_0.fnet").read_bytes() == (outs["single-a"] / "net_0.fnet").read_bytes()
+@pytest.fixture(scope="module")
+def compares_by_seed(tmp_path_factory):
+    """A 16x16 dataset d and its `compare --epochs 1` at seed 0 (in c0) and 1 (in c1)."""
+    root = tmp_path_factory.mktemp("rows")
+    assert main(synth_args(root / "d", per_class=10)) == 0
+    for seed in (0, 1):
+        assert main(["compare", "--data", str(root / "d"), "--out", str(root / f"c{seed}"), "--epochs", "1",
+                     "--seed", str(seed), "--quiet"]) == 0
+    return root
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("paradigm", fusion.PARADIGMS)
+def test_compare_row_is_the_train_run_of_its_paradigm(compares_by_seed, tmp_path, paradigm, seed):
+    """`train --paradigm P --seed s` writes compare's P row byte for byte, late paradigms included."""
+    out = tmp_path / paradigm
+    assert main(["train", "--data", str(compares_by_seed / "d"), "--paradigm", paradigm, "--out", str(out),
+                 "--epochs", "1", "--seed", str(seed), "--quiet"]) == 0
+    written = {path.name: path.read_bytes() for path in out.iterdir() if path.name != "run-config.json"}
+    nets = [f"net_{i}.fnet" for i in range(len(fusion.NETWORK_INPUTS[paradigm]))]
+    weights = ["fusion_weights.json"] if paradigm == "late-weighted" else []
+    assert sorted(written) == sorted(["history.csv", "model.json", *nets, *weights])
+    for name, blob in written.items():
+        assert (compares_by_seed / f"c{seed}" / paradigm / name).read_bytes() == blob, name
 
 
 def test_train_early_first_layer_spans_modalities(tiny_dataset_dir, tmp_path):
@@ -899,6 +914,9 @@ TYPED_ERRORS = {
                             ["metrics.csv: undecodable text", "0xff"]),
     "confusion-undecodable": (edit_bytes("ev/confusion.csv", lambda b: b + b"\xff\n"), DERIVE, "data",
                               ["confusion.csv: undecodable text", "0xff"]),
+    "config-undecodable": (edit_bytes("ev/confusion.csv", lambda b: b + b"\xff\n"),
+                           TRAIN + " --config {t}/ev/confusion.csv", "usage",
+                           ["confusion.csv: undecodable text", "0xff"]),
     # JSON nested deeper than the parser recurses
     "manifest-deep-nesting": (edit_line("ds/manifest.jsonl", 1, lambda line: "[" * 200_000), TRAIN, "data",
                               ["manifest.jsonl:2: invalid JSON record", "recursion"]),

@@ -11,31 +11,31 @@ from fuselab.errors import DataError, ShapeError
 
 def test_split_500_gives_425_50_25(tiny_samples):
     samples = data.synth_generate(100, size=8, channels_a=1, channels_b=1, n_classes=5, seed=0)
-    ds = data.split(samples, data.CLASS_NAMES, seed=0)
+    ds = data.split(samples, seed=0)
     assert ds.sizes() == (425, 50, 25)
 
 
 def test_split_100_single_class():
     samples = data.synth_generate(100, size=8, channels_a=1, channels_b=1, n_classes=1, seed=0)
-    ds = data.split(samples, ("city",), seed=0)
+    ds = data.split(samples, seed=0)
     assert ds.sizes() == (85, 10, 5)
 
 
 def test_split_deterministic(tiny_samples):
-    a = data.split(tiny_samples, data.CLASS_NAMES, seed=9)
-    b = data.split(tiny_samples, data.CLASS_NAMES, seed=9)
+    a = data.split(tiny_samples, seed=9)
+    b = data.split(tiny_samples, seed=9)
     assert a.train.records == b.train.records
     assert a.test.records == b.test.records
 
 
 def test_split_disjoint_and_complete(tiny_samples):
-    ds = data.split(tiny_samples, data.CLASS_NAMES, seed=1)
+    ds = data.split(tiny_samples, seed=1)
     ids = [r["id"] for r in ds.train.records + ds.val.records + ds.test.records]
     assert len(ids) == len(set(ids)) == len(tiny_samples)
 
 
 def test_split_copies_each_row_whole(tiny_samples):
-    ds = data.split(tiny_samples, data.CLASS_NAMES, seed=1)
+    ds = data.split(tiny_samples, seed=1)
     rows = {r["id"]: i for i, r in enumerate(tiny_samples.records)}
     for group in (ds.train, ds.val, ds.test):
         for j, rec in enumerate(group.records):
@@ -45,13 +45,24 @@ def test_split_copies_each_row_whole(tiny_samples):
             assert np.array_equal(group.chips_b[j], tiny_samples.chips_b[i])
 
 
-def test_split_keeps_the_class_names_it_is_given(tiny_samples):
-    names = ("w", "x", "y", "z", "forest")
-    assert data.split(tiny_samples, names, seed=1).class_names == names
+@pytest.mark.parametrize("n_classes", [2, 12])
+def test_split_names_its_records_classes_as_a_reload_does(tmp_path, n_classes):
+    """12 classes name class10 and class11, which sort before class5 when the manifest is read back."""
+    samples = data.synth_generate(3, size=8, channels_a=1, channels_b=1, n_classes=n_classes, seed=0)
+    ds = data.split(samples, seed=1)
+    data.save_dataset(tmp_path, ds)
+    loaded = data.load_dataset(tmp_path)
+    assert loaded.class_names == ds.class_names
+    assert set(ds.class_names) == {rec["class"] for rec in samples.records}
+    for name in data.SPLITS:
+        saved, reread = getattr(ds, name), getattr(loaded, name)
+        assert [rec["id"] for rec in reread.records] == [rec["id"] for rec in saved.records]
+        assert [ds.class_names[c] for c in saved.classes] == [rec["class"] for rec in saved.records]
+        assert np.array_equal(reread.classes, saved.classes)
 
 
 def test_split_stratified_keeps_class_counts(tiny_samples):
-    ds = data.split(tiny_samples, data.CLASS_NAMES, seed=2, stratified=True)
+    ds = data.split(tiny_samples, seed=2, stratified=True)
     for group, expected in ((ds.train, 17), (ds.val, 2), (ds.test, 1)):
         counts = np.bincount(group.classes, minlength=5)
         assert np.all(counts == expected)
@@ -59,18 +70,18 @@ def test_split_stratified_keeps_class_counts(tiny_samples):
 
 def test_split_bad_fractions(tiny_samples):
     with pytest.raises(ValueError):
-        data.split(tiny_samples, data.CLASS_NAMES, fractions=(1.2, -0.1, -0.1))
+        data.split(tiny_samples, fractions=(1.2, -0.1, -0.1))
     with pytest.raises(ValueError):
-        data.split(tiny_samples, data.CLASS_NAMES, fractions=(0.5, 0.3, 0.3))
+        data.split(tiny_samples, fractions=(0.5, 0.3, 0.3))
     with pytest.raises(ValueError):
-        data.split(tiny_samples.take([]), data.CLASS_NAMES)
+        data.split(tiny_samples.take([]))
 
 
 @given(seed=st.integers(0, 2**32 - 1), per_class=st.integers(4, 40))
 @settings(max_examples=25, deadline=None)
 def test_split_stratified_within_one(seed, per_class):
     samples = data.synth_generate(per_class, size=8, channels_a=1, channels_b=1, n_classes=3, seed=seed)
-    ds = data.split(samples, data.class_names_for(3), seed=seed)
+    ds = data.split(samples, seed=seed)
     n = 3 * per_class
     assert ds.sizes()[1] == 3 * int(per_class * 0.10)
     assert ds.sizes()[2] == 3 * int(per_class * 0.05)
@@ -89,7 +100,7 @@ def test_augment_multiplies_sizes_by_four(tiny_split):
 
 def test_augment_425_50_25_gives_1700_200_100():
     samples = data.synth_generate(100, size=8, channels_a=1, channels_b=1, n_classes=5, seed=4)
-    aug = data.augment(data.split(samples, data.CLASS_NAMES, seed=4))
+    aug = data.augment(data.split(samples, seed=4))
     assert aug.sizes() == (1700, 200, 100)
 
 

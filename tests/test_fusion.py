@@ -347,16 +347,13 @@ def test_joint_model_round_trip(tmp_path, rng):
     assert np.array_equal(before, after)
 
 
-# SHA-256 of each network's .fnet, in model.nets order, for _tiny_models(seed=0)
+# SHA-256 of each network's .fnet, in model.nets order, for _tiny_models(seed=0); a late model's
+# networks are its single-a and single-b models'
 TINY_FNET_SHA256 = {
     "single-a": ["46f18fbaaa02eda54a7833ad93e6363a35748342355cb4c16a2454909af4e747"],
     "single-b": ["9402a494855696ce1cda4ba25fa1cb716eaf1735b191a31a7611bf4ba360c116"],
     "early": ["4e603a570fb48d93ff36e45f4d3f26e8b152681b8fdc40efa0d71b3855344876"],
     "joint": ["468c2a8b8d4210e4f549059435afdc00e3acbad6164a8d7cfc2ebb341358abf3"],
-    "late-mean": ["46f18fbaaa02eda54a7833ad93e6363a35748342355cb4c16a2454909af4e747",
-                  "f631a746616164c31e50d229fd977d50e93fa82c43ae00ca05c5a8d01fcc8043"],
-    "late-weighted": ["46f18fbaaa02eda54a7833ad93e6363a35748342355cb4c16a2454909af4e747",
-                      "f631a746616164c31e50d229fd977d50e93fa82c43ae00ca05c5a8d01fcc8043"],
 }
 # The same, as written while each conv block ran Conv, ReLU, MaxPool2 (before blocks pooled first)
 RELU_FIRST_FNET_SHA256 = {
@@ -364,11 +361,9 @@ RELU_FIRST_FNET_SHA256 = {
     "single-b": ["7987b8e81014ee1a1e6df7621d711dea9b285d8bf3a5142edca174e65a6df23d"],
     "early": ["f2dc1a4ee0100bc05178cea655ee61c7c829a3d98111afdf2f8cbf4316961e32"],
     "joint": ["ab8db21f0d802909ceca89111d9c9909cc8e1d14804e05443999f69fda631bbe"],
-    "late-mean": ["b2c753c5fc8e3df2ae48443be77b5f117024031d751e22fd2b556a321a690148",
-                  "d2a3b9532b1ffa475ccf0749fe0505890eb96c75fd29aa2edae2bc7f88153eb2"],
-    "late-weighted": ["b2c753c5fc8e3df2ae48443be77b5f117024031d751e22fd2b556a321a690148",
-                      "d2a3b9532b1ffa475ccf0749fe0505890eb96c75fd29aa2edae2bc7f88153eb2"],
 }
+for pins in (TINY_FNET_SHA256, RELU_FIRST_FNET_SHA256):
+    pins.update({late: pins["single-a"] + pins["single-b"] for late in fusion.LATE_PARADIGMS})
 
 
 def layer_kinds(net):

@@ -51,6 +51,7 @@ def run_session(tmp: Path) -> None:
         (["train", *train, "--paradigm", "late-weighted", "--optimizer", "sgd", "--out", tmp / "lw", "--quiet"], 0),
         (["train", *train, "--paradigm", "joint", "--out", tmp / "joint", "--quiet"], 0),
         (["eval", "--data", ds, "--model", tmp / "joint", "--split", "val", "--out", tmp / "ev", "--quiet"], 0),
+        (["eval", "--data", ds, "--model", tmp / "lw", "--split", "val", "--out", tmp / "ev-lw", "--quiet"], 0),
         (["compare", *train, "--out", tmp / "cmp", "--quiet"], 0),
         (["compare", "--from-tables", tmp / "cmp" / "report.csv", "--out", tmp / "tables", "--quiet"], 0),
         (["weights", "derive", "--cm-a", tmp / "cmp" / "single-a" / "confusion.csv",

@@ -15,7 +15,7 @@ def tiny_model(paradigm, seed=0, p=2, b=3):
 
 def tiny_dataset(per_class=12, seed=5):
     samples = data.synth_generate(per_class, size=16, channels_a=2, channels_b=3, n_classes=5, seed=seed)
-    return data.split(samples, data.class_names_for(5), seed=seed)
+    return data.split(samples, seed=seed)
 
 
 def train_only(samples):
@@ -176,23 +176,29 @@ def test_one_history_record_per_epoch():
     assert [r.epoch for r in history] == [0, 1, 2]
 
 
-def test_late_training_keeps_modalities_isolated():
+def test_late_training_keeps_modalities_isolated(monkeypatch):
     """Each late network must only ever see its own modality's channel count."""
-    seen = {0: set(), 1: set()}
-    model = tiny_model("late-mean", seed=8)
-    for j, net in enumerate(model.nets):
-        for method in ("forward_batch", "infer"):  # training steps, then validation passes
-            original = getattr(net, method)
+    seen, build_model = {}, fusion.build_model
 
-            def spying(inputs, _j=j, _orig=original, _method=method):
+    def spied(paradigm, *args, **kwargs):  # the single models whose networks the late model takes
+        model = build_model(paradigm, *args, **kwargs)
+        seen[paradigm] = set()
+        for method in ("forward_batch", "infer"):  # training steps, then validation passes
+            original = getattr(model.nets[0], method)
+
+            def spying(inputs, _paradigm=paradigm, _orig=original, _method=method):
                 for x in inputs if isinstance(inputs, list) else [inputs]:
-                    seen[_j].add((_method, x.shape[-1]))
+                    seen[_paradigm].add((_method, x.shape[-1]))
                 return _orig(inputs)
 
-            setattr(net, method, spying)
-    tr.train(model, tiny_dataset(), tr.TrainConfig(epochs=1, batch_size=8, seed=3))
-    assert seen[0] == {("forward_batch", 2), ("infer", 2)}  # modality A channels only
-    assert seen[1] == {("forward_batch", 3), ("infer", 3)}  # modality B channels only
+            setattr(model.nets[0], method, spying)
+        return model
+
+    monkeypatch.setattr(fusion, "build_model", spied)
+    model, _, _ = tr.train_paradigm("late-mean", tiny_dataset(), tr.TrainConfig(epochs=1, batch_size=8, seed=3), {})
+    assert [net.forward_batch.__name__ for net in model.nets] == ["spying", "spying"]
+    assert seen["single-a"] == {("forward_batch", 2), ("infer", 2)}  # modality A channels only
+    assert seen["single-b"] == {("forward_batch", 3), ("infer", 3)}  # modality B channels only
 
 
 def test_training_sets_per_channel_input_stats():
@@ -240,26 +246,25 @@ def test_training_keeps_input_stats_already_set():
 
 
 def test_late_members_share_the_late_models_input_stats():
-    model = tiny_model("late-mean", seed=13)
-    tr.train(model, tiny_dataset(), tr.TrainConfig(epochs=0))
+    model, _, _ = tr.train_paradigm("late-mean", tiny_dataset(), tr.TrainConfig(epochs=0, seed=13), {})
+    assert model.input_stats is not None
     assert all(member.input_stats is model.input_stats for member in fusion.late_members(model))
 
 
 def test_late_weighted_derives_binary_weights_from_val():
-    model = tiny_model("late-weighted", seed=9)
     ds = tiny_dataset(per_class=20, seed=13)
-    tr.train(model, ds, tr.TrainConfig(epochs=2, batch_size=8, seed=4))
+    model, _, _ = tr.train_paradigm("late-weighted", ds, tr.TrainConfig(epochs=2, batch_size=8, seed=4), {})
     assert model.alpha is not None
     assert np.all((model.alpha == 0) | (model.alpha == 1))
     assert np.all(model.alpha + model.beta == 1.0)
 
 
 def test_late_weighted_without_val_split_rejected():
-    model = tiny_model("late-weighted", seed=10)
     samples = data.synth_generate(4, size=16, channels_a=2, channels_b=3, n_classes=5, seed=1)
-    ds = train_only(samples)
+    ds, trained = train_only(samples), {}
     with pytest.raises(DataError, match="validation split"):
-        tr.train(model, ds, tr.TrainConfig(epochs=1, batch_size=4))
+        tr.train_paradigm("late-weighted", ds, tr.TrainConfig(epochs=1, batch_size=4, seed=10), trained)
+    assert trained == {}  # refused before any network trained
 
 
 def test_exploding_training_aborts_with_numeric_error():
