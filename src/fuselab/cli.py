@@ -211,15 +211,14 @@ def cmd_train(args) -> int:
     resolver.resolved["paradigm"] = args.paradigm
     resolver.get("quiet", parse_bool, False)
     dsplit = _load_and_augment(resolver, args.data)
-    model, history, _ = training.train_paradigm(args.paradigm, dsplit, cfg, {})
+    model, history, decisions = training.train_paradigm(args.paradigm, dsplit, cfg, {})
     _save_trained(out, model, history)
     resolver.write_record(out)
-    if not history:
-        _say(resolver, f"trained {args.paradigm}: 0 epochs (checkpoint equals initialization)")
-    elif not dsplit.val:
+    if decisions is None:
         _say(resolver, f"trained {args.paradigm}: {args.data} has no validation split to score")
     else:
-        _say(resolver, f"trained {args.paradigm}: final val accuracy {history[-1].val_accuracy:.3f}")
+        accuracy = (decisions.argmax(axis=1) == dsplit.val.truth()).mean()
+        _say(resolver, f"trained {args.paradigm}: final val accuracy {accuracy:.3f}")
     return 0
 
 
@@ -304,14 +303,14 @@ def cmd_compare(args) -> int:
                 )
         tables, trained = {}, {}  # every row is its paradigm's `train` run; the late rows reuse the singles
         for idx, paradigm in enumerate(fusion.PARADIGMS):
-            model, history, predictions = training.train_paradigm(paradigm, dsplit, cfg, trained)
+            model, history, decisions = training.train_paradigm(paradigm, dsplit, cfg, trained)
             _save_trained(out / paradigm, model, history)
-            cm = training.val_confusion(model, predictions, dsplit)  # each network's one final val pass
+            cm = training.val_confusion(decisions, dsplit)
             table = evaluation.metrics_from_cm(cm)
             _write_eval_files(out / paradigm, paradigm, cm, table)
             tables[paradigm] = table
             _say(resolver, f"[{idx + 1}/{len(fusion.PARADIGMS)}] {paradigm}: macro F1 {table.macro_f1:.3f}")
-            del model, history, predictions  # so the next paradigm trains without this one's parameters
+            del model, history, decisions  # so the next paradigm trains without this one's parameters
         report = evaluation.compare_paradigms(tables)
 
     out.mkdir(parents=True, exist_ok=True)

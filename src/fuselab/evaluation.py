@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 from functools import cmp_to_key
+from html import escape
 from pathlib import Path
 
 import numpy as np
@@ -249,19 +250,19 @@ def metrics_svg_text(report: ParadigmReport) -> str:
         parts.append(f'<text x="{left - 8}" y="{y + 4:.1f}" font-size="11" text-anchor="end">{frac:.2f}</text>')
     x = left + 10
     for paradigm in paradigms:
-        t = report.tables[paradigm]
+        t, name = report.tables[paradigm], escape(paradigm)
         for row_name, (metric, color) in METRIC_ROWS.items():
             v = t.macro(metric)
             h = plot_h * max(0.0, min(1.0, v))
             parts.append(
                 f'<rect x="{x:.1f}" y="{top + plot_h - h:.1f}" width="{bar_w}" height="{h:.1f}" '
-                f'fill="{color}"><title>{paradigm} {row_name}: {v:.3f}</title></rect>'
+                f'fill="{color}"><title>{name} {row_name}: {v:.3f}</title></rect>'
             )
             x += bar_w + gap
         x -= gap
         parts.append(
             f'<text x="{x - group_w / 2:.1f}" y="{top + plot_h + 16}" font-size="11" '
-            f'text-anchor="middle">{paradigm}</text>'
+            f'text-anchor="middle">{name}</text>'
         )
         x += group_gap
     ly = height - 28

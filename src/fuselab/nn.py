@@ -327,7 +327,7 @@ def cross_entropy_grad(pred: np.ndarray, classes) -> np.ndarray:
 # --- checkpoint container ------------------------------------------------
 # Binary layout (little-endian): magic "FNET", u16 version=1, u16 reserved,
 # u8 net type (0: one branch; 1: two branches), then one section per layer list:
-# the branch for type 0; branch A, branch B and the head for type 1.
+# the branch for type 0; branch A, branch B and the head for type 1. No byte follows the last section.
 # Section: u32 layer count; per layer: u8 kind tag, u8 #config, u32 config
 # values, u8 #params; per param: u8 ndim, u32 extents, float32 payload.
 
@@ -437,9 +437,9 @@ def load_network(path):
     version, _, net_type = r.unpack("<HHB")
     if version != NET_VERSION:
         raise DataError(f"{path}: checkpoint version {version}, expected {NET_VERSION}")
-    if net_type == 0:
-        return Network(_unpack_section(r, "network"))
-    if net_type == 1:
-        branch_a, branch_b, head = (_unpack_section(r, section) for section in ("branch A", "branch B", "head"))
-        return Network(branch_a, branch_b, head=head)
-    raise DataError(f"{path}: unknown network type {net_type}")
+    if net_type not in (0, 1):
+        raise DataError(f"{path}: unknown network type {net_type}")
+    sections = [_unpack_section(r, name) for name in (("network",), ("branch A", "branch B", "head"))[net_type]]
+    if r.off < len(data):
+        raise DataError(f"{path}: {len(data) - r.off} trailing bytes after the last section")
+    return Network(*sections) if net_type == 0 else Network(*sections[:2], head=sections[2])

@@ -5,10 +5,12 @@ fusion.build_model(<its single-network paradigm>, ..., seed) and shuffles on
 RNG [seed, 0]. A late model is fusion.late_model over the single-a and
 single-b models trained by that rule, so each of its networks only ever sees
 its own modality, and `train` and `compare` give a paradigm the same model.
-The late history pools the two networks' training tallies, and its validation
-columns score the mean of their predictions after each epoch. The weighted
-variant derives its per-class binary weights from the two networks'
-validation recalls, leaving the test split untouched.
+It decides by fusion.decisions over its networks' predictions; the weighted
+variant derives its per-class binary weights from their validation recalls.
+
+Every validation score of a trained paradigm (its history's val columns, the
+accuracy `train` prints, `compare`'s confusion matrix) reads the decisions
+train_paradigm hands back. A late history pools its networks' training tallies.
 
 Training first gives a model without input stats those of its training split:
 the per-channel mean and standard deviation of each modality, with which the
@@ -164,12 +166,14 @@ def input_stats(samples) -> tuple:
     return (*_channel_stats(samples.chips_a), *_channel_stats(samples.chips_b))
 
 
-def _model_predictions(model: fusion.FusionModel, samples) -> np.ndarray:
-    """The model's decision vectors on samples, in sample order, computed forward-only.
+def _model_predictions(model: fusion.FusionModel, samples) -> np.ndarray | None:
+    """The model's decision vectors on samples, in sample order, computed forward-only; None for no samples.
 
     A late model predicts as its two members do. A one-network model predicts
     in batches of batch_rows whole rows, stacking only the chips it reads.
     """
+    if not samples:
+        return None
     if model.paradigm in fusion.LATE_PARADIGMS:
         return fusion.decisions(model, [_model_predictions(m, samples) for m in fusion.late_members(model)])
     n, turns, reads = len(samples.classes), samples.turns, fusion.modalities(model)
@@ -189,11 +193,9 @@ def confusion(model: fusion.FusionModel, chunks, class_names) -> ConfusionMatrix
     return confusion_matrix(np.concatenate(preds), np.concatenate(truth), class_names)
 
 
-def val_confusion(model: fusion.FusionModel, predictions, dsplit) -> ConfusionMatrix:
-    """Confusion matrix of the trained model's decisions on the validation split,
-    from each of its networks' final validation predictions (see train_paradigm),
-    which fusion.decisions combines."""
-    return confusion_matrix(fusion.decisions(model, predictions), dsplit.val.truth(), dsplit.class_names)
+def val_confusion(decisions, dsplit) -> ConfusionMatrix:
+    """Confusion matrix of a trained paradigm's validation decisions (see train_paradigm)."""
+    return confusion_matrix(decisions, dsplit.val.truth(), dsplit.class_names)
 
 
 def _record(epoch, loss_sum, correct, seen, val_pred, dsplit) -> EpochRecord:
@@ -243,40 +245,39 @@ def train(model: fusion.FusionModel, dsplit, config: TrainConfig) -> list[EpochR
                 ) from exc
             loss_sum += loss * len(batch)
             correct += int((pred.argmax(axis=1) == y).sum())
-        val_pred = _model_predictions(model, dsplit.val) if dsplit.val else None
-        history.append(_record(epoch, loss_sum, correct, n, val_pred, dsplit))
+        history.append(_record(epoch, loss_sum, correct, n, _model_predictions(model, dsplit.val), dsplit))
     return history
 
 
 def train_paradigm(paradigm: str, dsplit, config: TrainConfig, trained: dict) -> tuple:
-    """(model, history, predictions) of the paradigm trained on dsplit by the one seed rule.
+    """(model, history, decisions) of the paradigm trained on dsplit by the one seed rule.
 
-    predictions holds each network's final validation predictions: its last
-    epoch's, one fresh pass after 0 epochs, or None without a validation
-    split. A late model is built over the single-a and single-b results in
-    `trained` (the dsplit's so far), training any that is missing into it.
+    decisions are the model's own (N, C) validation decisions: its last
+    epoch's, one pass after 0 epochs, or None without a validation split. A
+    late model is built over the single-a and single-b results in `trained`
+    (the dsplit's so far), training any that is missing into it.
     """
     if paradigm in fusion.LATE_PARADIGMS:
         if paradigm == "late-weighted" and not dsplit.val:
             raise DataError("late-weighted needs a non-empty validation split to derive its weights")
-        (model_a, history_a, pred_a), (model_b, history_b, pred_b) = (
+        (model_a, history_a, dec_a), (model_b, history_b, dec_b) = (
             trained[single] if single in trained else train_paradigm(single, dsplit, config, trained)
             for single in ("single-a", "single-b")
         )
         model = fusion.late_model(paradigm, model_a, model_b)
-        predictions = pred_a + pred_b
         if paradigm == "late-weighted":  # from the confusion matrices that `weights derive` reads
-            cms = [confusion_matrix(pred, dsplit.val.truth(), dsplit.class_names) for pred in predictions]
-            model.set_fusion_weights(*fusion.weights_from_confusions(*cms))
-        history = []  # the members' tallies pooled epoch by epoch; the val columns score their mean
-        for ra, rb in zip(history_a, history_b):
-            val_pred = None
-            if ra.val_predictions is not None:
-                val_pred = fusion.late_aggregate_mean(ra.val_predictions, rb.val_predictions)
-            history.append(_record(
-                ra.epoch, ra.train_loss_sum + rb.train_loss_sum, ra.train_correct + rb.train_correct,
-                ra.train_seen + rb.train_seen, val_pred, dsplit,
-            ))
+            model.set_fusion_weights(*fusion.weights_from_confusions(val_confusion(dec_a, dsplit),
+                                                                     val_confusion(dec_b, dsplit)))
+
+        def decide(pred_a, pred_b):  # the late model's decisions over its members' predictions, if any
+            return None if pred_a is None else fusion.decisions(model, (pred_a, pred_b))
+
+        history = [  # the members' tallies pooled epoch by epoch; the val columns score the model's decisions
+            _record(ra.epoch, ra.train_loss_sum + rb.train_loss_sum, ra.train_correct + rb.train_correct,
+                    ra.train_seen + rb.train_seen, decide(ra.val_predictions, rb.val_predictions), dsplit)
+            for ra, rb in zip(history_a, history_b)
+        ]
+        decisions = decide(dec_a, dec_b)
     else:
         h, w, p = dsplit.train.chips_a.shape[1:]
         model = fusion.build_model(paradigm, w, h, p, dsplit.train.chips_b.shape[3], len(dsplit.class_names),
@@ -284,13 +285,10 @@ def train_paradigm(paradigm: str, dsplit, config: TrainConfig, trained: dict) ->
         if trained:  # the training split's stats, the same for every model of a run, measured once
             model.input_stats = next(iter(trained.values()))[0].input_stats
         history = train(model, dsplit, config)
-        if history or not dsplit.val:
-            predictions = (history[-1].val_predictions if history else None,)
-        else:
-            predictions = (_model_predictions(model, dsplit.val),)
+        decisions = history[-1].val_predictions if history else _model_predictions(model, dsplit.val)
     if paradigm in ("single-a", "single-b"):  # kept for the late models; other models are freed with their row
-        trained[paradigm] = model, history, predictions
-    return model, history, predictions
+        trained[paradigm] = model, history, decisions
+    return model, history, decisions
 
 
 def save_history(path, history: list[EpochRecord]) -> None:

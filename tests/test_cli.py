@@ -238,6 +238,32 @@ def test_compare_row_is_the_train_run_of_its_paradigm(compares_by_seed, tmp_path
         assert (compares_by_seed / f"c{seed}" / paradigm / name).read_bytes() == blob, name
 
 
+SCORED_RUN = ["--epochs", "1", "--learning-rate", "1e-4", "--seed", "1"]
+
+
+@pytest.fixture(scope="module")
+def scored_compare(tmp_path_factory):
+    """A 16x16 dataset d of 20 rows a class (seed 1) and its `compare` under SCORED_RUN in c."""
+    root = tmp_path_factory.mktemp("scored")
+    assert main(synth_args(root / "d", seed=1)) == 0
+    assert main(["compare", "--data", str(root / "d"), "--out", str(root / "c"), *SCORED_RUN, "--quiet"]) == 0
+    return root
+
+
+@pytest.mark.parametrize("paradigm", fusion.PARADIGMS)
+def test_every_validation_score_of_a_paradigm_is_one_answer(scored_compare, tmp_path, capsys, paradigm):
+    """compare's confusion.csv, history.csv's last val_accuracy and the accuracy `train` prints all
+    score the paradigm's own validation decisions, late-weighted's weighted ones included."""
+    row = scored_compare / "c" / paradigm
+    counts = ev.parse_confusion_csv(row / "confusion.csv").counts
+    accuracy = np.trace(counts) / counts.sum()
+    assert float((row / "history.csv").read_text().splitlines()[-1].rsplit(",", 1)[1]) == accuracy
+    capsys.readouterr()
+    assert main(["train", "--data", str(scored_compare / "d"), "--paradigm", paradigm, "--out", str(tmp_path / "m"),
+                 *SCORED_RUN]) == 0
+    assert capsys.readouterr().out == f"trained {paradigm}: final val accuracy {accuracy:.3f}\n"
+
+
 def test_train_early_first_layer_spans_modalities(tiny_dataset_dir, tmp_path):
     out = tmp_path / "model"
     assert main(
@@ -885,6 +911,8 @@ TYPED_ERRORS = {
                        ["net_0.fnet: bad magic, not a network checkpoint"]),
     "fnet-unknown-network-type": (edit_bytes(FNET, packed("<B", 8, 7)), EVAL, "data",
                                   ["net_0.fnet: unknown network type 7"]),
+    "fnet-trailing-bytes": (edit_bytes(FNET, lambda b: b + b"garbage" + b), EVAL, "data",
+                            ["net_0.fnet: ", " trailing bytes after the last section"]),
     "metrics-row-field-count": (edit_line("ev/metrics.csv", -1, lambda line: line.rsplit(",", 1)[0]),
                                 FROM_TABLES, "data", ["metrics.csv:6: expected", "fields, got"]),
     "confusion-no-class-header": (edit_line("ev/confusion.csv", 0, lambda line: line.replace("class", "truth", 1)),

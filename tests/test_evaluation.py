@@ -261,6 +261,20 @@ def test_svg_structure(tmp_path):
     assert len(bars) == 6 * 4  # six paradigms, four metric bars each
 
 
+def test_svg_escapes_paradigm_names(tmp_path):
+    """A --from-tables block may be named anything; the chart still parses and shows the name as given."""
+    tables = reference_tables()
+    names = ['a&b', '<late>', 'x > y', 'say "hi"']
+    report = ev.compare_paradigms(dict(zip(names, [tables["joint"], tables["early"], tables["late-mean"],
+                                                   tables["single-a"]])))
+    root = ET.fromstring(ev.emit_report(report, "svg", tmp_path / "m.svg").read_text())
+    labels = [e.text for e in root.iter() if e.tag.endswith("text") and e.get("text-anchor") == "middle"]
+    assert sorted(labels) == sorted(names)
+    titles = [e.text for e in root.iter() if e.tag.endswith("title")]
+    assert sorted(title.rsplit(": ", 1)[0] for title in titles) == sorted(
+        f"{name} {row}" for name in names for row in ev.METRIC_ROWS)
+
+
 def test_unknown_format_rejected(tmp_path):
     report = ev.compare_paradigms({"joint": reference_tables()["joint"]})
     with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fuselab import nn
+from fuselab import data, nn
 from fuselab.errors import DataError, ShapeError
 
 from gradcheck import float64_copy, gradient_check
@@ -389,6 +389,33 @@ def test_checkpoint_version_mismatch(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(DataError, match="checkpoint version 99, expected 1"):
         nn.load_network(path)
+
+
+@pytest.fixture(scope="module")
+def saved_files(tmp_path_factory):
+    """A directory holding a saved 4x4x3 chip and a saved one- and two-branch network."""
+    root = tmp_path_factory.mktemp("saved")
+    rng = np.random.default_rng(20)
+    data.save_chip(root / "chip.fchp", rng.normal(size=(4, 4, 3)).astype(np.float32))
+    nn.save_network(root / "one.fnet", small_net(rng))
+    nn.save_network(root / "two.fnet", two_branch_net(rng))
+    return root
+
+
+@pytest.mark.parametrize("name, load", [("chip.fchp", data.load_chip), ("one.fnet", nn.load_network),
+                                        ("two.fnet", nn.load_network)])
+@given(draw=st.data())
+@settings(max_examples=60, deadline=None)
+def test_every_proper_prefix_and_appended_tail_is_a_data_error(saved_files, name, load, draw):
+    """A file cut short or followed by any bytes is refused as DataError, and by nothing else."""
+    blob = (saved_files / name).read_bytes()
+    prefix = blob[: draw.draw(st.integers(0, len(blob) - 1), label="prefix length")]
+    tail = draw.draw(st.binary(min_size=1, max_size=64) | st.just(b"garbage" + blob), label="tail")
+    corrupt = saved_files / f"corrupt-{name}"
+    for bad in (prefix, blob + tail):
+        corrupt.write_bytes(bad)
+        with pytest.raises(DataError):
+            load(corrupt)
 
 
 @NETS
