@@ -105,9 +105,7 @@ class DatasetSplit:
 
 
 def _partition(classes, n_classes: int, fractions, seed: int, stratified: bool) -> list:
-    """Row indices of train, val and test; floor sizes, remainder to train."""
-    if not len(classes):
-        raise ValueError("cannot split an empty sample list")
+    """Row indices of train, val and test over a non-empty class list; floor sizes, remainder to train."""
     if len(fractions) != 3 or any(not 0.0 < f < 1.0 for f in fractions):
         raise ValueError(f"fractions must be three values in (0,1), got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
@@ -241,6 +239,8 @@ def synth_generate(
     """
     if per_class < 1:
         raise ValueError("per_class must be >= 1")
+    if n_classes < 1:
+        raise ValueError(f"classes must be >= 1, got {n_classes}")
     if min(size, channels_a, channels_b) < 1:
         raise ValueError(f"chip size and channel counts must be >= 1, got {size}x{size}, "
                          f"P={channels_a}, B={channels_b}")
@@ -273,9 +273,7 @@ _HEADER = struct.Struct("<4sHHIII")
 
 
 def save_chip(path, chip: np.ndarray) -> None:
-    chip = np.asarray(chip)
-    if chip.ndim != 3:
-        raise ShapeError(f"chips are (H, W, C) arrays, got shape {chip.shape}")
+    """Write one (H, W, C) chip."""
     h, w, c = chip.shape
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(CHIP_MAGIC, CHIP_VERSION, 0, w, h, c))

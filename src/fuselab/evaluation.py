@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import read_text
-from .errors import DataError, ShapeError
+from .errors import DataError
 
 TIE_EPS = 1e-9  # macro-F1 differences below this count as a tie
 
@@ -39,37 +39,27 @@ METRIC_ROWS = {
 
 @dataclass
 class ConfusionMatrix:
+    """Square non-negative counts, one row and column per class name: confusion_matrix counts them,
+    parse_confusion_csv checks a table's."""
+
     counts: np.ndarray  # (C, C) int64, rows = truth, cols = prediction
     class_names: tuple
     row_normalized: np.ndarray = field(init=False)
+    total: int = field(init=False)
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
-        c = len(self.class_names)
-        if self.counts.shape != (c, c):
-            raise ShapeError(f"confusion counts {self.counts.shape} != ({c}, {c})")
-        if (self.counts < 0).any():
-            raise ValueError("confusion counts must be non-negative")
         totals = self.counts.sum(axis=1)
         safe = np.where(totals == 0, 1, totals)
         self.row_normalized = self.counts / safe[:, None]
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
+        self.total = int(totals.sum())
 
 
 def confusion_matrix(predictions, classes, class_names=None) -> ConfusionMatrix:
-    """Count argmax decisions against true class indices (ValueError if out of range); ties go to the lowest."""
+    """Count the argmax decisions of one prediction row per true class index; ties go to the lowest."""
     predictions = np.atleast_2d(np.asarray(predictions))
     classes = np.atleast_1d(np.asarray(classes))
-    if len(predictions) != len(classes):
-        raise ShapeError(f"{len(predictions)} predictions vs {len(classes)} classes")
-    if len(predictions) == 0:
-        raise ValueError("need at least one sample")
     c = predictions.shape[1]
-    if not np.issubdtype(classes.dtype, np.integer) or ((classes < 0) | (classes >= c)).any():
-        raise ValueError(f"class indices must be integers in 0..{c - 1}, got {classes.tolist()}")
     names = tuple(class_names) if class_names else tuple(f"class{i}" for i in range(c))
     counts = np.zeros((c, c), dtype=np.int64)
     np.add.at(counts, (classes, predictions.argmax(axis=1)), 1)
@@ -105,8 +95,6 @@ def metrics_from_cm(cm: ConfusionMatrix) -> MetricsTable:
     """
     counts = cm.counts
     c = len(cm.class_names)
-    if cm.total == 0:
-        raise ValueError("empty confusion matrix")
     tp = np.diag(counts).astype(np.float64)
     row = counts.sum(axis=1).astype(np.float64)
     col = counts.sum(axis=0).astype(np.float64)
@@ -156,8 +144,6 @@ def compare_paradigms(tables: dict) -> ParadigmReport:
     per-class values sum to the same decimal rank by robustness, not by
     floating-point noise.
     """
-    if not tables:
-        raise ValueError("no paradigm tables to compare")
     entries = [RankEntry(name, t.macro_f1, t.min_f1) for name, t in tables.items()]
 
     def cmp(x: RankEntry, y: RankEntry) -> int:
@@ -279,8 +265,7 @@ _EMITTERS = {"csv": metrics_csv_text, "markdown": metrics_markdown_text, "svg": 
 
 
 def emit_report(report: ParadigmReport, fmt: str, path) -> Path:
-    if fmt not in _EMITTERS:
-        raise ValueError(f"unknown report format {fmt!r}; valid: {', '.join(_EMITTERS)}")
+    """Write the report in fmt, one of _EMITTERS' keys."""
     path = Path(path)
     path.write_text(_EMITTERS[fmt](report))
     return path

@@ -20,7 +20,9 @@ NETWORK_INPUTS is the one statement of how each paradigm is wired: which
 networks it holds and what each network reads. build_model, network_inputs,
 decisions and load_model all follow it. build_model and load_model learn what
 shape each layer gives by running the networks on a batch of no samples
-(_empty_inputs), so every layer's own input check runs.
+(_empty_inputs), so every layer's own input check runs. load_model also
+refuses a network that does not end in a softmax layer: late fusion combines
+class probabilities, so no aggregation rule checks its inputs again.
 
 Every model standardizes its input chips per channel with the mean and
 standard deviation of its training chips (InputStats, set by training and
@@ -99,7 +101,12 @@ class FusionModel:
     def set_fusion_weights(self, alpha, beta) -> None:
         alpha = np.asarray(alpha, dtype=np.float32)
         beta = np.asarray(beta, dtype=np.float32)
-        validate_fusion_weights(alpha, beta, self.n_classes)
+        if alpha.shape != (self.n_classes,) or beta.shape != (self.n_classes,):
+            raise ShapeError(f"fusion weights must be length {self.n_classes}, got {alpha.shape} and {beta.shape}")
+        if not (np.isin(alpha, (0.0, 1.0)).all() and np.isin(beta, (0.0, 1.0)).all()):
+            raise ValueError("fusion weights must be binary (0 or 1 per class)")
+        if not np.all(alpha + beta == 1.0):
+            raise ValueError("fusion weights must be complementary: alpha[c] + beta[c] == 1 for every class")
         self.alpha, self.beta = alpha, beta
 
     def set_input_stats(self, mean_a, std_a, mean_b, std_b) -> None:
@@ -168,8 +175,6 @@ def build_model(
     built with the same seed, so each of its networks starts as that single
     model's does.
     """
-    if paradigm not in PARADIGMS:
-        raise ValueError(f"unknown paradigm {paradigm!r}; valid: {', '.join(PARADIGMS)}")
     if paradigm in LATE_PARADIGMS:
         return late_model(paradigm, *(build_model(single, width, height, channels_a, channels_b, n_classes, seed,
                                                   conv_channels, dense_units, class_names)
@@ -197,11 +202,6 @@ def build_model(
 def late_model(paradigm: str, single_a: FusionModel, single_b: FusionModel) -> FusionModel:
     """The late model over a single-a and a single-b model; it shares their
     networks and class names and takes each one's input stats for its own modality."""
-    if paradigm not in LATE_PARADIGMS or (single_a.paradigm, single_b.paradigm) != ("single-a", "single-b"):
-        raise ValueError(f"cannot build {paradigm} from {single_a.paradigm} and {single_b.paradigm} models")
-    if single_a.class_names != single_b.class_names:
-        raise ValueError(f"cannot build {paradigm} from models of classes {single_a.class_names} "
-                         f"and {single_b.class_names}")
     model = FusionModel(paradigm, single_a.nets + single_b.nets, single_a.chip_shape_a, single_a.chip_shape_b,
                         single_a.n_classes, class_names=single_a.class_names)
     sa, sb = single_a.input_stats, single_b.input_stats
@@ -219,45 +219,20 @@ def late_members(model: FusionModel) -> tuple[FusionModel, FusionModel]:
     )
 
 
-def validate_fusion_weights(alpha: np.ndarray, beta: np.ndarray, n_classes: int) -> None:
-    alpha = np.asarray(alpha)
-    beta = np.asarray(beta)
-    if alpha.shape != (n_classes,) or beta.shape != (n_classes,):
-        raise ShapeError(f"fusion weights must be length {n_classes}, got {alpha.shape} and {beta.shape}")
-    if not (np.isin(alpha, (0.0, 1.0)).all() and np.isin(beta, (0.0, 1.0)).all()):
-        raise ValueError("fusion weights must be binary (0 or 1 per class)")
-    if not np.all(alpha + beta == 1.0):
-        raise ValueError("fusion weights must be complementary: alpha[c] + beta[c] == 1 for every class")
-
-
-def _check_prediction_pair(pred_a, pred_b):
-    pred_a = np.asarray(pred_a)
-    pred_b = np.asarray(pred_b)
-    if pred_a.shape != pred_b.shape:
-        raise ShapeError(f"prediction shapes differ: {pred_a.shape} vs {pred_b.shape}")
-    sums = np.concatenate([pred_a.sum(axis=-1, keepdims=True), pred_b.sum(axis=-1, keepdims=True)])
-    if not np.allclose(sums, 1.0, atol=1e-4):
-        raise ValueError("inputs are not valid prediction vectors (rows must sum to 1)")
-    return pred_a, pred_b
-
-
 def late_aggregate_mean(pred_a, pred_b) -> np.ndarray:
     """Decision-level fusion by simple mean; argmax-equivalent to summing."""
-    pred_a, pred_b = _check_prediction_pair(pred_a, pred_b)
-    return (pred_a + pred_b) / 2.0
+    return (np.asarray(pred_a) + np.asarray(pred_b)) / 2.0
 
 
 def late_aggregate_weighted(pred_a, pred_b, alpha, beta) -> np.ndarray:
     """Per-class weighted combination alpha*pred_a + beta*pred_b.
 
     The output is intentionally not renormalized; only its argmax is
-    consumed downstream.
+    consumed downstream. The weights are checked where they enter, by
+    FusionModel.set_fusion_weights.
     """
-    pred_a, pred_b = _check_prediction_pair(pred_a, pred_b)
-    alpha = np.asarray(alpha, dtype=pred_a.dtype)
-    beta = np.asarray(beta, dtype=pred_b.dtype)
-    validate_fusion_weights(alpha, beta, pred_a.shape[-1])
-    return alpha * pred_a + beta * pred_b
+    pred_a, pred_b = np.asarray(pred_a), np.asarray(pred_b)
+    return np.asarray(alpha, dtype=pred_a.dtype) * pred_a + np.asarray(beta, dtype=pred_b.dtype) * pred_b
 
 
 def derive_weights(recall_a, recall_b) -> tuple[np.ndarray, np.ndarray]:
@@ -266,14 +241,7 @@ def derive_weights(recall_a, recall_b) -> tuple[np.ndarray, np.ndarray]:
     alpha[c] = 1 where model A recalled class c strictly better, else 0;
     beta = 1 - alpha, so ties go to model B.
     """
-    recall_a = np.asarray(recall_a, dtype=np.float64)
-    recall_b = np.asarray(recall_b, dtype=np.float64)
-    if recall_a.shape != recall_b.shape or recall_a.ndim != 1:
-        raise ShapeError(f"recall vectors must share one axis, got {recall_a.shape} and {recall_b.shape}")
-    for name, r in (("recall_a", recall_a), ("recall_b", recall_b)):
-        if ((r < 0) | (r > 1)).any():
-            raise ValueError(f"{name} entries must lie in [0, 1]")
-    alpha = (recall_a > recall_b).astype(np.float32)
+    alpha = (np.asarray(recall_a, dtype=np.float64) > np.asarray(recall_b, dtype=np.float64)).astype(np.float32)
     return alpha, 1.0 - alpha
 
 
@@ -311,8 +279,6 @@ def decisions(model: FusionModel, preds) -> np.ndarray:
     if model.paradigm == "late-mean":
         return late_aggregate_mean(*preds)
     if model.paradigm == "late-weighted":
-        if model.alpha is None or model.beta is None:
-            raise ValueError("late-weighted model has no fusion weights yet; train it (or set them) first")
         return late_aggregate_weighted(*preds, model.alpha, model.beta)
     (pred,) = preds
     return pred
@@ -420,8 +386,11 @@ def load_model(model_dir) -> FusionModel:
     for key, (valid, wanted) in {**_META_KEYS, **_OPTIONAL_META_KEYS}.items():
         if not valid(meta.get(key)):
             raise DataError(f"{meta_path}: {key!r} must be {wanted}, got {meta[key]!r}")
-    if meta["paradigm"] == "late-weighted" and (meta.get("alpha") is None or meta.get("beta") is None):
+    weighted = meta["paradigm"] == "late-weighted"
+    if weighted and (meta.get("alpha") is None or meta.get("beta") is None):
         raise DataError(f"{meta_path}: a late-weighted model needs fusion weights, but alpha or beta is null")
+    if not weighted and (meta.get("alpha") is not None or meta.get("beta") is not None):
+        raise DataError(f"{meta_path}: a {meta['paradigm']} model takes no fusion weights, but alpha or beta is set")
     if meta["chip_shape_a"][:2] != meta["chip_shape_b"][:2]:  # no dataset pairs such chips
         raise DataError(f"{meta_path}: A chips {meta['chip_shape_a']} and B chips {meta['chip_shape_b']} "
                         f"differ in height and width")
@@ -452,7 +421,10 @@ def load_model(model_dir) -> FusionModel:
         if out.shape[1:] != (model.n_classes,):
             raise DataError(f"{model_dir / name}: the network must output {model.n_classes} classes, it gives "
                             f"{' x '.join(map(str, out.shape[1:]))}")
-    if meta.get("alpha") is not None:
+        last = net.head if len(net.branches) > 1 else net.branches[0]  # the layers that give the output
+        if not (last and isinstance(last[-1], nn.Softmax)):  # late fusion combines class probabilities
+            raise DataError(f"{model_dir / name}: the network must end in a softmax layer")
+    if weighted:
         try:
             model.set_fusion_weights(meta["alpha"], meta["beta"])
         except ValueError as exc:  # ShapeError included: the file's weights are bad data

@@ -52,22 +52,19 @@ class Layer:
         return [getattr(self, "grad_" + name) for name in self._param_names]
 
     def _take_cache(self):
-        """Return what forward cached and clear it, so a second backward raises."""
-        if self._cache is None:
-            raise RuntimeError(f"{type(self).__name__}.backward before forward")
+        """Return what forward cached and clear it, so backward keeps nothing alive."""
         cache, self._cache = self._cache, None
         return cache
 
 
 class Conv(Layer):
-    """3x3-style convolution, stride 1, `same` zero padding: pad, im2col, one GEMM."""
+    """3x3-style convolution, stride 1, `same` zero padding: pad, im2col, one GEMM. The kernel size k is odd
+    (fusion builds k=3; load_network refuses an even one)."""
 
     kind = "conv"
     _param_names = ("weights", "bias")
 
     def __init__(self, k: int, cin: int, cout: int, rng: np.random.Generator | None = None):
-        if k % 2 == 0:
-            raise ShapeError(f"Conv kernel must be odd for same padding, got {k}")
         self.k, self.cin, self.cout = k, cin, cout
         fan = k * k
         if rng is None:
@@ -151,7 +148,7 @@ class Dense(Layer):
         if x.ndim != 2 or x.shape[1] != self.nin:
             raise ShapeError(f"Dense({self.nin}->{self.nout}) got input {x.shape}")
         self._cache = x
-        return tensor.matmul(x, self.weights) + self.bias
+        return tensor.matmul(x, self.weights, self.bias)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         x = self._take_cache()
@@ -295,13 +292,8 @@ def gradients(net) -> list[np.ndarray]:
 
 
 def _target_index(pred: np.ndarray, classes) -> tuple[np.ndarray, np.ndarray]:
-    """The (rows, classes) index of each prediction row's true class; ValueError for a class out of range."""
+    """The (rows, classes) index of each prediction row's true class, one class index per row."""
     classes = np.atleast_1d(np.asarray(classes))
-    if classes.shape != pred.shape[:1]:
-        raise ShapeError(f"pred {pred.shape} vs classes {classes.shape}")
-    n_classes = pred.shape[1]
-    if not np.issubdtype(classes.dtype, np.integer) or ((classes < 0) | (classes >= n_classes)).any():
-        raise ValueError(f"classes must be integers in 0..{n_classes - 1}, got {classes.tolist()}")
     return np.arange(len(classes)), classes
 
 
@@ -371,9 +363,12 @@ class _Reader:
 
 
 def _param_shapes(path: str, kind: str, cfg: tuple) -> list[tuple[int, ...]]:
-    """Shapes of the parameters a `kind` layer built from `cfg` owns, found without building it."""
+    """Shapes of the parameters a `kind` layer built from `cfg` owns, found without building it;
+    DataError for a config the layer cannot take, an even conv kernel included."""
     if kind == "conv" and len(cfg) == 3:
         k, cin, cout = cfg
+        if k % 2 == 0:
+            raise DataError(f"{path}: Conv kernel must be odd for same padding, got {k}")
         return [(k, k, cin, cout), (cout,)]
     if kind == "dense" and len(cfg) == 2:
         nin, nout = cfg
@@ -415,8 +410,6 @@ def _unpack_section(r: _Reader, section: str) -> list:
 
 def save_network(path, net) -> None:
     """Write type 0 (one section) for one branch, type 1 (branches A, B, head) for two."""
-    if len(net.branches) > 2:
-        raise ShapeError(f"a .fnet holds one or two branches, this network has {len(net.branches)}")
     net_type = len(net.branches) - 1
     sections = net.branches if net_type == 0 else [*net.branches, net.head]
     blob = b"".join([

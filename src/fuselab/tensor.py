@@ -32,14 +32,11 @@ def _check_finite(out: np.ndarray, op: str) -> np.ndarray:
     return out
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Checked 2-D matrix product a @ b in the operands' own dtype."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
+def matmul(a: np.ndarray, b: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
+    """Finite-checked matrix product a @ b, plus bias when given, in the operands' own dtype (Dense checks its
+    input's shape)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _check_finite(a @ b, "matmul")
+        return _check_finite(a @ b if bias is None else a @ b + bias, "matmul")
 
 
 def im2col(xp: np.ndarray, k: int) -> tuple[np.ndarray, int, int]:

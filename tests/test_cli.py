@@ -850,11 +850,12 @@ def test_help_exits_zero(capsys):
 @pytest.fixture(scope="module")
 def error_inputs(tmp_path_factory):
     """ds: a 16x16 dataset of 10 rows a class, so each class has one val row and no test row;
-    model: a single-a model of it, trained for no epoch; ev: that model's eval files."""
+    model and lw: a single-a and a late-weighted model of it, trained for no epoch; ev: model's eval files."""
     t = tmp_path_factory.mktemp("errors")
     assert main(synth_args(t / "ds", per_class=10)) == 0
-    assert main(["train", "--data", str(t / "ds"), "--paradigm", "single-a", "--epochs", "0",
-                 "--out", str(t / "model"), "--quiet"]) == 0
+    for paradigm, out in (("single-a", "model"), ("late-weighted", "lw")):
+        assert main(["train", "--data", str(t / "ds"), "--paradigm", paradigm, "--epochs", "0",
+                     "--out", str(t / out), "--quiet"]) == 0
     assert main(["eval", "--data", str(t / "ds"), "--model", str(t / "model"), "--out", str(t / "ev"), "--quiet"]) == 0
     return t
 
@@ -875,17 +876,81 @@ def edit_line(name, index, edit):
     return apply
 
 
-def packed(fmt, offset, value):
-    """An edit of bytes that packs value as fmt at offset."""
+def packed(fmt, offset, *values):
+    """An edit of bytes that packs values as fmt at offset."""
     def apply(blob):
-        struct.pack_into(fmt, blob, offset, value)
+        struct.pack_into(fmt, blob, offset, *values)
         return blob
     return apply
 
 
-CHIP, FNET = "ds/chips/city-0000_a.fchp", "model/net_0.fnet"
+def edit_json(name, **values):
+    """An edit of a copy t of error_inputs: the JSON object in t/name takes the given values."""
+    return edit_bytes(name, lambda b: json.dumps({**json.loads(b), **values}).encode())
+
+
+def edit_net(name, edit):
+    """An edit of a copy t of error_inputs: edit(the layer list) of the one-branch network in the .fnet
+    t/name, which is then saved back."""
+    def apply(t):
+        net = nn.load_network(t / name)
+        edit(net.branches[0])
+        nn.save_network(t / name, net)
+    return apply
+
+
+def edit_first_chips(edit):
+    """An edit of a copy t of error_inputs: both chips of the manifest's first record become edit(their bytes)."""
+    def apply(t):
+        record = json.loads((t / MANIFEST).read_text().splitlines()[0])
+        for key in ("chip_a", "chip_b"):
+            edit_bytes(f"ds/{record[key]}", edit)(t)
+    return apply
+
+
+def edits(*each):
+    """The edits of a copy t of error_inputs, in order."""
+    def apply(t):
+        for edit in each:
+            edit(t)
+    return apply
+
+
+def synth(name, **kw):
+    """An edit of a copy t of error_inputs that writes the dataset t/name (see synth_args)."""
+    def apply(t):
+        assert main(synth_args(t / name, **kw)) == 0
+    return apply
+
+
+def pool_after_flatten(layers):
+    layers.insert([layer.kind for layer in layers].index("flatten") + 1, nn.MaxPool2())
+
+
+def even_first_kernel(layers):
+    layers[0] = nn.Conv(2, layers[0].cin, layers[0].cout)  # its parameters match its config
+
+
+def fill_dense_weights(layers):
+    for layer in layers:
+        if layer.kind == "dense":
+            layer.weights.fill(3e38)
+
+
+def overflow_last_dense(layers):
+    """Finite parameters whose last Dense output overflows: its inputs are all 1 (the first Dense gives 1 before
+    ReLU), their weighted sum is 2e38 and the bias adds 3e38."""
+    first, last = [layer for layer in layers if layer.kind == "dense"]
+    first.weights.fill(0)
+    first.bias.fill(1)
+    last.weights.fill(2e38 / last.nin)
+    last.bias.fill(3e38)
+
+
+CHIP, FNET, MANIFEST = "ds/chips/city-0000_a.fchp", "model/net_0.fnet", "ds/manifest.jsonl"
 TRAIN = "train --data {t}/ds --paradigm single-a --epochs 0 --out {t}/o"
 EVAL = "eval --data {t}/ds --model {t}/model --out {t}/o"
+LATE_EVAL = "eval --data {t}/ds --model {t}/lw --out {t}/o"
 DERIVE = "weights derive --cm-a {t}/ev/confusion.csv --cm-b {t}/ev/confusion.csv"
 FROM_TABLES = "compare --from-tables {t}/ev/metrics.csv --out {t}/o"
 # name -> (edit of a copy t of error_inputs or None, command with leading VAR=value settings of the environment,
@@ -953,6 +1018,72 @@ TYPED_ERRORS = {
     "run-config-deep-nesting": (edit_bytes("ds/run-config.json", lambda b: b"[" * 200_000),
                                 "dataset split --data {t}/ds", "data",
                                 ["run-config.json: not valid JSON", "recursion"]),
+    # settings
+    "synth-no-class": (None, "dataset synth --out {t}/new --classes 0", "usage", ["classes must be >= 1, got 0"]),
+    "synth-negative-classes": (None, "dataset synth --out {t}/new --classes -1", "usage",
+                               ["classes must be >= 1, got -1"]),
+    "fraction-of-0": (None, "dataset split --data {t}/ds --fractions 0.5,0.5,0", "usage",
+                      ["fractions must be three values in (0,1), got (0.5, 0.5, 0.0)"]),
+    "fractions-not-summing-to-1": (None, "dataset split --data {t}/ds --fractions 0.5,0.3,0.3", "usage",
+                                   ["fractions must sum to 1, got (0.5, 0.3, 0.3)"]),
+    "train-negative-epochs": (None, "train --data {t}/ds --paradigm single-a --epochs -1 --out {t}/o", "usage",
+                              ["epochs must be >= 0, got -1"]),
+    "train-batch-size-0": (None, TRAIN + " --batch-size 0", "usage", ["batch_size must be >= 1, got 0"]),
+    "train-learning-rate-0": (None, TRAIN + " --learning-rate 0", "usage", ["learning_rate must be > 0, got 0.0"]),
+    "train-optimizer-from-env": (None, "FUSELAB_OPTIMIZER=rmsprop " + TRAIN, "usage",
+                                 ["optimizer must be one of ('sgd', 'adam'), got 'rmsprop'"]),
+    # datasets
+    "train-chips-too-small": (synth("small", per_class=10, size=4),
+                              "train --data {t}/small --paradigm single-a --epochs 0 --out {t}/o", "data",
+                              ["chips 4x4 too small for 3 pooling stages"]),
+    "chip-bad-magic": (edit_bytes(CHIP, lambda b: b"NOPE" + b[4:]), EVAL, "data",
+                       ["city-0000_a.fchp: bad magic, not a chip file"]),
+    "chip-version-2": (edit_bytes(CHIP, packed("<H", 4, 2)), EVAL, "data",
+                       ["city-0000_a.fchp: chip format version 2, expected 1"]),
+    "chips-not-square": (edit_first_chips(packed("<II", 8, 32, 8)), EVAL, "data",  # W and H: same byte count
+                         ["augmentation needs square chips, got 8x32"]),
+    "no-manifest": (lambda t: (t / MANIFEST).unlink(), EVAL, "data", ["ds: no manifest.jsonl found"]),
+    "manifest-record-missing-fields": (
+        edit_line(MANIFEST, 1, lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "lat"})),
+        EVAL, "data", ["manifest.jsonl:2: record missing fields ['lat']"]),
+    "manifest-lat-not-a-number": (edit_line(MANIFEST, 1, lambda line: json.dumps({**json.loads(line), "lat": "N"})),
+                                  EVAL, "data", ["manifest.jsonl:2: lat and lon must be numbers, got 'N' and "]),
+    "model-without-class-names-on-other-classes": (
+        edits(edit_json("model/model.json", class_names=None),
+              edit_bytes(MANIFEST, lambda b: b.replace(b'"class": "vegetation"', b'"class": "city"'))),
+        EVAL, "data", ["/model has 5 classes, dataset", "/ds has 4"]),
+    # tables
+    "metrics-bad-header": (edit_line("ev/metrics.csv", 0, lambda line: "a,b,c"), FROM_TABLES, "data",
+                           ["metrics.csv: expected header paradigm,class,accuracy,precision,recall,f1"]),
+    "confusion-counts-past-int64": (  # 13 decimal places: every cell is scaled by 10**13
+        edit_line("ev/confusion.csv", 1, lambda line: line.rsplit(",", 1)[0] + ",999999.9999999999999"),
+        DERIVE, "data", ["confusion.csv: counts (cells scaled by 10**13) sum past the int64 range"]),
+    # models
+    "model-weights-not-binary": (edit_json("lw/model.json", alpha=[0.5] * 5, beta=[0.5] * 5), LATE_EVAL, "data",
+                                 ["model.json: fusion weights must be binary"]),
+    "model-weights-not-complementary": (edit_json("lw/model.json", alpha=[1] * 5, beta=[1] * 5), LATE_EVAL, "data",
+                                        ["model.json: fusion weights must be complementary"]),
+    "model-weights-of-4-classes": (edit_json("lw/model.json", alpha=[1, 0, 1, 0], beta=[0, 1, 0, 1]), LATE_EVAL,
+                                   "data", ["model.json: fusion weights must be length 5, got (4,) and (4,)"]),
+    "model-weights-on-single-a": (edit_json("model/model.json", alpha=[1, 0, 1, 0, 1], beta=[0, 1, 0, 1, 0]),
+                                  EVAL, "data", ["model.json: a single-a model takes no fusion weights"]),
+    "model-weights-on-late-mean": (edit_json("lw/model.json", paradigm="late-mean", beta=None), LATE_EVAL, "data",
+                                   ["model.json: a late-mean model takes no fusion weights"]),
+    "fnet-version-2": (edit_bytes(FNET, packed("<H", 4, 2)), EVAL, "data",
+                       ["net_0.fnet: checkpoint version 2, expected 1"]),
+    "fnet-even-kernel": (edit_net(FNET, even_first_kernel), EVAL, "data",
+                         ["net_0.fnet: Conv kernel must be odd for same padding, got 2"]),
+    "fnet-maxpool-after-flatten": (edit_net(FNET, pool_after_flatten), EVAL, "data",
+                                   ["net_0.fnet: maxpool2 expects (N,H,W,C), got (0, "]),
+    "fnet-without-softmax": (edit_net(FNET, list.pop), EVAL, "data",
+                             ["model/net_0.fnet: the network must end in a softmax layer"]),
+    "late-fnet-without-softmax": (edits(edit_json("lw/model.json", paradigm="late-mean", alpha=None, beta=None),
+                                        edit_net("lw/net_0.fnet", list.pop)), LATE_EVAL, "data",
+                                  ["lw/net_0.fnet: the network must end in a softmax layer"]),
+    "dense-weights-overflow": (edit_net(FNET, fill_dense_weights), EVAL, "numeric",
+                               ["matmul produced non-finite values"]),
+    "late-dense-bias-overflow": (edit_net("lw/net_0.fnet", overflow_last_dense), LATE_EVAL, "numeric",
+                                 ["matmul produced non-finite values"]),
 }
 
 

