@@ -16,8 +16,8 @@ import sys
 from pathlib import Path
 
 from . import data, evaluation, fusion, train as training
-from .config import Resolver, parse_bool, parse_fractions, read_json_object
-from .errors import DataError, NumericError, ShapeError
+from .config import Resolver, parse_bool, parse_fractions, parse_seed, read_json_object
+from .errors import DataError, NumericError
 
 COMPARE_EPOCHS_DEFAULT = 3
 # compare --data's settings that compare --from-tables, which trains nothing, refuses
@@ -136,7 +136,7 @@ def _train_config(resolver, **defaults) -> training.TrainConfig:
     """The resolved seed and training settings; unset ones take `defaults`, else TrainConfig's own defaults."""
     base = training.TrainConfig(**defaults)
     return training.TrainConfig(
-        seed=resolver.get("seed", int, base.seed),
+        seed=resolver.get("seed", parse_seed, base.seed),
         epochs=resolver.get("epochs", int, base.epochs),
         batch_size=resolver.get("batch_size", int, base.batch_size),
         learning_rate=resolver.get("learning_rate", float, base.learning_rate),
@@ -170,7 +170,7 @@ def _write_eval_files(out_dir: Path, paradigm: str, cm, table) -> None:
 def cmd_dataset_synth(args) -> int:
     resolver = Resolver(args)
     out = _require_out(resolver)
-    seed = resolver.get("seed", int, 0)
+    seed = resolver.get("seed", parse_seed, 0)
     per_class = resolver.get("per_class", int, 100)
     size = resolver.get("size", int, 64)
     p = resolver.get("p", int, 2)
@@ -190,7 +190,7 @@ def cmd_dataset_synth(args) -> int:
 
 def cmd_dataset_split(args) -> int:
     resolver = Resolver(args)
-    seed = resolver.get("seed", int, 0)
+    seed = resolver.get("seed", parse_seed, 0)
     fractions = resolver.get("fractions", parse_fractions, data.DEFAULT_FRACTIONS)
     stratified = resolver.get("stratified", parse_bool, True)
     resolver.get("quiet", parse_bool, False)
@@ -250,9 +250,7 @@ def cmd_eval(args) -> int:
             f"dataset {args.data} has classes {list(class_names)}"
         )
     if model.n_classes != len(class_names):
-        raise ShapeError(
-            f"model {args.model} has {model.n_classes} classes, dataset {args.data} has {len(class_names)}"
-        )
+        raise DataError(f"model {args.model} has {model.n_classes} classes, dataset {args.data} has {len(class_names)}")
     cm = training.confusion(model, chunks, class_names)  # reads every chip before anything is written
     table = evaluation.metrics_from_cm(cm)
     out.mkdir(parents=True, exist_ok=True)
@@ -333,7 +331,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"error[numeric]: {exc}", file=sys.stderr)
         return 4
-    except (DataError, ShapeError, OSError) as exc:
+    except (DataError, OSError) as exc:
         print(f"error[data]: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -20,10 +20,8 @@ ENV_PREFIX = "FUSELAB_"
 DEFAULT_CONFIG_FILE = "fuselab.toml"
 
 
-def parse_bool(value) -> bool:
-    if isinstance(value, bool):
-        return value
-    text = str(value).strip().lower()
+def parse_bool(value: str) -> bool:
+    text = value.strip().lower()
     if text in ("1", "true", "yes", "on"):
         return True
     if text in ("0", "false", "no", "off"):
@@ -31,11 +29,23 @@ def parse_bool(value) -> bool:
     raise ValueError(f"not a boolean: {value!r}")
 
 
-def parse_fractions(value) -> tuple[float, float, float]:
-    parts = [float(v) for v in str(value).split(",")]
-    if len(parts) != 3:
+def parse_fractions(value: str) -> tuple[float, float, float]:
+    """The train, val and test fractions of a `--fractions` value: three in (0,1) that sum to 1."""
+    fractions = tuple(float(v) for v in value.split(","))
+    if len(fractions) != 3:
         raise ValueError(f"fractions need three comma-separated values, got {value!r}")
-    return tuple(parts)
+    if any(not 0.0 < f < 1.0 for f in fractions):
+        raise ValueError(f"fractions must be three values in (0,1), got {fractions}")
+    if abs(sum(fractions) - 1.0) > 1e-9:
+        raise ValueError(f"fractions must sum to 1, got {fractions}")
+    return fractions
+
+
+def parse_seed(value: str) -> int:
+    seed = int(value)
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
+    return seed
 
 
 def read_config_file(path) -> dict:

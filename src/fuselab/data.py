@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import read_text
-from .errors import DataError, ShapeError
+from .errors import DataError
 
 CLASS_NAMES = ("city", "coastline", "lake", "river", "vegetation")
 
@@ -106,10 +106,6 @@ class DatasetSplit:
 
 def _partition(classes, n_classes: int, fractions, seed: int, stratified: bool) -> list:
     """Row indices of train, val and test over a non-empty class list; floor sizes, remainder to train."""
-    if len(fractions) != 3 or any(not 0.0 < f < 1.0 for f in fractions):
-        raise ValueError(f"fractions must be three values in (0,1), got {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {fractions}")
     _, f_val, f_test = fractions
     rng = np.random.default_rng(seed)
 
@@ -139,7 +135,7 @@ def split(samples: Samples, fractions=DEFAULT_FRACTIONS, seed: int = 0, stratifi
 def _require_square(hw) -> None:
     h, w = hw
     if h != w:
-        raise ShapeError(f"augmentation needs square chips, got {h}x{w}")
+        raise DataError(f"augmentation needs square chips, got {h}x{w}")
 
 
 def split_turns(name: str, augment_eval: bool) -> int:

@@ -1,13 +1,9 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, one per exit code past usage's.
 
-cli.main maps every failure onto an exit code: DataError, ShapeError and
-OSError give 3, NumericError 4, and any other ValueError (argparse usage
-failures included) 2.
+cli.main maps every failure onto an exit code: DataError and OSError give 3,
+NumericError 4, and any other ValueError (argparse usage failures included)
+2. A model bundle's faults are DataErrors that fusion.load_model alone raises.
 """
-
-
-class ShapeError(ValueError):
-    """Operands have incompatible or unsupported shapes."""
 
 
 class NumericError(ArithmeticError):
@@ -15,4 +11,4 @@ class NumericError(ArithmeticError):
 
 
 class DataError(ValueError):
-    """Invalid on-disk data (chip files, manifests, checkpoints)."""
+    """Invalid on-disk data (chip files, manifests, checkpoints, model bundles), or data unlike the model."""

@@ -20,9 +20,13 @@ NETWORK_INPUTS is the one statement of how each paradigm is wired: which
 networks it holds and what each network reads. build_model, network_inputs,
 decisions and load_model all follow it. build_model and load_model learn what
 shape each layer gives by running the networks on a batch of no samples
-(_empty_inputs), so every layer's own input check runs. load_model also
-refuses a network that does not end in a softmax layer: late fusion combines
-class probabilities, so no aggregation rule checks its inputs again.
+(_empty_inputs), so every layer's own input check runs.
+
+load_model is the one gate of a model bundle; FusionModel and InputStats are
+plain data. It checks each fact model.json states, and refuses a network whose
+softmax does not read a Dense output: late fusion combines class
+probabilities, and tensor.matmul finite-checks Dense's logits, so no
+aggregation rule checks its inputs again.
 
 Every model standardizes its input chips per channel with the mean and
 standard deviation of its training chips (InputStats, set by training and
@@ -41,7 +45,7 @@ import numpy as np
 
 from . import nn
 from .config import read_json_object
-from .errors import DataError, ShapeError
+from .errors import DataError
 
 # paradigm -> the inputs of each of its networks, in FusionModel.nets order:
 # "a" and "b" are one modality's chips, "ab" the channel-concatenated pair. A
@@ -70,14 +74,6 @@ class InputStats:
     mean_b: np.ndarray
     std_b: np.ndarray
 
-    def check(self, channels_a: int, channels_b: int) -> None:
-        for name, value, n in (("mean_a", self.mean_a, channels_a), ("std_a", self.std_a, channels_a),
-                               ("mean_b", self.mean_b, channels_b), ("std_b", self.std_b, channels_b)):
-            if value.shape != (n,) or not np.isfinite(value).all():
-                raise ValueError(f"input stats {name} must be {n} finite values, got {value.tolist()}")
-        if not ((self.std_a > 0).all() and (self.std_b > 0).all()):
-            raise ValueError("input stats std_a and std_b must be positive")
-
 
 @dataclass
 class FusionModel:
@@ -86,33 +82,10 @@ class FusionModel:
     chip_shape_a: tuple  # (H, W, P)
     chip_shape_b: tuple  # (H, W, B)
     n_classes: int
-    alpha: np.ndarray | None = None  # late-weighted only, set after training
+    alpha: np.ndarray | None = None  # late-weighted only: binary complementary float32 weights, set after training
     beta: np.ndarray | None = None
     input_stats: InputStats | None = None  # set by training
     class_names: tuple | None = None  # the training dataset's, one per class, in class-index order
-
-    def __post_init__(self):
-        if self.class_names is not None:
-            self.class_names = tuple(self.class_names)
-            if len(self.class_names) != self.n_classes:
-                raise ValueError(f"{self.n_classes} classes need {self.n_classes} class names, "
-                                 f"got {list(self.class_names)}")
-
-    def set_fusion_weights(self, alpha, beta) -> None:
-        alpha = np.asarray(alpha, dtype=np.float32)
-        beta = np.asarray(beta, dtype=np.float32)
-        if alpha.shape != (self.n_classes,) or beta.shape != (self.n_classes,):
-            raise ShapeError(f"fusion weights must be length {self.n_classes}, got {alpha.shape} and {beta.shape}")
-        if not (np.isin(alpha, (0.0, 1.0)).all() and np.isin(beta, (0.0, 1.0)).all()):
-            raise ValueError("fusion weights must be binary (0 or 1 per class)")
-        if not np.all(alpha + beta == 1.0):
-            raise ValueError("fusion weights must be complementary: alpha[c] + beta[c] == 1 for every class")
-        self.alpha, self.beta = alpha, beta
-
-    def set_input_stats(self, mean_a, std_a, mean_b, std_b) -> None:
-        stats = InputStats(*(np.asarray(v, dtype=np.float32) for v in (mean_a, std_a, mean_b, std_b)))
-        stats.check(self.chip_shape_a[2], self.chip_shape_b[2])
-        self.input_stats = stats
 
     def inputs_a(self, chips_a: np.ndarray) -> np.ndarray:
         """Modality-A chips as the networks see them: standardized per channel."""
@@ -180,9 +153,7 @@ def build_model(
                                                   conv_channels, dense_units, class_names)
                                       for single in ("single-a", "single-b")))
     if min(width, height) < 2 ** len(conv_channels):
-        raise ShapeError(
-            f"chips {width}x{height} too small for {len(conv_channels)} pooling stages"
-        )
+        raise DataError(f"chips {width}x{height} too small for {len(conv_channels)} pooling stages")
     rng = np.random.default_rng(seed)
     model = FusionModel(
         paradigm=paradigm,
@@ -206,7 +177,7 @@ def late_model(paradigm: str, single_a: FusionModel, single_b: FusionModel) -> F
                         single_a.n_classes, class_names=single_a.class_names)
     sa, sb = single_a.input_stats, single_b.input_stats
     if sa is not None and sb is not None:
-        model.set_input_stats(sa.mean_a, sa.std_a, sb.mean_b, sb.std_b)
+        model.input_stats = InputStats(sa.mean_a, sa.std_a, sb.mean_b, sb.std_b)
     return model
 
 
@@ -228,8 +199,8 @@ def late_aggregate_weighted(pred_a, pred_b, alpha, beta) -> np.ndarray:
     """Per-class weighted combination alpha*pred_a + beta*pred_b.
 
     The output is intentionally not renormalized; only its argmax is
-    consumed downstream. The weights are checked where they enter, by
-    FusionModel.set_fusion_weights.
+    consumed downstream. Weights read from model.json are checked by
+    load_model; derived ones are binary and complementary by construction.
     """
     pred_a, pred_b = np.asarray(pred_a), np.asarray(pred_b)
     return np.asarray(alpha, dtype=pred_a.dtype) * pred_a + np.asarray(beta, dtype=pred_b.dtype) * pred_b
@@ -297,7 +268,7 @@ def predict_batch(model: FusionModel, chips_a: np.ndarray | None, chips_b: np.nd
     """
     for name, chips, shape in (("A", chips_a, model.chip_shape_a), ("B", chips_b, model.chip_shape_b)):
         if chips is not None and chips.shape[1:] != shape:
-            raise ShapeError(f"modality-{name} chips {chips.shape[1:]} != model spec {shape}")
+            raise DataError(f"modality-{name} chips {chips.shape[1:]} != model spec {shape}")
     inputs = network_inputs(model, chips_a, chips_b)
     return decisions(model, [net.infer(xs) for net, xs in zip(model.nets, inputs)])
 
@@ -398,17 +369,11 @@ def load_model(model_dir) -> FusionModel:
     if len(meta["checkpoints"]) != n_nets:
         raise DataError(f"{meta_path}: {meta['paradigm']} needs {n_nets} checkpoint(s), got {len(meta['checkpoints'])}")
     nets = [nn.load_network(model_dir / name) for name in meta["checkpoints"]]
-    try:
-        model = FusionModel(
-            paradigm=meta["paradigm"],
-            nets=nets,
-            chip_shape_a=tuple(meta["chip_shape_a"]),
-            chip_shape_b=tuple(meta["chip_shape_b"]),
-            n_classes=meta["n_classes"],
-            class_names=meta.get("class_names"),
-        )
-    except ValueError as exc:  # class names unlike n_classes
-        raise DataError(f"{meta_path}: {exc}") from exc
+    n_classes, class_names = meta["n_classes"], meta.get("class_names")
+    if class_names is not None and len(class_names) != n_classes:
+        raise DataError(f"{meta_path}: {n_classes} classes need {n_classes} class names, got {class_names}")
+    model = FusionModel(meta["paradigm"], nets, tuple(meta["chip_shape_a"]), tuple(meta["chip_shape_b"]), n_classes,
+                        class_names=None if class_names is None else tuple(class_names))
     try:
         inputs = _empty_inputs(model)
     except ValueError as exc:  # a chip shape numpy cannot describe
@@ -416,22 +381,31 @@ def load_model(model_dir) -> FusionModel:
     for name, net, xs in zip(meta["checkpoints"], nets, inputs):
         try:
             out = net.infer(xs)
-        except ValueError as exc:  # ShapeError included: a layer cannot read what reaches it
+        except ValueError as exc:  # a layer's DataError or numpy's: a layer cannot read what reaches it
             raise DataError(f"{model_dir / name}: {exc}") from exc
-        if out.shape[1:] != (model.n_classes,):
-            raise DataError(f"{model_dir / name}: the network must output {model.n_classes} classes, it gives "
+        if out.shape[1:] != (n_classes,):
+            raise DataError(f"{model_dir / name}: the network must output {n_classes} classes, it gives "
                             f"{' x '.join(map(str, out.shape[1:]))}")
         last = net.head if len(net.branches) > 1 else net.branches[0]  # the layers that give the output
-        if not (last and isinstance(last[-1], nn.Softmax)):  # late fusion combines class probabilities
-            raise DataError(f"{model_dir / name}: the network must end in a softmax layer")
+        tail = [layer.kind for layer in last[-2:]]
+        if tail != ["dense", "softmax"]:  # late fusion combines class probabilities; matmul finite-checks logits
+            fault = "end in a softmax layer" if tail[-1:] != ["softmax"] else "give its softmax a dense layer's output"
+            raise DataError(f"{model_dir / name}: the network must {fault}")
     if weighted:
-        try:
-            model.set_fusion_weights(meta["alpha"], meta["beta"])
-        except ValueError as exc:  # ShapeError included: the file's weights are bad data
-            raise DataError(f"{meta_path}: {exc}") from exc
+        alpha, beta = (np.asarray(meta[key], dtype=np.float32) for key in ("alpha", "beta"))
+        if alpha.shape != (n_classes,) or beta.shape != (n_classes,):
+            raise DataError(f"{meta_path}: fusion weights must be length {n_classes}, got {alpha.shape} and {beta.shape}")
+        if not np.isin([alpha, beta], (0.0, 1.0)).all():
+            raise DataError(f"{meta_path}: fusion weights must be binary (0 or 1 per class)")
+        if not np.all(alpha + beta == 1.0):
+            raise DataError(f"{meta_path}: fusion weights must be complementary: alpha[c] + beta[c] == 1 for every class")
+        model.alpha, model.beta = alpha, beta
     if meta.get("input_stats") is not None:
-        try:
-            model.set_input_stats(*(meta["input_stats"][name] for name in INPUT_STATS_KEYS))
-        except ValueError as exc:
-            raise DataError(f"{meta_path}: {exc}") from exc
+        stats = {key: np.asarray(meta["input_stats"][key], dtype=np.float32) for key in INPUT_STATS_KEYS}
+        for (key, value), n in zip(stats.items(), (model.chip_shape_a[2],) * 2 + (model.chip_shape_b[2],) * 2):
+            if value.shape != (n,) or not np.isfinite(value).all():
+                raise DataError(f"{meta_path}: input stats {key} must be {n} finite values, got {value.tolist()}")
+        if not ((stats["std_a"] > 0).all() and (stats["std_b"] > 0).all()):
+            raise DataError(f"{meta_path}: input stats std_a and std_b must be positive")
+        model.input_stats = InputStats(**stats)
     return model

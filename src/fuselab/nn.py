@@ -19,7 +19,7 @@ import struct
 import numpy as np
 
 from . import tensor
-from .errors import DataError, ShapeError
+from .errors import DataError
 from .tensor import DTYPE
 
 PRED_CLAMP_FLOOR = 1e-7
@@ -78,7 +78,7 @@ class Conv(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[3] != self.cin:
-            raise ShapeError(f"Conv({self.cin}->{self.cout}) got input {x.shape}")
+            raise DataError(f"Conv({self.cin}->{self.cout}) got input {x.shape}")
         pad = self.k // 2
         n, h, w, _ = x.shape
         xp = np.zeros((n, h + 2 * pad, w + 2 * pad, self.cin), dtype=x.dtype)
@@ -146,7 +146,7 @@ class Dense(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.nin:
-            raise ShapeError(f"Dense({self.nin}->{self.nout}) got input {x.shape}")
+            raise DataError(f"Dense({self.nin}->{self.nout}) got input {x.shape}")
         self._cache = x
         return tensor.matmul(x, self.weights, self.bias)
 
@@ -240,7 +240,7 @@ class Network:
     def _forward(self, inputs, keep_cache: bool) -> np.ndarray:
         inputs = _as_input_list(inputs)
         if len(inputs) != len(self.branches):
-            raise ShapeError(f"this network takes {len(self.branches)} input(s), got {len(inputs)}")
+            raise DataError(f"this network takes {len(self.branches)} input(s), got {len(inputs)}")
         feats = [_run_forward(branch, x, keep_cache) for branch, x in zip(self.branches, inputs)]
         self._widths = [f.shape[1] for f in feats]
         return _run_forward(self.head, np.concatenate(feats, axis=1), keep_cache)
@@ -291,25 +291,18 @@ def gradients(net) -> list[np.ndarray]:
     return out
 
 
-def _target_index(pred: np.ndarray, classes) -> tuple[np.ndarray, np.ndarray]:
-    """The (rows, classes) index of each prediction row's true class, one class index per row."""
-    classes = np.atleast_1d(np.asarray(classes))
-    return np.arange(len(classes)), classes
-
-
 def cross_entropy(pred: np.ndarray, classes) -> float:
     """Mean cross-entropy of the true classes' predictions, clamped to [1e-7, 1] before the log."""
     pred = np.atleast_2d(np.asarray(pred))
-    target = _target_index(pred, classes)
     clamped = np.clip(pred, PRED_CLAMP_FLOOR, 1.0)
-    return float(-np.log(clamped)[target].mean())
+    return float(-np.log(clamped)[np.arange(len(pred)), classes].mean())
 
 
 def cross_entropy_grad(pred: np.ndarray, classes) -> np.ndarray:
     """d(mean cross-entropy)/d(pred): -1/(N p) at each row's true class, zero
     elsewhere and inside the clamp's flat region."""
     pred = np.atleast_2d(np.asarray(pred))
-    target = _target_index(pred, classes)
+    target = np.arange(len(pred)), classes  # (rows, classes) of each row's true class
     p = pred[target]
     grad = np.zeros_like(pred)
     grad[target] = np.where(p >= PRED_CLAMP_FLOOR, -1.0 / np.clip(p, PRED_CLAMP_FLOOR, 1.0), 0.0)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import DataError, NumericError
 
 DTYPE = np.float32
 
@@ -96,7 +96,7 @@ def maxpool2(x: np.ndarray) -> np.ndarray:
     recovers it from x and the pooled output.
     """
     if x.ndim != 4:
-        raise ShapeError(f"maxpool2 expects (N,H,W,C), got {x.shape}")
+        raise DataError(f"maxpool2 expects (N,H,W,C), got {x.shape}")
     win = _windows(_pad_even(x))
     rows = np.maximum(win[:, :, 0], win[:, :, 1])  # (N, H/2, W/2, 2, C)
     out = np.maximum(rows[:, :, :, 0], rows[:, :, :, 1])

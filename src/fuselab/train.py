@@ -160,10 +160,11 @@ def _channel_stats(chips) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.where(std > 1e-6 * np.abs(mean), std, 1.0)
 
 
-def input_stats(samples) -> tuple:
-    """(mean_a, std_a, mean_b, std_b) of the samples' rows, for FusionModel.set_input_stats. Each row
-    is read once, unturned: a quarter turn moves a chip's values, it does not change them."""
-    return (*_channel_stats(samples.chips_a), *_channel_stats(samples.chips_b))
+def input_stats(samples) -> fusion.InputStats:
+    """The input stats of the samples' rows, in float32. Each row is read once, unturned: a quarter
+    turn moves a chip's values, it does not change them."""
+    stats = (*_channel_stats(samples.chips_a), *_channel_stats(samples.chips_b))
+    return fusion.InputStats(*(v.astype(np.float32) for v in stats))
 
 
 def _model_predictions(model: fusion.FusionModel, samples) -> np.ndarray | None:
@@ -218,7 +219,7 @@ def train(model: fusion.FusionModel, dsplit, config: TrainConfig) -> list[EpochR
     if not dsplit.train:
         raise DataError("training split is empty")
     if model.input_stats is None:
-        model.set_input_stats(*input_stats(dsplit.train))
+        model.input_stats = input_stats(dsplit.train)
     (net,) = model.nets
     optimizer = OPTIMIZERS[config.optimizer](nn.parameters(net), config.learning_rate)
     rng = np.random.default_rng([config.seed, 0])
@@ -266,8 +267,8 @@ def train_paradigm(paradigm: str, dsplit, config: TrainConfig, trained: dict) ->
         )
         model = fusion.late_model(paradigm, model_a, model_b)
         if paradigm == "late-weighted":  # from the confusion matrices that `weights derive` reads
-            model.set_fusion_weights(*fusion.weights_from_confusions(val_confusion(dec_a, dsplit),
-                                                                     val_confusion(dec_b, dsplit)))
+            model.alpha, model.beta = fusion.weights_from_confusions(val_confusion(dec_a, dsplit),
+                                                                     val_confusion(dec_b, dsplit))
 
         def decide(pred_a, pred_b):  # the late model's decisions over its members' predictions, if any
             return None if pred_a is None else fusion.decisions(model, (pred_a, pred_b))

@@ -1,17 +1,19 @@
-"""List every `raise` in src/fuselab that no command-line call in tests/ executes.
+"""Run the Tier-1 suite and list every `raise` in src/fuselab that no command-line call in it executes.
 
-Runs the tests/ suite in-process under a sys.settrace line tracer that is
-active only while fuselab.cli.main runs, and records each package line
-executed there. A `raise` statement whose first line was never executed is
-one no input reaches through the command line: either a re-check of a fact
-the program already checked where it entered, or a check of outside input
-that no test feeds through the CLI. The first kind should be deleted, the
-second given a test.
+Runs what Tier-1 runs (tests/ and bench/, with --continue-on-collection-errors)
+in-process under a sys.settrace line tracer that is active only while
+fuselab.cli.main runs, and records each package line executed there. A
+`raise` statement whose first line was never executed is one no input reaches
+through the command line: either a re-check of a fact the program already
+checked where it entered, or a check of outside input that no test feeds
+through the CLI. The first kind should be deleted, the second given a test.
 
     PYTHONPATH=src python tests/raise_reach.py
 
 Exits 1, listing the unreached statements, if there is any or the suite
-fails; 0 otherwise. pytest does not collect this file (it is not test_*.py).
+fails; 0 otherwise. It takes no arguments, and pytest does not collect it (it
+is not test_*.py). CI runs it in place of the plain Tier-1 step on one Python
+version.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from fuselab import cli
 from test_reach import PACKAGE, package_modules
 
 TESTS = Path(__file__).resolve().parent
+SUITE = [str(TESTS), str(TESTS.parent / "bench")]  # Tier-1's testpaths
 
 
 def raise_lines() -> dict:
@@ -76,7 +79,7 @@ def main() -> int:
     tracer = MainLineTracer()
     sys.settrace(tracer)
     try:
-        status = pytest.main(["-q", "-p", "no:cacheprovider", str(TESTS)])
+        status = pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors", *SUITE])
     finally:
         sys.settrace(None)
     raises = raise_lines()

@@ -349,6 +349,19 @@ def test_eval_split_choice_and_augment_opt_out(tiny_dataset_dir, tmp_path):
     assert cm.total == 5  # unaugmented test split
 
 
+def test_seven_classes_on_12x12_chips_train_and_eval(tmp_path):
+    """Past five classes the synthetic names run class5, class6, ...; 12x12 chips pool to 6x6, 3x3, then 2x2 over
+    a padded edge, in training and in eval."""
+    assert main(synth_args(tmp_path / "ds", per_class=10, size=12, extra=("--classes", "7"))) == 0
+    assert main(["train", "--data", str(tmp_path / "ds"), "--paradigm", "single-a", "--epochs", "1",
+                 "--out", str(tmp_path / "model"), "--quiet"]) == 0
+    assert main(["eval", "--data", str(tmp_path / "ds"), "--model", str(tmp_path / "model"),
+                 "--out", str(tmp_path / "ev"), "--quiet"]) == 0
+    names = [*data.CLASS_NAMES, "class5", "class6"]
+    assert json.loads((tmp_path / "model" / "model.json").read_text())["class_names"] == names
+    assert (tmp_path / "ev" / "confusion.csv").read_text().splitlines()[0] == ",".join(["class", *names])
+
+
 def test_eval_missing_dataset_is_data_error(tmp_path, capsys):
     assert main(["eval", "--data", str(tmp_path / "nope"), "--model", str(tmp_path), "--out", str(tmp_path / "o")]) == 3
     assert "error[data]" in capsys.readouterr().err
@@ -937,6 +950,14 @@ def fill_dense_weights(layers):
             layer.weights.fill(3e38)
 
 
+def conv_ended(layers):
+    """Four pools down to 1x1 maps, then a Conv whose every output overflows, read by the softmax through ReLU and
+    Flatten: no Dense gives the logits."""
+    conv = nn.Conv(3, 2, 5)
+    conv.weights.fill(3e38)
+    layers[:] = [nn.MaxPool2() for _ in range(4)] + [conv, nn.ReLU(), nn.Flatten(), nn.Softmax()]
+
+
 def overflow_last_dense(layers):
     """Finite parameters whose last Dense output overflows: its inputs are all 1 (the first Dense gives 1 before
     ReLU), their weighted sum is 2e38 and the bias adds 3e38."""
@@ -1032,6 +1053,13 @@ TYPED_ERRORS = {
     "train-learning-rate-0": (None, TRAIN + " --learning-rate 0", "usage", ["learning_rate must be > 0, got 0.0"]),
     "train-optimizer-from-env": (None, "FUSELAB_OPTIMIZER=rmsprop " + TRAIN, "usage",
                                  ["optimizer must be one of ('sgd', 'adam'), got 'rmsprop'"]),
+    "synth-negative-seed": (None, "dataset synth --out {t}/new --seed -1", "usage", ["--seed must be >= 0, got -1"]),
+    "split-negative-seed-from-env": (None, "FUSELAB_SEED=-2 dataset split --data {t}/ds", "usage",
+                                     ["--seed must be >= 0, got -2"]),
+    "train-negative-seed": (None, TRAIN + " --seed -1", "usage", ["--seed must be >= 0, got -1"]),
+    "compare-negative-seed-from-config": (lambda t: (t / "seed.toml").write_text("seed = -3\n"),
+                                          "compare --data {t}/ds --out {t}/o --config {t}/seed.toml", "usage",
+                                          ["--seed must be >= 0, got -3"]),
     # datasets
     "train-chips-too-small": (synth("small", per_class=10, size=4),
                               "train --data {t}/small --paradigm single-a --epochs 0 --out {t}/o", "data",
@@ -1080,6 +1108,8 @@ TYPED_ERRORS = {
     "late-fnet-without-softmax": (edits(edit_json("lw/model.json", paradigm="late-mean", alpha=None, beta=None),
                                         edit_net("lw/net_0.fnet", list.pop)), LATE_EVAL, "data",
                                   ["lw/net_0.fnet: the network must end in a softmax layer"]),
+    "fnet-softmax-after-conv": (edit_net(FNET, conv_ended), EVAL, "data",
+                                ["model/net_0.fnet: the network must give its softmax a dense layer's output"]),
     "dense-weights-overflow": (edit_net(FNET, fill_dense_weights), EVAL, "numeric",
                                ["matmul produced non-finite values"]),
     "late-dense-bias-overflow": (edit_net("lw/net_0.fnet", overflow_last_dense), LATE_EVAL, "numeric",

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuselab import data
-from fuselab.errors import DataError, ShapeError
+from fuselab import config, data
+from fuselab.errors import DataError
 
 
 # --- split ---------------------------------------------------------------------
@@ -68,11 +68,11 @@ def test_split_stratified_keeps_class_counts(tiny_samples):
         assert np.all(counts == expected)
 
 
-def test_split_bad_fractions(tiny_samples):
-    with pytest.raises(ValueError):
-        data.split(tiny_samples, fractions=(1.2, -0.1, -0.1))
-    with pytest.raises(ValueError):
-        data.split(tiny_samples, fractions=(0.5, 0.3, 0.3))
+def test_split_bad_fractions():
+    """Fractions are checked where they enter, by config.parse_fractions; data.split takes them as given."""
+    for value in ("1.2,-0.1,-0.1", "0.5,0.3,0.3"):
+        with pytest.raises(ValueError):
+            config.parse_fractions(value)
 
 
 @given(seed=st.integers(0, 2**32 - 1), per_class=st.integers(4, 40))
@@ -139,7 +139,7 @@ def test_augment_rotates_both_chips_together(tmp_path, tiny_split):
 
 def test_augment_rejects_non_square():
     s = one_row(np.zeros((4, 6, 1), np.float32), np.zeros((4, 6, 1), np.float32))
-    with pytest.raises(ShapeError):
+    with pytest.raises(DataError):
         data.augment(data.DatasetSplit(s, s.take([]), s.take([]), ("a", "b")))
 
 

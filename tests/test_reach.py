@@ -52,7 +52,7 @@ def run_session(tmp: Path) -> None:
     train = ["--data", ds, "--epochs", "1"]
     for argv, code in [
         (["dataset", "synth", "--out", ds, "--per-class", "20", "--size", "16", "--b", "3", "--config", config], 0),
-        (["dataset", "split", "--data", ds, "--fractions", "0.7,0.2,0.1", "--quiet"], 0),
+        (["dataset", "split", "--data", ds, "--fractions", "0.7,0.2,0.1", "--seed", "1", "--quiet"], 0),
         (["train", *train, "--paradigm", "late-weighted", "--optimizer", "sgd", "--out", tmp / "lw", "--quiet"], 0),
         (["train", *train, "--paradigm", "joint", "--out", tmp / "joint", "--quiet"], 0),
         (["eval", "--data", ds, "--model", tmp / "joint", "--split", "val", "--out", tmp / "ev", "--quiet"], 0),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuselab import nn, tensor
-from fuselab.errors import NumericError, ShapeError
+from fuselab.errors import DataError, NumericError
 
 
 # --- oracles -----------------------------------------------------------------
@@ -248,7 +248,7 @@ def test_conv_backward_matches_loop_oracle(seed, n, h, w, cin, cout, k):
 
 def test_conv2d_errors():
     x = np.zeros((1, 4, 4, 2), dtype=np.float32)
-    with pytest.raises(ShapeError):  # channel mismatch
+    with pytest.raises(DataError):  # channel mismatch
         nn.Conv(3, 3, 1).forward(x)
 
 
@@ -280,7 +280,7 @@ def test_maxpool2_ramp_hand_case():
 
 
 def test_maxpool2_rejects_an_unbatched_image():
-    with pytest.raises(ShapeError):
+    with pytest.raises(DataError):
         tensor.maxpool2(np.zeros((4, 4, 1), dtype=np.float32))
 
 

@@ -218,16 +218,18 @@ def test_training_sets_per_channel_input_stats():
 
 
 def test_input_stats_of_augmented_split_sum_each_row_once_in_order():
-    """The float64 stats are those of the rows, in order; the float32 stats,
-    which model.json stores, are those of every turned chip."""
+    """The stats are the float32 values of the rows' float64 stats, summed in order,
+    and equal those of every turned chip."""
     train = data.augment(tiny_dataset()).train
+    stats = tr.input_stats(train)
     rows = (*tr._channel_stats(list(train.chips_a)), *tr._channel_stats(list(train.chips_b)))
     turned = [[np.rot90(chips[row], k, axes=(0, 1)) for row in range(len(chips)) for k in range(4)]
               for chips in (train.chips_a, train.chips_b)]
     every_turn = (*tr._channel_stats(turned[0]), *tr._channel_stats(turned[1]))
-    for got, want_rows, want_turned in zip(tr.input_stats(train), rows, every_turn):
-        assert np.array_equal(got, want_rows)
-        assert np.array_equal(got.astype(np.float32), want_turned.astype(np.float32))
+    for got, want_rows, want_turned in zip((stats.mean_a, stats.std_a, stats.mean_b, stats.std_b), rows, every_turn):
+        assert got.dtype == np.float32
+        assert np.array_equal(got, want_rows.astype(np.float32))
+        assert np.array_equal(got, want_turned.astype(np.float32))
 
 
 def test_constant_channel_is_scaled_by_one():
@@ -240,7 +242,7 @@ def test_constant_channel_is_scaled_by_one():
 
 def test_training_keeps_input_stats_already_set():
     model = tiny_model("single-a", seed=14)
-    model.set_input_stats([1.0, 2.0], [3.0, 4.0], [0.0] * 3, [1.0] * 3)
+    model.input_stats = fusion.InputStats(*map(np.float32, ([1.0, 2.0], [3.0, 4.0], [0.0] * 3, [1.0] * 3)))
     tr.train(model, tiny_dataset(), tr.TrainConfig(epochs=0))
     assert model.input_stats.std_a.tolist() == [3.0, 4.0]
 
