@@ -11,7 +11,8 @@ indices, and its chips as two contiguous (N, H, W, C) float32 arrays, held
 once.
 Augmentation copies no chip: it sets each split's `turns` to split_turns, 4
 or 1, and sample j is row j // turns turned (j % turns) quarter turns, read
-turned when a batch is stacked.
+turned when a training batch is stacked (Samples.chips); prediction hands the
+networks unturned rows and their turns.
 
 One reader checks a dataset directory's chips, record by record in manifest
 order, for both of its consumers: load_dataset fills every split's arrays from

@@ -23,7 +23,8 @@ shape each layer gives by running the networks on a batch of no samples
 (_empty_inputs), so every layer's own input check runs.
 
 load_model is the one gate of a model bundle; FusionModel and InputStats are
-plain data. It checks each fact model.json states, and refuses a network whose
+plain data. It checks each fact model.json states (every number it reads as
+float32 must have a finite float32), and refuses a network whose
 softmax does not read a Dense output: late fusion combines class
 probabilities, and tensor.matmul finite-checks Dense's logits, so no
 aggregation rule checks its inputs again.
@@ -260,17 +261,21 @@ def modalities(model: FusionModel) -> str:
     return "".join(source for sources in NETWORK_INPUTS[model.paradigm] for source in sources)
 
 
-def predict_batch(model: FusionModel, chips_a: np.ndarray | None, chips_b: np.ndarray | None) -> np.ndarray:
-    """Route a batch of paired chips through the model; returns (N, C) decisions.
+def predict_batch(model: FusionModel, chips_a: np.ndarray | None, chips_b: np.ndarray | None,
+                  turns: int = 1) -> np.ndarray:
+    """Route a batch of N paired rows through the model in `turns` quarter turns each; returns
+    (N * turns, C) decisions in (row, turn) order, the sample order of a data.Samples read in `turns`.
 
-    The chips of a modality the model does not read (see modalities) may be
-    None. Forward only: the networks keep no layer cache (see nn.Network.infer).
+    The rows are passed unturned, and standardized once; with turns > 1 they
+    are square, and the networks turn them (see nn.Network.infer). The chips
+    of a modality the model does not read (see modalities) may be None.
+    Forward only: the networks keep no layer cache.
     """
     for name, chips, shape in (("A", chips_a, model.chip_shape_a), ("B", chips_b, model.chip_shape_b)):
         if chips is not None and chips.shape[1:] != shape:
             raise DataError(f"modality-{name} chips {chips.shape[1:]} != model spec {shape}")
     inputs = network_inputs(model, chips_a, chips_b)
-    return decisions(model, [net.infer(xs) for net, xs in zip(model.nets, inputs)])
+    return decisions(model, [net.infer(xs, turns) for net, xs in zip(model.nets, inputs)])
 
 
 # --- on-disk model bundle --------------------------------------------------
@@ -345,6 +350,19 @@ _OPTIONAL_META_KEYS = {
 }
 
 
+def _float32s(meta_path: Path, key: str, numbers: list) -> np.ndarray:
+    """model.json's number list at `key` in float32; DataError naming the key for a number whose float32 is not
+    finite (NaN, infinite, or past float32's range)."""
+    try:
+        with np.errstate(over="ignore"):  # a float64 past float32's range casts to inf, refused below
+            values = np.asarray(numbers, dtype=np.float64).astype(np.float32)
+    except OverflowError:  # an integer past float64's range
+        values = None
+    if values is None or not np.isfinite(values).all():
+        raise DataError(f"{meta_path}: {key} holds a number with no finite float32 (NaN, infinite or past 3.4e38)")
+    return values
+
+
 def load_model(model_dir) -> FusionModel:
     model_dir = Path(model_dir)
     meta_path = model_dir / MODEL_META
@@ -392,7 +410,7 @@ def load_model(model_dir) -> FusionModel:
             fault = "end in a softmax layer" if tail[-1:] != ["softmax"] else "give its softmax a dense layer's output"
             raise DataError(f"{model_dir / name}: the network must {fault}")
     if weighted:
-        alpha, beta = (np.asarray(meta[key], dtype=np.float32) for key in ("alpha", "beta"))
+        alpha, beta = (_float32s(meta_path, key, meta[key]) for key in ("alpha", "beta"))
         if alpha.shape != (n_classes,) or beta.shape != (n_classes,):
             raise DataError(f"{meta_path}: fusion weights must be length {n_classes}, got {alpha.shape} and {beta.shape}")
         if not np.isin([alpha, beta], (0.0, 1.0)).all():
@@ -401,10 +419,11 @@ def load_model(model_dir) -> FusionModel:
             raise DataError(f"{meta_path}: fusion weights must be complementary: alpha[c] + beta[c] == 1 for every class")
         model.alpha, model.beta = alpha, beta
     if meta.get("input_stats") is not None:
-        stats = {key: np.asarray(meta["input_stats"][key], dtype=np.float32) for key in INPUT_STATS_KEYS}
+        stats = {key: _float32s(meta_path, f"input_stats.{key}", meta["input_stats"][key])
+                 for key in INPUT_STATS_KEYS}
         for (key, value), n in zip(stats.items(), (model.chip_shape_a[2],) * 2 + (model.chip_shape_b[2],) * 2):
-            if value.shape != (n,) or not np.isfinite(value).all():
-                raise DataError(f"{meta_path}: input stats {key} must be {n} finite values, got {value.tolist()}")
+            if value.shape != (n,):
+                raise DataError(f"{meta_path}: input stats {key} must be {n} values, got {value.tolist()}")
         if not ((stats["std_a"] > 0).all() and (stats["std_b"] > 0).all()):
             raise DataError(f"{meta_path}: input stats std_a and std_b must be positive")
         model.input_stats = InputStats(**stats)

@@ -6,7 +6,7 @@ layer branch per input and a shared head over the branches' concatenated
 outputs; a single-input network is one branch holding every layer. Networks
 skip dx of the layers that read the input chips: nothing uses a gradient of
 the data. A network's infer() is the forward-only pass and leaves no layer
-cache.
+cache; it can predict every quarter turn of its input rows at once.
 Shapes are batched, channel-last: images (N, H, W, C), features (N, D),
 predictions (N, C).
 """
@@ -76,7 +76,18 @@ class Conv(Layer):
     def config(self):
         return (self.k, self.cin, self.cout)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, turns: int = 1) -> np.ndarray:
+        """The convolution of x; with turns > 1, that of every row of x turned 0..turns-1 quarter turns.
+
+        A turned forward is for prediction only and keeps no cache. x must then
+        hold square images, on which a same-padded conv commutes with quarter
+        turns: conv(rot90(x, t), W) == rot90(conv(x, rot90(W, -t)), t). So x
+        is unfolded once, one GEMM against the kernel turned back 0..turns-1
+        times gives every turn's output, and each turn's block is turned
+        forward into the batch, in (row, turn) order. Its values equal the
+        stacked turns' to float32 rounding: each output sums the same products
+        in another order.
+        """
         if x.ndim != 4 or x.shape[3] != self.cin:
             raise DataError(f"Conv({self.cin}->{self.cout}) got input {x.shape}")
         pad = self.k // 2
@@ -84,10 +95,19 @@ class Conv(Layer):
         xp = np.zeros((n, h + 2 * pad, w + 2 * pad, self.cin), dtype=x.dtype)
         xp[:, pad : pad + h, pad : pad + w] = x
         cols, h_out, w_out = tensor.im2col(xp, self.k)
-        out = cols @ self.weights.reshape(-1, self.cout)
-        out += self.bias
-        self._cache = (cols, xp.shape, x.shape)
-        return out.reshape(n, h_out, w_out, self.cout)
+        if turns == 1:
+            out = cols @ self.weights.reshape(-1, self.cout)
+            out += self.bias
+            self._cache = (cols, xp.shape, x.shape)
+            return out.reshape(n, h_out, w_out, self.cout)
+        kernels = np.concatenate([np.rot90(self.weights, -t).reshape(-1, self.cout) for t in range(turns)], axis=1)
+        out = cols @ kernels  # (N*H*W, turns*Cout): column block t holds turn t, not yet turned
+        out += np.tile(self.bias, turns)
+        out = out.reshape(n, h_out, w_out, turns, self.cout)
+        turned = np.empty((n, turns, h_out, w_out, self.cout), dtype=out.dtype)
+        for t in range(turns):
+            turned[:, t] = np.rot90(out[:, :, :, t], t, axes=(1, 2))
+        return turned.reshape(n * turns, h_out, w_out, self.cout)
 
     def backward(self, dy: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
         """Fill the parameter gradients; return dx, or None when need_dx is False."""
@@ -189,13 +209,23 @@ class Softmax(Layer):
 _LAYER_KINDS = {cls.kind: cls for cls in (Conv, MaxPool2, Flatten, Dense, ReLU, Softmax)}
 
 
-def _run_forward(layers, x, keep_cache: bool = True):
+def _run_forward(layers, x, keep_cache: bool = True, turns: int = 1):
     """Run x through the layers and return the output.
 
     keep_cache=False is the forward-only path: each layer's cache is dropped
     as soon as the layer has returned, so the pass keeps no intermediates for
     a backward that will not come and leaves none behind for the next batch.
+    With turns > 1 (forward-only) x holds unturned rows, and the output is
+    that of x's rows each turned 0..turns-1 quarter turns, in (row, turn)
+    order: a leading Conv turns them itself (see Conv.forward), any other
+    first layer is handed them turned.
     """
+    if turns > 1:
+        if layers and isinstance(layers[0], Conv):
+            x = layers[0].forward(x, turns)
+            layers = layers[1:]
+        else:
+            x = np.stack([np.rot90(x, t, axes=(1, 2)) for t in range(turns)], axis=1).reshape(-1, *x.shape[1:])
     for layer in layers:
         x = layer.forward(x)
         if not keep_cache:
@@ -232,16 +262,26 @@ class Network:
         """Batched forward pass; every layer keeps what backward needs."""
         return self._forward(inputs, keep_cache=True)
 
-    def infer(self, inputs) -> np.ndarray:
+    def infer(self, inputs, turns: int = 1) -> np.ndarray:
         """Batched forward pass for prediction only: no layer keeps a cache,
-        so backward cannot follow it. Outputs equal forward_batch's."""
-        return self._forward(inputs, keep_cache=False)
+        so backward cannot follow it. With turns=1 outputs equal forward_batch's.
 
-    def _forward(self, inputs, keep_cache: bool) -> np.ndarray:
+        With turns > 1 the inputs hold unturned rows of square chips, and the
+        output has one row per row and turn, in (row, turn) order: that of
+        forward_batch over every row turned 0..turns-1 quarter turns, to
+        float32 rounding.
+        Each branch's first Conv unfolds every row once and applies its
+        kernel in all turns in one GEMM (see Conv.forward); a branch that
+        begins otherwise is handed its rows turned, and outputs equal
+        forward_batch's exactly.
+        """
+        return self._forward(inputs, keep_cache=False, turns=turns)
+
+    def _forward(self, inputs, keep_cache: bool, turns: int = 1) -> np.ndarray:
         inputs = _as_input_list(inputs)
         if len(inputs) != len(self.branches):
             raise DataError(f"this network takes {len(self.branches)} input(s), got {len(inputs)}")
-        feats = [_run_forward(branch, x, keep_cache) for branch, x in zip(self.branches, inputs)]
+        feats = [_run_forward(branch, x, keep_cache, turns) for branch, x in zip(self.branches, inputs)]
         self._widths = [f.shape[1] for f in feats]
         return _run_forward(self.head, np.concatenate(feats, axis=1), keep_cache)
 

@@ -19,7 +19,12 @@ model standardizes every chip it sees (see fusion.InputStats).
 Every split is a data.Samples: a step stacks its batch with Samples.chips
 (augmented samples are read turned, and only the modalities the network
 reads), and labels are class indices. Prediction follows one batching rule,
-batch_rows: each network predicts a split in batches of whole rows.
+batch_rows: each network predicts a split in batches of whole rows. A
+prediction batch is a slice of the split's unturned rows, predicted in all
+of the split's turns at once (fusion.predict_batch): each network's first
+convolution unfolds every row once and applies its kernel in every turn in
+one GEMM, so the decisions equal those of the stacked turned samples to
+float32 rounding.
 
 A training step runs a network's forward pass, in which each convolution is
 nn.Conv (zero padding, tensor.im2col, one float32 GEMM), backpropagates the
@@ -171,17 +176,19 @@ def _model_predictions(model: fusion.FusionModel, samples) -> np.ndarray | None:
     """The model's decision vectors on samples, in sample order, computed forward-only; None for no samples.
 
     A late model predicts as its two members do. A one-network model predicts
-    in batches of batch_rows whole rows, stacking only the chips it reads.
+    in batches of batch_rows whole rows: each batch hands fusion.predict_batch
+    a slice of the unturned rows of only the chips it reads, and the split's turns.
     """
     if not samples:
         return None
     if model.paradigm in fusion.LATE_PARADIGMS:
         return fusion.decisions(model, [_model_predictions(m, samples) for m in fusion.late_members(model)])
-    n, turns, reads = len(samples.classes), samples.turns, fusion.modalities(model)
-    rows = batch_rows(model.nets[0], *model.chip_shape_a[:2], turns)
+    reads = fusion.modalities(model)
+    chips = [arr if name in reads else None for name, arr in (("a", samples.chips_a), ("b", samples.chips_b))]
+    rows = batch_rows(model.nets[0], *model.chip_shape_a[:2], samples.turns)
     return np.concatenate([
-        fusion.predict_batch(model, *samples.chips(range(r * turns, min(r + rows, n) * turns), reads))
-        for r in range(0, n, rows)
+        fusion.predict_batch(model, *(None if arr is None else arr[r : r + rows] for arr in chips), samples.turns)
+        for r in range(0, len(samples.classes), rows)
     ])
 
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuselab import fusion, nn
+from fuselab import data, fusion, nn, tensor
 from fuselab.errors import DataError
 
+from gradcheck import float64_copy
 from reference_tables import REFERENCE_ALPHA, REFERENCE_BETA, REFERENCE_CONFUSION
 
 
@@ -241,6 +242,91 @@ def test_late_weighted_predict_is_componentwise_select(rng):
     pred_b = model.nets[1].forward_batch([chips_b])
     out = fusion.predict_batch(model, chips_a, chips_b)
     assert np.array_equal(out, np.where(alpha == 1.0, pred_a, pred_b))
+
+
+# --- turned prediction ---------------------------------------------------------------------
+
+ONE_NETWORK_PARADIGMS = ("single-a", "single-b", "early", "joint")
+
+
+def turned_rows(x, turns):
+    """Every (N, H, W, C) row of x turned 0..turns-1 quarter turns, stacked in (row, turn) order, as an augmented
+    data.Samples reads them."""
+    return np.stack([np.rot90(x, t, axes=(1, 2)) for t in range(turns)], axis=1).reshape(-1, *x.shape[1:])
+
+
+def turned_case(paradigm, size, dtype, rows=3):
+    """A paradigm's one network (default backbone, seed 7) and its input list of `rows` random size x size rows."""
+    rng = np.random.default_rng(size)
+    model = fusion.build_model(paradigm, size, size, 2, 3, 5, seed=7)
+    chips = [rng.normal(size=(rows, size, size, c)).astype(dtype) for c in (2, 3)]
+    (xs,) = fusion.network_inputs(model, *chips)  # early's one input is the channel-concatenated pair
+    net = model.nets[0]
+    return (float64_copy(net) if dtype == np.float64 else net), xs
+
+
+@pytest.mark.parametrize("size", [15, 16])
+@pytest.mark.parametrize("paradigm", ONE_NETWORK_PARADIGMS)
+def test_turned_infer_equals_the_stacked_turns_in_float64(paradigm, size):
+    """conv(rot90(x, t), W) == rot90(conv(x, rot90(W, -t)), t): in float64 the two paths differ by summation order."""
+    net, xs = turned_case(paradigm, size, np.float64)
+    turned = net.infer(xs, turns=4)
+    stacked = net.infer([turned_rows(x, 4) for x in xs])
+    assert turned.shape == stacked.shape == (12, 5)
+    assert np.abs(turned - stacked).max() < 1e-12
+
+
+@pytest.mark.parametrize("size", [15, 16])
+@pytest.mark.parametrize("paradigm", ONE_NETWORK_PARADIGMS)
+def test_turned_infer_decides_as_the_stacked_turns_in_float32(paradigm, size):
+    net, xs = turned_case(paradigm, size, np.float32, rows=8)
+    turned = net.infer(xs, turns=4)
+    stacked = net.infer([turned_rows(x, 4) for x in xs])
+    assert np.array_equal(turned.argmax(axis=1), stacked.argmax(axis=1))
+    assert np.abs(turned - stacked).max() < 1e-5
+
+
+@pytest.mark.parametrize("paradigm", ONE_NETWORK_PARADIGMS)
+def test_one_turn_is_the_stacked_path_bit_for_bit(paradigm):
+    net, xs = turned_case(paradigm, 16, np.float32)
+    assert net.infer(xs, turns=1).tobytes() == net.forward_batch(xs).tobytes()
+
+
+def test_a_branch_not_led_by_a_conv_is_handed_its_rows_turned():
+    """A loaded network may begin with a MaxPool2: its rows are turned before it, so it predicts bit for bit as the
+    stacked turns."""
+    rng = np.random.default_rng(3)
+    net = nn.Network([nn.MaxPool2(), nn.Conv(3, 2, 4, rng), nn.MaxPool2(), nn.ReLU(), nn.Flatten(),
+                      nn.Dense(4 * 4 * 4, 5, rng), nn.Softmax()])
+    x = rng.normal(size=(3, 16, 16, 2)).astype(np.float32)
+    assert net.infer(x, turns=4).tobytes() == net.infer(turned_rows(x, 4)).tobytes()
+
+
+@pytest.mark.parametrize("paradigm, first_convs", [("single-b", 1), ("joint", 2)])
+def test_each_first_conv_unfolds_its_rows_once(monkeypatch, paradigm, first_convs):
+    """Only the first conv of each branch reads unturned rows; it unfolds them once, not once per turn."""
+    net, xs = turned_case(paradigm, 16, np.float32)
+    unfolded, im2col = [], tensor.im2col
+    monkeypatch.setattr(tensor, "im2col", lambda xp, k: unfolded.append(len(xp)) or im2col(xp, k))
+    net.infer(xs, turns=4)
+    assert unfolded == [3, 12, 12] * first_convs
+
+
+def test_predict_batch_in_turns_decides_as_the_turned_chips(rng):
+    """predict_batch of 3 rows in 4 turns decides as it does on the 12 turned samples that training stacks."""
+    chips_a = rng.normal(size=(3, 16, 16, 2)).astype(np.float32)
+    chips_b = rng.normal(size=(3, 16, 16, 3)).astype(np.float32)
+    samples = data.Samples([None] * 3, np.zeros(3, np.int64), chips_a, chips_b, turns=4)
+    assert np.array_equal(samples.chips(range(12))[0], turned_rows(chips_a, 4))
+    for paradigm in fusion.PARADIGMS:
+        model = fusion.build_model(paradigm, 16, 16, 2, 3, 5, seed=2)
+        model.input_stats = input_stats([1.0, -1.0], [2.0, 0.5], [0.0, 1.0, 2.0], [1.0, 3.0, 0.25])
+        if paradigm == "late-weighted":
+            model.alpha, model.beta = np.float32([0, 1, 1, 0, 1]), np.float32([1, 0, 0, 1, 0])
+        turned = fusion.predict_batch(model, chips_a, chips_b, turns=4)
+        stacked = fusion.predict_batch(model, *samples.chips(range(12)))
+        assert np.array_equal(turned.argmax(axis=1), stacked.argmax(axis=1)), paradigm
+        assert np.abs(turned - stacked).max() < 1e-5, paradigm
 
 
 # --- model bundle round trip ------------------------------------------------------------

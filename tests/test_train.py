@@ -186,10 +186,10 @@ def test_late_training_keeps_modalities_isolated(monkeypatch):
         for method in ("forward_batch", "infer"):  # training steps, then validation passes
             original = getattr(model.nets[0], method)
 
-            def spying(inputs, _paradigm=paradigm, _orig=original, _method=method):
+            def spying(inputs, *turns, _paradigm=paradigm, _orig=original, _method=method):
                 for x in inputs if isinstance(inputs, list) else [inputs]:
                     seen[_paradigm].add((_method, x.shape[-1]))
-                return _orig(inputs)
+                return _orig(inputs, *turns)
 
             setattr(model.nets[0], method, spying)
         return model
