@@ -12,7 +12,6 @@ a single `error[kind]: message` line on stderr.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import sys
 from pathlib import Path
 
@@ -21,12 +20,6 @@ from .config import Resolver, parse_bool, parse_fractions, parse_seed, read_json
 from .errors import DataError, NumericError
 
 COMPARE_EPOCHS_DEFAULT = 3
-# glibc mallopt parameters and the values main pins. Unpinned, glibc raises its mmap threshold to the size of each
-# mapped block freed and its trim threshold to twice that, so a run's batch-sized arrays move between the heap and
-# fresh mappings, and every fresh page faults in again. Pinned, they reuse one heap.
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
-MMAP_THRESHOLD_BYTES = 32 << 20  # glibc's largest on 64-bit
-TRIM_THRESHOLD_BYTES = 64 << 20
 # compare --data's settings that compare --from-tables, which trains nothing, refuses
 TRAINING_SETTINGS = ("seed", "epochs", "batch_size", "learning_rate", "optimizer", "augment_eval")
 
@@ -331,19 +324,7 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _pin_allocator() -> None:
-    """Pin glibc malloc's mmap and trim thresholds; off glibc, do nothing. Pinning again changes nothing."""
-    try:
-        libc = ctypes.CDLL(None)  # the symbols of the running process
-    except (OSError, TypeError):  # a platform that cannot load them so
-        return
-    if hasattr(libc, "gnu_get_libc_version"):  # glibc's own symbol: another libc's mallopt numbers differ
-        libc.mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
-        libc.mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
-
-
 def main(argv=None) -> int:
-    _pin_allocator()
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)

@@ -134,7 +134,7 @@ class ParadigmReport:
     tables: dict  # paradigm -> MetricsTable
     ranking: list  # RankEntry, best first
     best: str
-    exact_tie: bool  # top spot decided purely by name ordering
+    tie_break: str | None  # how a macro-F1 tie at the top was settled, as report.md says it; None if none
 
 
 def compare_paradigms(tables: dict) -> ParadigmReport:
@@ -154,12 +154,11 @@ def compare_paradigms(tables: dict) -> ParadigmReport:
         return -1 if x.paradigm < y.paradigm else (1 if x.paradigm > y.paradigm else 0)
 
     entries.sort(key=cmp_to_key(cmp))
-    exact_tie = (
-        len(entries) > 1
-        and abs(entries[0].macro_f1 - entries[1].macro_f1) <= TIE_EPS
-        and abs(entries[0].min_f1 - entries[1].min_f1) <= TIE_EPS
-    )
-    return ParadigmReport(tables=dict(tables), ranking=entries, best=entries[0].paradigm, exact_tie=exact_tie)
+    tie_break = None
+    if len(entries) > 1 and abs(entries[0].macro_f1 - entries[1].macro_f1) <= TIE_EPS:
+        tie_break = ("tie broken by worst-class F1" if abs(entries[0].min_f1 - entries[1].min_f1) > TIE_EPS
+                     else "exact tie, resolved by name ordering")
+    return ParadigmReport(tables=dict(tables), ranking=entries, best=entries[0].paradigm, tie_break=tie_break)
 
 
 # --- report emission ---------------------------------------------------------
@@ -208,13 +207,8 @@ def metrics_markdown_text(report: ParadigmReport) -> str:
     lines.append("|---|---|---|---|")
     for rank, e in enumerate(report.ranking, 1):
         lines.append(f"| {rank} | {e.paradigm} | {e.macro_f1:.4f} | {e.min_f1:.4f} |")
-    tie_note = " (tie broken by worst-class F1)" if len(report.ranking) > 1 and abs(
-        report.ranking[0].macro_f1 - report.ranking[1].macro_f1
-    ) <= TIE_EPS else ""
-    if report.exact_tie:
-        tie_note = " (exact tie, resolved by name ordering)"
     lines.append("")
-    lines.append(f"**Selected paradigm: {report.best}**{tie_note}")
+    lines.append(f"**Selected paradigm: {report.best}**" + (f" ({report.tie_break})" if report.tie_break else ""))
     return "\n".join(lines) + "\n"
 
 

@@ -297,7 +297,9 @@ class Network:
 
         Walks each branch's Conv and MaxPool2 layers from the chip size: a Conv
         unfolds k*k*cin values per output pixel (same padding keeps the size),
-        a MaxPool2 halves the size, rounding up.
+        a MaxPool2 halves the size, rounding up. train.batch_rows counts it
+        `turns` times per row, though Conv.forward(x, turns) unfolds a row once:
+        a change would move batch boundaries, and so float32 predictions.
         """
         widest = 0
         for branch in self.branches:

@@ -141,7 +141,10 @@ def batch_rows(net: nn.Network, height: int, width: int, turns: int) -> int:
     read in `turns` turns: as many as keep its widest im2col unfolding within
     EVAL_BYTES and its samples within EVAL_BATCH, at least 1, rounded down to a
     power of two so that a model's larger batches are whole multiples of its
-    smaller ones. A split is predicted in these batches from its first row."""
+    smaller ones. A split is predicted in these batches from its first row.
+    A turned first Conv counts `turns` unfoldings per row, though it unfolds a
+    row once: kept, as a change would move batch boundaries and so float32
+    predictions."""
     samples = min(EVAL_BATCH, EVAL_BYTES // max(net.column_bytes(height, width), 1))
     return 1 << (max(1, samples // turns).bit_length() - 1)
 

@@ -1,7 +1,6 @@
 import argparse
 import json
 import os
-import platform
 import shlex
 import shutil
 import struct
@@ -1297,27 +1296,6 @@ def test_diverging_training_is_one_numeric_error(tiny_dataset_dir, tmp_path, cap
                               str(tmp_path / "m"), "--epochs", "1", "--learning-rate", rate],
                      "numeric", "at epoch 0, batch ", "(single-a network", "try a lower learning rate")
     assert [str(w.message) for w in recwarn] == []  # numpy's overflow warnings would print beside the error
-
-
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="cli.main pins glibc malloc's thresholds only")
-def test_eval_run_again_in_the_same_process_reuses_the_heap(tmp_path):
-    """cli.main pins glibc malloc's mmap and trim thresholds, so a second in-process eval reuses the heap that the
-    first one grew. Unpinned, the second eval of these 102 augmented rows took ~1,150 minor faults, as glibc moved
-    the batches' arrays between its heap and fresh mappings; pinned, ~10."""
-    import resource
-
-    ds, model = tmp_path / "d", tmp_path / "m"
-    assert main(synth_args(ds, per_class=24, size=32)) == 0
-    assert main(["train", "--data", str(ds), "--paradigm", "late-weighted", "--epochs", "0", "--out", str(model),
-                 "--quiet"]) == 0
-    faults = []
-    for run in range(2):
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        assert main(["eval", "--data", str(ds), "--model", str(model), "--split", "train",
-                     "--out", str(tmp_path / f"e{run}"), "--quiet"]) == 0
-        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-    assert len(data.load_dataset(ds).train.classes) >= 100
-    assert faults[1] < 500, faults
 
 
 @pytest.mark.parametrize("augment", ["true", "false"])

@@ -189,7 +189,7 @@ def test_compare_identical_tables_flags_exact_tie():
     t = reference_tables()["joint"]
     report = ev.compare_paradigms({"zeta": t, "alpha": t})
     assert report.best == "alpha"  # name order
-    assert report.exact_tie
+    assert report.tie_break == "exact tie, resolved by name ordering"
 
 
 # --- emit / parse ------------------------------------------------------------------
@@ -227,6 +227,21 @@ def test_markdown_mirrors_metric_rows(tmp_path):
     for row in ("Accuracy", "Precision", "Recall", "F1 Score"):
         assert text.count(row) >= 6
     assert "Selected paradigm" in text
+
+
+def _f1_table(f1):
+    f1 = np.array(f1)
+    return ev.MetricsTable(("a", "b"), f1, f1, f1, f1, np.zeros(2, dtype=bool))
+
+
+@pytest.mark.parametrize("f1s, last_line", [
+    ({"x": [0.9, 0.7], "y": [0.5, 0.5]}, "**Selected paradigm: x**"),
+    ({"x": [0.9, 0.5], "y": [0.7, 0.7]}, "**Selected paradigm: y** (tie broken by worst-class F1)"),
+    ({"y": [0.8, 0.6], "x": [0.6, 0.8]}, "**Selected paradigm: x** (exact tie, resolved by name ordering)"),
+], ids=["no-tie", "worst-class-f1", "exact-tie"])
+def test_markdown_ends_with_how_the_top_spot_was_settled(f1s, last_line):
+    report = ev.compare_paradigms({name: _f1_table(f1) for name, f1 in f1s.items()})
+    assert ev.metrics_markdown_text(report).splitlines()[-1] == last_line
 
 
 def test_markdown_degenerate_cell_is_na(tmp_path):
