@@ -7,7 +7,7 @@ NumericError 4, and any other ValueError (argparse usage failures included)
 
 
 class NumericError(ArithmeticError):
-    """A kernel or training step produced NaN/Inf, or overflowed."""
+    """A GEMM (tensor.matmul) or a training step produced NaN/Inf, or overflowed."""
 
 
 class DataError(ValueError):

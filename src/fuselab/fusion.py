@@ -103,11 +103,13 @@ def _standardized(chips: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.nd
     """(chips - mean) / std over (N, H, W, C) chips, in one new array.
 
     The per-channel vectors are tiled along image rows, so numpy's inner loop
-    runs over W*C elements instead of C; the values are the same.
+    runs over W*C elements instead of C; the values are the same. An overflow
+    gives inf without a warning, and the network's first GEMM reports it.
     """
     n, h, w, c = chips.shape
-    out = np.subtract(chips.reshape(n * h, w * c), np.tile(mean, w))
-    out /= np.tile(std, w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.subtract(chips.reshape(n * h, w * c), np.tile(mean, w))
+        out /= np.tile(std, w)
     return out.reshape(chips.shape)
 
 
@@ -199,9 +201,10 @@ def late_aggregate_mean(pred_a, pred_b) -> np.ndarray:
 def late_aggregate_weighted(pred_a, pred_b, alpha, beta) -> np.ndarray:
     """Per-class weighted combination alpha*pred_a + beta*pred_b.
 
-    The output is intentionally not renormalized; only its argmax is
-    consumed downstream. Weights read from model.json are checked by
-    load_model; derived ones are binary and complementary by construction.
+    The output is intentionally not renormalized: decisions take its argmax,
+    and late-weighted's history.csv val_loss is the cross-entropy of its rows.
+    Weights read from model.json are checked by load_model; derived ones are
+    binary and complementary by construction.
     """
     pred_a, pred_b = np.asarray(pred_a), np.asarray(pred_b)
     return np.asarray(alpha, dtype=pred_a.dtype) * pred_a + np.asarray(beta, dtype=pred_b.dtype) * pred_b

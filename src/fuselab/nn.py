@@ -58,8 +58,8 @@ class Layer:
 
 
 class Conv(Layer):
-    """3x3-style convolution, stride 1, `same` zero padding: pad, im2col, one GEMM. The kernel size k is odd
-    (fusion builds k=3; load_network refuses an even one)."""
+    """3x3-style convolution, stride 1, `same` zero padding: pad, im2col, one tensor.matmul GEMM. The kernel size
+    k is odd (fusion builds k=3; load_network refuses an even one)."""
 
     kind = "conv"
     _param_names = ("weights", "bias")
@@ -95,14 +95,11 @@ class Conv(Layer):
         xp = np.zeros((n, h + 2 * pad, w + 2 * pad, self.cin), dtype=x.dtype)
         xp[:, pad : pad + h, pad : pad + w] = x
         cols, h_out, w_out = tensor.im2col(xp, self.k)
+        kernels = np.concatenate([np.rot90(self.weights, -t).reshape(-1, self.cout) for t in range(turns)], axis=1)
+        out = tensor.matmul(cols, kernels, np.tile(self.bias, turns))  # column block t holds turn t, not yet turned
         if turns == 1:
-            out = cols @ self.weights.reshape(-1, self.cout)
-            out += self.bias
             self._cache = (cols, xp.shape, x.shape)
             return out.reshape(n, h_out, w_out, self.cout)
-        kernels = np.concatenate([np.rot90(self.weights, -t).reshape(-1, self.cout) for t in range(turns)], axis=1)
-        out = cols @ kernels  # (N*H*W, turns*Cout): column block t holds turn t, not yet turned
-        out += np.tile(self.bias, turns)
         out = out.reshape(n, h_out, w_out, turns, self.cout)
         turned = np.empty((n, turns, h_out, w_out, self.cout), dtype=out.dtype)
         for t in range(turns):
@@ -114,13 +111,13 @@ class Conv(Layer):
         cols, padded_shape, in_shape = self._take_cache()
         n, h, w, _ = in_shape
         dy_col = dy.reshape(-1, self.cout)
-        self.grad_weights = (cols.T @ dy_col).reshape(self.weights.shape)
+        self.grad_weights = tensor.matmul(cols.T, dy_col).reshape(self.weights.shape)
         # einsum reduces in one contiguous pass; sum(axis=0) loops over rows only Cout long
         self.grad_bias = np.einsum("ij->j", dy_col)
         if not need_dx:
             return None
         taps = self.weights.reshape(self.k * self.k, self.cin, self.cout).transpose(0, 2, 1)
-        dxp = tensor.col2im_add(np.matmul(dy_col, taps), padded_shape, self.k)  # tap-major dcols
+        dxp = tensor.col2im_add(tensor.matmul(dy_col, taps), padded_shape, self.k)  # tap-major dcols
         pad = self.k // 2
         return dxp[:, pad : pad + h, pad : pad + w, :]
 

@@ -8,13 +8,13 @@ Layout convention, used everywhere in this package: arrays are row-major
 (C order), channel-last. Images are (H, W, C), batches are (N, H, W, C),
 so flat index = ((n*H + row)*W + col)*C + ch; the unfolding and pooling
 kernels take batches only. Every kernel computes in its operands' dtype, so
-the one precision policy is float32 storage and float32 GEMMs (Dense's through
-matmul, Conv's on the im2col columns); the same kernels run in float64 when
-handed float64 arrays (the gradient checker relies on this).
+the one precision policy is float32 storage and float32 GEMMs; the same
+kernels run in float64 when handed float64 arrays (the gradient checker
+relies on this).
 
-All kernels are pure functions of their inputs. matmul and maxpool2 raise
-NumericError instead of returning NaN/Inf; the others pass values through
-unchecked.
+All kernels are pure functions of their inputs. matmul, every GEMM of the
+package, raises NumericError instead of returning NaN/Inf, and keeps numpy's
+floating-point warnings silent; the others pass values through unchecked.
 """
 
 from __future__ import annotations
@@ -26,17 +26,16 @@ from .errors import DataError, NumericError
 DTYPE = np.float32
 
 
-def _check_finite(out: np.ndarray, op: str) -> np.ndarray:
-    if not np.isfinite(out).all():
-        raise NumericError(f"{op} produced non-finite values (overflow or NaN input)")
-    return out
-
-
 def matmul(a: np.ndarray, b: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
-    """Finite-checked matrix product a @ b, plus bias when given, in the operands' own dtype (Dense checks its
-    input's shape)."""
+    """Finite-checked matrix product a @ b, plus bias added in place when given, in the operands' own dtype
+    (the layers check their inputs' shapes)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _check_finite(a @ b if bias is None else a @ b + bias, "matmul")
+        out = a @ b
+        if bias is not None:
+            out += bias
+    if not np.isfinite(out).all():
+        raise NumericError("matmul produced non-finite values (overflow or NaN input)")
+    return out
 
 
 def im2col(xp: np.ndarray, k: int) -> tuple[np.ndarray, int, int]:
@@ -99,8 +98,7 @@ def maxpool2(x: np.ndarray) -> np.ndarray:
         raise DataError(f"maxpool2 expects (N,H,W,C), got {x.shape}")
     win = _windows(_pad_even(x))
     rows = np.maximum(win[:, :, 0], win[:, :, 1])  # (N, H/2, W/2, 2, C)
-    out = np.maximum(rows[:, :, :, 0], rows[:, :, :, 1])
-    return _check_finite(out, "maxpool2")
+    return np.maximum(rows[:, :, :, 0], rows[:, :, :, 1])
 
 
 def maxpool2_scatter(grad: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -243,7 +243,7 @@ def train(model: fusion.FusionModel, dsplit, config: TrainConfig) -> list[EpochR
             batch = perm[start : start + config.batch_size]
             (xs,) = fusion.network_inputs(model, *dsplit.train.chips(batch, fusion.modalities(model)))
             y = dsplit.train.truth(batch)
-            try:  # a kernel's non-finite check or numpy's floating-point error ends the run with this diagnostic
+            try:  # tensor.matmul's non-finite check or numpy's floating-point error ends the run with this diagnostic
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
                     pred = net.forward_batch(xs)
                     loss = nn.cross_entropy(pred, y)

@@ -1,14 +1,18 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import shlex
 import shutil
 import struct
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fuselab import cli, data, evaluation as ev, fusion, nn, train as training
 from fuselab.cli import main
@@ -347,6 +351,23 @@ def test_eval_split_choice_and_augment_opt_out(tiny_dataset_dir, tmp_path):
     ) == 0
     cm = ev.parse_confusion_csv(out / "confusion.csv")
     assert cm.total == 5  # unaugmented test split
+
+
+def test_turned_eval_of_a_network_that_does_not_begin_with_a_conv(tiny_dataset_dir, tmp_path):
+    """A branch whose first layer is not a Conv is handed its rows turned: eval's confusion table is that of the
+    stacked turned samples' predictions."""
+    loaded = data.load_dataset(tiny_dataset_dir)
+    layers = [nn.MaxPool2(), nn.Flatten(), nn.Dense(8 * 8 * 2, 5, np.random.default_rng(0)), nn.Softmax()]
+    model = fusion.FusionModel("single-a", [nn.Network(layers)], (16, 16, 2), (16, 16, 3), 5,
+                               input_stats=training.input_stats(loaded.train), class_names=loaded.class_names)
+    fusion.save_model(tmp_path / "model", model)
+    out = tmp_path / "eval"
+    assert main(["eval", "--data", str(tiny_dataset_dir), "--model", str(tmp_path / "model"), "--out", str(out),
+                 "--augment-eval", "true", "--quiet"]) == 0
+    val = data.augment(loaded).val
+    pred = fusion.predict_batch(model, *val.chips(range(len(val))))
+    expected = ev.confusion_csv_text(ev.confusion_matrix(pred, val.truth(), loaded.class_names))
+    assert (out / "confusion.csv").read_text() == expected
 
 
 def test_seven_classes_on_12x12_chips_train_and_eval(tmp_path):
@@ -902,13 +923,18 @@ def edit_json(name, **values):
     return edit_bytes(name, lambda b: json.dumps({**json.loads(b), **values}).encode())
 
 
-def first_late_input_stat(value):
-    """An edit of a copy t of error_inputs: the first value of input_stats.mean_a in t/lw/model.json becomes value."""
+def edit_input_stat(name, key, edit):
+    """An edit of a copy t of error_inputs: input_stats[key] in the model.json t/name becomes edit(its list)."""
     def apply(blob):
         meta = json.loads(blob)
-        meta["input_stats"]["mean_a"][0] = value
+        meta["input_stats"][key] = edit(meta["input_stats"][key])
         return json.dumps(meta).encode()
-    return edit_bytes("lw/model.json", apply)
+    return edit_bytes(name, apply)
+
+
+def first_late_input_stat(value):
+    """An edit of a copy t of error_inputs: the first value of input_stats.mean_a in t/lw/model.json becomes value."""
+    return edit_input_stat("lw/model.json", "mean_a", lambda values: [value, *values[1:]])
 
 
 def edit_net(name, edit):
@@ -957,6 +983,11 @@ def fill_dense_weights(layers):
     for layer in layers:
         if layer.kind == "dense":
             layer.weights.fill(3e38)
+
+
+def fill_first_conv_weights(layers):
+    """Finite weights whose first Conv output overflows: 3e37 times a sum of 18 standardized values."""
+    layers[0].weights.fill(3e37)
 
 
 def conv_ended(layers):
@@ -1130,6 +1161,11 @@ TYPED_ERRORS = {
                                ["matmul produced non-finite values"]),
     "late-dense-bias-overflow": (edit_net("lw/net_0.fnet", overflow_last_dense), LATE_EVAL, "numeric",
                                  ["matmul produced non-finite values"]),
+    "conv-weights-overflow": (edit_net(FNET, fill_first_conv_weights), EVAL, "numeric",
+                              ["matmul produced non-finite values"]),
+    # a positive float32 whose quotients overflow while the chips are standardized, before any GEMM
+    "model-input-std-tiny": (edit_input_stat("model/model.json", "std_a", lambda values: [1e-40] * len(values)),
+                             EVAL, "numeric", ["matmul produced non-finite values"]),
 }
 
 
@@ -1147,6 +1183,41 @@ def test_every_typed_error_is_one_line_and_its_exit_code(error_inputs, tmp_path,
     while "=" in argv[0]:
         monkeypatch.setenv(*argv.pop(0).split("=", 1))
     assert_one_error(capsys, argv, kind, *texts)
+
+
+@pytest.fixture(scope="module")
+def flip_inputs(error_inputs, tmp_path_factory):
+    """A copy of error_inputs whose files a test may rewrite, if it restores them."""
+    t = tmp_path_factory.mktemp("flips") / "t"
+    shutil.copytree(error_inputs, t)
+    return t
+
+
+# Bit b of byte i is bit 8*i + b of a file. A chip's first value follows its 20-byte header, and its bit 30 is the
+# exponent's top bit: the first value of CHIP, 0.72, becomes 2.5e38, finite, which standardizing takes past float32.
+@given(name=st.sampled_from([CHIP, FNET]), bit=st.integers(0, 2**32))
+@example(name=CHIP, bit=8 * 20 + 30)
+@settings(max_examples=100, deadline=None)
+def test_a_flipped_bit_is_scored_or_one_error_line(flip_inputs, name, bit):
+    """eval of the train split (which holds CHIP's row) with one bit of a chip or of a single-a checkpoint flipped
+    exits 0 and prints no error, or exits 3 or 4 with one error line; no warning is raised on the way."""
+    path = flip_inputs / name
+    blob = path.read_bytes()
+    bit %= 8 * len(blob)
+    flipped = bytearray(blob)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    path.write_bytes(flipped)
+    err = io.StringIO()
+    try:
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(EVAL.format(t=flip_inputs).split() + ["--split", "train", "--quiet"])
+    finally:
+        path.write_bytes(blob)
+    lines = err.getvalue().splitlines()
+    assert not caught, [str(w.message) for w in caught]
+    assert code in (0, 3, 4), lines
+    assert lines == [] if code == 0 else len(lines) == 1 and lines[0].startswith("error["), lines
 
 
 def test_readme_cli_lines_parse():

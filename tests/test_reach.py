@@ -101,3 +101,19 @@ def test_every_error_type_is_named_by_an_except_clause():
                 types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
                 caught |= {getattr(t, "id", getattr(t, "attr", None)) for t in types}  # Name or module.Name
     assert not defined - caught, f"error types no except clause names: {sorted(defined - caught)}"
+
+
+def test_every_matrix_product_is_tensor_matmul():
+    """tensor.matmul is the package's one matrix product, so every GEMM's result is finite-checked: outside
+    tensor.py no module uses the @ operator or calls a function or method named matmul or dot but tensor.matmul."""
+    found = []
+    for path, module in package_modules():
+        if path.name == "tensor.py":
+            continue
+        for node in ast.walk(module):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{path.name}:{node.lineno}: @")
+            elif (isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("matmul", "dot")
+                  and ast.unparse(node.func) != "tensor.matmul"):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node.func)}")
+    assert not found, f"matrix products outside tensor.matmul: {found}"
