@@ -1,12 +1,14 @@
 """Trainable layers, the network and the loss.
 
-Every layer follows the same protocol: forward(x) caches what backward needs,
-backward(dy) returns dx and fills per-parameter gradients. A Network holds one
+Every layer follows the same protocol: forward(x, keep_cache=True) keeps what
+its backward reads, in the smallest exact form, and forward(x) keeps nothing;
+backward(dy) returns dx and fills per-parameter gradients, which gradients()
+hands over and clears. A Network holds one
 layer branch per input and a shared head over the branches' concatenated
 outputs; a single-input network is one branch holding every layer. Networks
 skip dx of the layers that read the input chips: nothing uses a gradient of
-the data. A network's infer() is the forward-only pass and leaves no layer
-cache; it can predict every quarter turn of its input rows at once.
+the data. A network's infer() is the forward-only pass: no layer computes or
+keeps a cache, and it can predict every quarter turn of its input rows at once.
 Shapes are batched, channel-last: images (N, H, W, C), features (N, D),
 predictions (N, C).
 """
@@ -33,9 +35,14 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -
 class Layer:
     """What every layer shares: the cache slot, config and parameters.
 
-    A layer with parameters lists their attribute names in _param_names; its
-    backward stores each one's gradient as grad_<name>. config() gives the
-    constructor arguments, which the .fnet format stores.
+    forward(x, keep_cache=True) keeps what backward reads and nothing more:
+    Conv its im2col columns, MaxPool2 a bool mask of each window's routed
+    maximum, ReLU a bool mask of its positive outputs, Dense its input,
+    Softmax its output, Flatten its input's shape. Without keep_cache a
+    forward computes and keeps none of it. A layer with parameters lists
+    their attribute names in _param_names; its backward stores each one's
+    gradient as grad_<name>, which lives until gradients() hands it over.
+    config() gives the constructor arguments, which the .fnet format stores.
     """
 
     kind: str
@@ -49,7 +56,8 @@ class Layer:
         return [getattr(self, name) for name in self._param_names]
 
     def gradients(self) -> list:
-        return [getattr(self, "grad_" + name) for name in self._param_names]
+        """Hand over the gradients the last backward filled; the layer keeps none of them."""
+        return [vars(self).pop("grad_" + name) for name in self._param_names]
 
     def _take_cache(self):
         """Return what forward cached and clear it, so backward keeps nothing alive."""
@@ -76,10 +84,12 @@ class Conv(Layer):
     def config(self):
         return (self.k, self.cin, self.cout)
 
-    def forward(self, x: np.ndarray, turns: int = 1) -> np.ndarray:
+    def forward(self, x: np.ndarray, keep_cache: bool = False, turns: int = 1) -> np.ndarray:
         """The convolution of x; with turns > 1, that of every row of x turned 0..turns-1 quarter turns.
 
-        A turned forward is for prediction only and keeps no cache. x must then
+        keep_cache keeps the im2col columns, which backward reads (unfolding
+        them again there measured 1-5 ms slower per step). A turned forward
+        is for prediction only and keeps no cache. x must then
         hold square images, on which a same-padded conv commutes with quarter
         turns: conv(rot90(x, t), W) == rot90(conv(x, rot90(W, -t)), t). So x
         is unfolded once, one GEMM against the kernel turned back 0..turns-1
@@ -98,7 +108,8 @@ class Conv(Layer):
         kernels = np.concatenate([np.rot90(self.weights, -t).reshape(-1, self.cout) for t in range(turns)], axis=1)
         out = tensor.matmul(cols, kernels, np.tile(self.bias, turns))  # column block t holds turn t, not yet turned
         if turns == 1:
-            self._cache = (cols, xp.shape, x.shape)
+            if keep_cache:
+                self._cache = (cols, xp.shape, x.shape)
             return out.reshape(n, h_out, w_out, self.cout)
         out = out.reshape(n, h_out, w_out, turns, self.cout)
         turned = np.empty((n, turns, h_out, w_out, self.cout), dtype=out.dtype)
@@ -117,7 +128,7 @@ class Conv(Layer):
         if not need_dx:
             return None
         taps = self.weights.reshape(self.k * self.k, self.cin, self.cout).transpose(0, 2, 1)
-        dxp = tensor.col2im_add(tensor.matmul(dy_col, taps), padded_shape, self.k)  # tap-major dcols
+        dxp = tensor.col2im_add(dy_col, taps, padded_shape, self.k)
         pad = self.k // 2
         return dxp[:, pad : pad + h, pad : pad + w, :]
 
@@ -125,21 +136,22 @@ class Conv(Layer):
 class MaxPool2(Layer):
     kind = "maxpool2"
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, keep_cache: bool = False) -> np.ndarray:
         out = tensor.maxpool2(x)
-        self._cache = (x, out)
+        if keep_cache:
+            self._cache = (tensor.maxpool2_route(x, out), x.shape)
         return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        x, out = self._take_cache()
-        return tensor.maxpool2_scatter(dy, x, out)
+        return tensor.maxpool2_scatter(dy, *self._take_cache())
 
 
 class Flatten(Layer):
     kind = "flatten"
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = x.shape
+    def forward(self, x: np.ndarray, keep_cache: bool = False) -> np.ndarray:
+        if keep_cache:
+            self._cache = x.shape
         return x.reshape(x.shape[0], math.prod(x.shape[1:]))  # numpy cannot size -1 for 0 rows
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -161,10 +173,11 @@ class Dense(Layer):
     def config(self):
         return (self.nin, self.nout)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, keep_cache: bool = False) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.nin:
             raise DataError(f"Dense({self.nin}->{self.nout}) got input {x.shape}")
-        self._cache = x
+        if keep_cache:
+            self._cache = x
         return tensor.matmul(x, self.weights, self.bias)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -177,25 +190,28 @@ class Dense(Layer):
 class ReLU(Layer):
     kind = "relu"
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        # backward needs only where the output is positive
+    def forward(self, x: np.ndarray, keep_cache: bool = False) -> np.ndarray:
         y = np.maximum(x, 0)
-        self._cache = y
+        if keep_cache:  # backward reads only where the output is positive
+            self._cache = y > 0
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         # the output's positive mask is the derivative; multiplying casts True/False to 1/0
-        return np.multiply(dy, self._take_cache() > 0)
+        return np.multiply(dy, self._take_cache())
 
 
 class Softmax(Layer):
     kind = "softmax"
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        z = x - x.max(axis=-1, keepdims=True)
+    def forward(self, x: np.ndarray, keep_cache: bool = False) -> np.ndarray:
+        # a logit further below its row's maximum than the dtype reaches gives -inf, whose exp is 0, the exact limit
+        with np.errstate(over="ignore"):
+            z = x - x.max(axis=-1, keepdims=True)
         e = np.exp(z)
         out = e / e.sum(axis=-1, keepdims=True)
-        self._cache = out
+        if keep_cache:
+            self._cache = out
         return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -206,27 +222,24 @@ class Softmax(Layer):
 _LAYER_KINDS = {cls.kind: cls for cls in (Conv, MaxPool2, Flatten, Dense, ReLU, Softmax)}
 
 
-def _run_forward(layers, x, keep_cache: bool = True, turns: int = 1):
-    """Run x through the layers and return the output.
+def _run_forward(layers, x, keep_cache: bool, turns: int = 1):
+    """Run x through the layers and return the output; each layer keeps its cache only with keep_cache.
 
-    keep_cache=False is the forward-only path: each layer's cache is dropped
-    as soon as the layer has returned, so the pass keeps no intermediates for
-    a backward that will not come and leaves none behind for the next batch.
-    With turns > 1 (forward-only) x holds unturned rows, and the output is
+    keep_cache=False is the forward-only path: no layer computes or keeps
+    what a backward would read, so the pass leaves nothing behind for the
+    next batch. With turns > 1 (forward-only) x holds unturned rows, and the output is
     that of x's rows each turned 0..turns-1 quarter turns, in (row, turn)
     order: a leading Conv turns them itself (see Conv.forward), any other
     first layer is handed them turned.
     """
     if turns > 1:
         if layers and isinstance(layers[0], Conv):
-            x = layers[0].forward(x, turns)
+            x = layers[0].forward(x, turns=turns)
             layers = layers[1:]
         else:
             x = np.stack([np.rot90(x, t, axes=(1, 2)) for t in range(turns)], axis=1).reshape(-1, *x.shape[1:])
     for layer in layers:
-        x = layer.forward(x)
-        if not keep_cache:
-            layer._cache = None
+        x = layer.forward(x, keep_cache)
     return x
 
 
@@ -256,12 +269,12 @@ class Network:
         self._widths = ()  # each branch's output width in the last forward pass
 
     def forward_batch(self, inputs) -> np.ndarray:
-        """Batched forward pass; every layer keeps what backward needs."""
+        """Batched forward pass; every layer keeps what its backward reads."""
         return self._forward(inputs, keep_cache=True)
 
     def infer(self, inputs, turns: int = 1) -> np.ndarray:
-        """Batched forward pass for prediction only: no layer keeps a cache,
-        so backward cannot follow it. With turns=1 outputs equal forward_batch's.
+        """Batched forward pass for prediction only: no layer computes or keeps
+        a cache, so backward cannot follow it. With turns=1 outputs equal forward_batch's.
 
         With turns > 1 the inputs hold unturned rows of square chips, and the
         output has one row per row and turn, in (row, turn) order: that of
@@ -324,6 +337,7 @@ def parameters(net) -> list[np.ndarray]:
 
 
 def gradients(net) -> list[np.ndarray]:
+    """Take every layer's gradients from its last backward, in parameters(net) order; the layers keep none."""
     out = []
     for layer in net.all_layers():
         out.extend(layer.gradients())

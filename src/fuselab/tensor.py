@@ -1,5 +1,5 @@
-"""Dense tensor kernels: matmul, the im2col/col2im_add unfolding that nn.Conv
-builds its GEMMs on, and 2x2 max pooling. The pooling kernels view an
+"""Dense tensor kernels: matmul, the im2col unfolding and col2im_add folding
+that nn.Conv builds its GEMMs on, and 2x2 max pooling. The pooling kernels view an
 even-sized batch as (N, H/2, 2, W/2, 2, C) windows, so each pass reads
 contiguous runs of a row. ReLU is elementwise, in nn.ReLU; the backbone
 applies it after pooling, to the 4x smaller pooled array.
@@ -51,22 +51,23 @@ def im2col(xp: np.ndarray, k: int) -> tuple[np.ndarray, int, int]:
     return np.ascontiguousarray(cols), h_out, w_out
 
 
-def col2im_add(dcols: np.ndarray, padded_shape: tuple[int, ...], k: int) -> np.ndarray:
-    """Scatter-add im2col gradients back onto the padded (N, Hp, Wp, C) input.
+def col2im_add(dy_col: np.ndarray, taps: np.ndarray, padded_shape: tuple[int, ...], k: int) -> np.ndarray:
+    """Input gradient of a stride-1 convolution on its padded (N, Hp, Wp, Cin) input, one tap at a time.
 
-    dcols is tap-major, shape (k*k, N*H'*W', C): dcols[i*k + j] holds the
-    gradient that tap (i, j) of every window sends to the input pixel it read,
-    in window order. Each tap is one add of a contiguous block onto the
-    shifted view out[:, i:i+H', j:j+W'], taps in row-major order.
+    dy_col is the output gradient as (N*H'*W', Cout) rows in window order and
+    taps the kernel viewed as (k*k, Cout, Cin). Tap (i, j) sends
+    matmul(dy_col, taps[i*k + j]) to the input pixel each window read there:
+    that (N*H'*W', Cin) block is added onto the shifted view
+    out[:, i:i+H', j:j+W'], taps in row-major order, and is freed before the
+    next tap's GEMM, so the (k*k, N*H'*W', Cin) block of every tap is never held.
     """
     n, hp, wp, c = padded_shape
     h_out = hp - k + 1
     w_out = wp - k + 1
-    d = dcols.reshape(k, k, n, h_out, w_out, c)
-    out = np.zeros(padded_shape, dtype=dcols.dtype)
+    out = np.zeros(padded_shape, dtype=dy_col.dtype)
     for i in range(k):
         for j in range(k):
-            out[:, i : i + h_out, j : j + w_out] += d[i, j]
+            out[:, i : i + h_out, j : j + w_out] += matmul(dy_col, taps[i * k + j]).reshape(n, h_out, w_out, c)
     return out
 
 
@@ -91,8 +92,8 @@ def maxpool2(x: np.ndarray) -> np.ndarray:
 
     Odd trailing edges are padded with -inf. The maximum is taken over each
     window's two rows, then over its two columns, so both passes read runs of
-    contiguous memory; no window index is stored, and maxpool2_scatter
-    recovers it from x and the pooled output.
+    contiguous memory. No window index is computed here: training asks
+    maxpool2_route for the routing mask, and prediction needs none.
     """
     if x.ndim != 4:
         raise DataError(f"maxpool2 expects (N,H,W,C), got {x.shape}")
@@ -101,32 +102,44 @@ def maxpool2(x: np.ndarray) -> np.ndarray:
     return np.maximum(rows[:, :, :, 0], rows[:, :, :, 1])
 
 
-def maxpool2_scatter(grad: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Route pooled gradients back to the input of maxpool2.
+def maxpool2_route(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The routing mask of maxpool2: a bool array of x's shape, padded to even like the pool's windows.
 
-    x is the pooled input and out = maxpool2(x). Each window's gradient goes
-    to the first position equal to its maximum, in the order (0,0), (0,1),
-    (1,0), (1,1); every other position gets +0.
+    out = maxpool2(x). Each window's mask is True at the first position equal
+    to its maximum, in the order (0,0), (0,1), (1,0), (1,1), and False
+    elsewhere: one byte per input element, all that maxpool2_scatter reads.
     """
-    h, w = x.shape[1:3]
     xp = _pad_even(x)
     n, hp, wp, c = xp.shape
     rows = xp.reshape(n, hp // 2, 2, wp, c)  # [:, i, r] is row r of window row i
     # One compare of each position against its window's maximum, repeated along
     # the row so that both operands are read in contiguous runs of a whole row.
     # Every window holds at least one hit, so more hits than windows means a tie.
-    hit = rows == np.repeat(out, 2, axis=2)[:, :, None]
+    hit = (rows == np.repeat(out, 2, axis=2)[:, :, None]).reshape(xp.shape)
     if np.count_nonzero(hit) != out.size:  # keep each window's first hit only
-        taps = _windows(hit.reshape(xp.shape))
+        taps = _windows(hit)
         free = ~taps[:, :, 0, :, 0]  # windows whose maximum is not yet routed
         for r, s in ((0, 1), (1, 0), (1, 1)):
             tap = taps[:, :, r, :, s]
             tap &= free
             free ^= tap
+    return hit
+
+
+def maxpool2_scatter(grad: np.ndarray, route: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Route pooled gradients back to the (N, H, W, C) input of maxpool2, of the given shape.
+
+    route = maxpool2_route(x, maxpool2(x)). Each window's gradient goes to its
+    routed position; every other position gets +0.
+    """
+    h, w = shape[1:3]
+    n, hp, wp, c = route.shape
+    rows = (n, hp // 2, 2, wp, c)  # [:, i, r] is row r of window row i
     # An integer multiply by the 0/1 mask keeps grad's bits or writes +0; a float
     # multiply would write -0 under a negative gradient.
     bits = f"i{grad.itemsize}"
-    dx = np.empty(xp.shape, dtype=grad.dtype)
-    np.multiply(np.repeat(grad.view(bits), 2, axis=2)[:, :, None], hit, out=dx.view(bits).reshape(rows.shape))
+    dx = np.empty(route.shape, dtype=grad.dtype)
+    np.multiply(np.repeat(grad.view(bits), 2, axis=2)[:, :, None], route.reshape(rows),
+                out=dx.view(bits).reshape(rows))
     # contiguous, as the elementwise layers return: a strided gradient can change how BLAS sums a Conv's GEMMs
     return np.ascontiguousarray(dx[:, :h, :w])

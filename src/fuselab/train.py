@@ -27,9 +27,11 @@ one GEMM, so the decisions equal those of the stacked turned samples to
 float32 rounding.
 
 A training step runs a network's forward pass, in which each convolution is
-nn.Conv (zero padding, tensor.im2col, one float32 GEMM), backpropagates the
-cross-entropy gradient and applies one step of the optimizer that
-TrainConfig.optimizer names in OPTIMIZERS.
+nn.Conv (zero padding, tensor.im2col, one float32 GEMM) and each layer keeps
+only what its backward reads, backpropagates the cross-entropy gradient and
+applies one step of the optimizer that TrainConfig.optimizer names in
+OPTIMIZERS to the gradients nn.gradients takes from the layers, so no network
+holds a gradient between steps.
 """
 
 from __future__ import annotations

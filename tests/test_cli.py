@@ -1220,6 +1220,29 @@ def test_a_flipped_bit_is_scored_or_one_error_line(flip_inputs, name, bit):
     assert lines == [] if code == 0 else len(lines) == 1 and lines[0].startswith("error["), lines
 
 
+def spread_logits(layers):
+    """Finite parameters whose logits span more than float32's range: the first Dense gives 1 before ReLU, and the
+    last has zero weights and bias [2e38, -2e38, 0, ...], so the softmax's x - max overflows to -inf."""
+    first, last = [layer for layer in layers if layer.kind == "dense"]
+    first.weights.fill(0)
+    first.bias.fill(1)
+    last.weights.fill(0)
+    last.bias[:2] = 2e38, -2e38
+    last.bias[2:] = 0
+
+
+def test_logits_wider_than_float32_are_scored_without_a_warning(error_inputs, tmp_path, capsys):
+    """A logit that lies further below its row's maximum than float32 reaches gets exp(-inf) = 0, the exact limit:
+    eval exits 0 with an empty stderr, and decides every row for the largest logit's class, as argmax does."""
+    t = tmp_path / "t"
+    shutil.copytree(error_inputs, t)
+    edit_net(FNET, spread_logits)(t)
+    assert main(EVAL.format(t=t).split() + ["--split", "train", "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    counts = ev.parse_confusion_csv(t / "o" / "confusion.csv").counts
+    assert counts.sum() > 0 and counts[:, 1:].sum() == 0
+
+
 def test_readme_cli_lines_parse():
     block = (REPO / "README.md").read_text().split("\n## CLI\n", 1)[1].split("```")[1]
     lines = [line for line in block.splitlines() if line.startswith("fuselab ")]

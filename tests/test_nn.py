@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fuselab import data, nn
+from fuselab import data, fusion, nn, tensor, train
 from fuselab.errors import DataError
 
 from gradcheck import float64_copy, gradient_check
@@ -149,7 +149,7 @@ def test_dense_gradient_is_outer_product():
     layer = nn.Dense(2, 2)
     layer.weights[...] = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
     x = np.array([[5.0, 7.0]], dtype=np.float32)
-    layer.forward(x)
+    layer.forward(x, keep_cache=True)
     dy = np.array([[0.25, -1.0]], dtype=np.float32)
     layer.backward(dy)
     expected = np.array([[5 * 0.25, 5 * -1.0], [7 * 0.25, 7 * -1.0]])
@@ -204,7 +204,7 @@ def test_network_backward_skips_only_the_input_gradient(make, channels):
     dpred = rng.normal(size=(3, 5)).astype(np.float32)
     net.forward_batch(xs)
     net.backward(dpred)
-    skipped = [g.copy() for g in nn.gradients(net)]
+    skipped = nn.gradients(net)
     net.forward_batch(xs)
     dfeat = backward_with_input_gradient(net.head, dpred)
     widths = [branch[0].cout * 3 * 3 for branch in net.branches]  # each 6x6 branch pools to 3x3
@@ -248,8 +248,8 @@ def test_pool_first_block_equals_relu_first_block(seed, n, h, w, cin, cout, bias
     if zero_patch:
         x[:, :4, :4] = 0
     pool_first, relu_first = conv_block(conv, ("maxpool2", "relu")), conv_block(conv, ("relu", "maxpool2"))
-    y = nn._run_forward(pool_first, x)
-    assert y.tobytes() == nn._run_forward(relu_first, x).tobytes()
+    y = nn._run_forward(pool_first, x, keep_cache=True)
+    assert y.tobytes() == nn._run_forward(relu_first, x, keep_cache=True).tobytes()
     dy = rng.normal(size=y.shape).astype(dtype)
     dx = backward_with_input_gradient(pool_first, dy)
     assert np.array_equal(dx, backward_with_input_gradient(relu_first, dy))  # equal values; zeros may differ in sign
@@ -269,10 +269,10 @@ def test_conv_backward_returns_dx_unless_told_not_to():
     layer = nn.Conv(3, 2, 3, rng)
     x = rng.normal(size=(1, 5, 5, 2)).astype(np.float32)
     dy = rng.normal(size=(1, 5, 5, 3)).astype(np.float32)
-    layer.forward(x)
+    layer.forward(x, keep_cache=True)
     assert layer.backward(dy).shape == x.shape
-    full = [g.copy() for g in layer.gradients()]
-    layer.forward(x)
+    full = layer.gradients()
+    layer.forward(x, keep_cache=True)
     assert layer.backward(dy, need_dx=False) is None
     for a, b in zip(full, layer.gradients()):
         assert np.array_equal(a, b)
@@ -373,6 +373,10 @@ def test_every_proper_prefix_and_appended_tail_is_a_data_error(saved_files, name
             load(corrupt)
 
 
+def holds_gradients(layer) -> bool:
+    return any(name.startswith("grad_") for name in vars(layer))
+
+
 @NETS
 def test_infer_keeps_no_cache_and_leaves_training_unchanged(make, channels):
     rng = np.random.default_rng(15)
@@ -384,10 +388,56 @@ def test_infer_keeps_no_cache_and_leaves_training_unchanged(make, channels):
     reference.backward(dpred)
 
     net = make(np.random.default_rng(16))
-    assert np.array_equal(net.infer(xs), net.forward_batch(xs))
     net.infer(others)
     assert all(layer._cache is None for layer in net.all_layers())
-    net.forward_batch(xs)
+    assert np.array_equal(net.infer(xs), net.forward_batch(xs))
+    net.infer(others)  # between a training forward and its backward, it leaves the caches alone
     net.backward(dpred)
-    for a, b in zip(nn.gradients(reference), nn.gradients(net)):
+    assert all(layer._cache is None for layer in net.all_layers())  # backward took every cache
+    grads = nn.gradients(net)
+    assert not any(holds_gradients(layer) for layer in net.all_layers())  # the optimizer holds the only ones
+    for a, b in zip(nn.gradients(reference), grads):
         assert np.array_equal(a, b)
+    train.Adam(nn.parameters(net), 1e-3).step(grads)
+    del grads
+    net.infer(others)
+    assert not any(layer._cache is not None or holds_gradients(layer) for layer in net.all_layers())
+
+
+@pytest.mark.parametrize("paradigm, channels", [("single-b", (3,)), ("joint", (2, 3))])
+def test_training_forward_keeps_only_what_backward_reads(paradigm, channels):
+    """After forward_batch each backbone layer holds exactly what its backward reads: a Conv its
+    columns, a MaxPool2 a bool mask of its input padded to even (10x10 chips pool to 5x5, 3x3, 2x2)
+    and the input's shape, a ReLU a bool mask, a Dense its input, a Softmax its output."""
+    (net,) = fusion.build_model(paradigm, 10, 10, 2, 3, 5, seed=0, conv_channels=(2, 3, 4), dense_units=6).nets
+    rng = np.random.default_rng(17)
+    xs = [rng.normal(size=(2, 10, 10, c)).astype(np.float32) for c in channels]
+    net.forward_batch(xs)
+    feats = [walk_cached(branch, x) for branch, x in zip(net.branches, xs)]
+    walk_cached(net.head, np.concatenate(feats, axis=1))
+
+
+def walk_cached(layers, x):
+    """Check each layer's cache against its input x, running the layers forward-only; return the output."""
+    for layer in layers:
+        cache = layer._cache
+        if isinstance(layer, nn.Conv):
+            cols, padded_shape, shape = cache
+            xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+            assert (padded_shape, shape) == (xp.shape, x.shape)
+            assert cols.dtype == np.float32 and cols.tobytes() == tensor.im2col(xp, 3)[0].tobytes()
+        elif isinstance(layer, nn.MaxPool2):
+            route, shape = cache
+            n, h, w, c = shape
+            assert shape == x.shape and route.dtype == bool and route.shape == (n, h + h % 2, w + w % 2, c)
+            assert np.array_equal(route, tensor.maxpool2_route(x, tensor.maxpool2(x)))
+        elif isinstance(layer, nn.ReLU):
+            assert cache.dtype == bool and np.array_equal(cache, x > 0)
+        elif isinstance(layer, nn.Flatten):
+            assert cache == x.shape
+        elif isinstance(layer, nn.Dense):
+            assert cache.dtype == np.float32 and np.array_equal(cache, x)
+        x = layer.forward(x)
+        if isinstance(layer, nn.Softmax):
+            assert np.array_equal(cache, x)
+    return x

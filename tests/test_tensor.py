@@ -70,6 +70,41 @@ def maxpool_scatter_oracle(grad, x):
     return back
 
 
+def maxpool2_scatter_reference(grad, x, out):
+    """The (x, out) scatter that maxpool2_route and maxpool2_scatter split in two: it finds each
+    window's first maximum in backward, from the pooled input and output."""
+    h, w = x.shape[1:3]
+    xp = np.full((x.shape[0], h + h % 2, w + w % 2, x.shape[3]), -np.inf, dtype=x.dtype)
+    xp[:, :h, :w] = x
+    n, hp, wp, c = xp.shape
+    rows = xp.reshape(n, hp // 2, 2, wp, c)
+    hit = rows == np.repeat(out, 2, axis=2)[:, :, None]
+    if np.count_nonzero(hit) != out.size:
+        taps = hit.reshape(n, hp // 2, 2, wp // 2, 2, c)
+        free = ~taps[:, :, 0, :, 0]
+        for r, s in ((0, 1), (1, 0), (1, 1)):
+            tap = taps[:, :, r, :, s]
+            tap &= free
+            free ^= tap
+    bits = f"i{grad.itemsize}"
+    dx = np.empty(xp.shape, dtype=grad.dtype)
+    np.multiply(np.repeat(grad.view(bits), 2, axis=2)[:, :, None], hit, out=dx.view(bits).reshape(rows.shape))
+    return np.ascontiguousarray(dx[:, :h, :w])
+
+
+def col2im_add_reference(dy_col, taps, padded_shape, k):
+    """The conv input gradient that col2im_add forms tap by tap, as one batched GEMM over every tap
+    whose (k*k, N*H'*W', Cin) block is then added onto each tap's shifted window."""
+    n, hp, wp, c = padded_shape
+    h_out, w_out = hp - k + 1, wp - k + 1
+    d = tensor.matmul(dy_col, taps).reshape(k, k, n, h_out, w_out, c)
+    out = np.zeros(padded_shape, dtype=d.dtype)
+    for i in range(k):
+        for j in range(k):
+            out[:, i : i + h_out, j : j + w_out] += d[i, j]
+    return out
+
+
 # --- matmul -------------------------------------------------------------------
 
 
@@ -238,12 +273,51 @@ def test_conv_backward_matches_loop_oracle(seed, n, h, w, cin, cout, k):
     conv.bias = rng.normal(size=cout)
     x = rng.normal(size=(n, h, w, cin))
     dy = rng.normal(size=(n, h, w, cout))
-    conv.forward(x)
+    conv.forward(x, keep_cache=True)
     dx = conv.backward(dy)
     want = conv_backward_oracle(x, conv.weights, dy)
     for got, expected in zip((dx, conv.grad_weights, conv.grad_bias), want):
         assert got.dtype == np.float64 and got.shape == expected.shape
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 3),
+    h=st.integers(1, 7),
+    w=st.integers(1, 7),
+    cin=st.integers(1, 4),
+    cout=st.integers(1, 4),
+    k=st.sampled_from([1, 3, 5]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    zero_rows=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_col2im_add_equals_the_batched_tap_gemm_bitwise(seed, n, h, w, cin, cout, k, dtype, zero_rows):
+    """Odd edges, kernels wider than the image, negative gradients and zero gradient rows (whose
+    products with negative taps are -0): the same bits as one GEMM over every tap."""
+    rng = np.random.default_rng(seed)
+    dy_col = rng.normal(size=(n * h * w, cout)).astype(dtype)
+    taps = rng.normal(size=(k, k, cin, cout)).astype(dtype).reshape(k * k, cin, cout).transpose(0, 2, 1)
+    padded_shape = (n, h + k - 1, w + k - 1, cin)
+    if zero_rows:
+        dy_col[::2] = 0
+    got = tensor.col2im_add(dy_col, taps, padded_shape, k)
+    want = col2im_add_reference(dy_col, taps, padded_shape, k)
+    assert got.dtype == dtype and got.shape == padded_shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, hw, cin, cout", [(16, 32, 2, 32), (16, 16, 32, 64), (16, 8, 64, 128)])
+def test_conv_backward_dx_equals_the_batched_tap_gemm_bitwise(rng, n, hw, cin, cout):
+    """At the backbone's float32 conv shapes (chips downsized), where BLAS picks its larger kernels."""
+    conv = nn.Conv(3, cin, cout, rng)
+    x = rng.normal(size=(n, hw, hw, cin)).astype(np.float32)
+    dy = rng.normal(size=(n, hw, hw, cout)).astype(np.float32)
+    conv.forward(x, keep_cache=True)
+    dx = conv.backward(dy)
+    taps = conv.weights.reshape(9, cin, cout).transpose(0, 2, 1)
+    want = col2im_add_reference(dy.reshape(-1, cout), taps, (n, hw + 2, hw + 2, cin), 3)[:, 1:-1, 1:-1]
+    assert dx.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def test_conv2d_errors():
@@ -260,7 +334,7 @@ def test_maxpool2_single_window():
     out = tensor.maxpool2(x)
     assert out.shape == (1, 1, 1, 1)
     assert out[0, 0, 0, 0] == 4.0
-    back = tensor.maxpool2_scatter(np.ones_like(out), x, out)
+    back = tensor.maxpool2_scatter(np.ones_like(out), tensor.maxpool2_route(x, out), x.shape)
     assert np.array_equal(back[0, :, :, 0], [[0.0, 0.0], [0.0, 1.0]])  # lands at (1, 1)
 
 
@@ -312,7 +386,7 @@ def test_maxpool2_scatter_inverts_selection():
     x = rng.normal(size=(2, 4, 6, 2)).astype(np.float32)
     out = tensor.maxpool2(x)
     grad = np.ones_like(out)
-    back = tensor.maxpool2_scatter(grad, x, out)
+    back = tensor.maxpool2_scatter(grad, tensor.maxpool2_route(x, out), x.shape)
     assert back.shape == x.shape
     # exactly one unit of gradient lands per window
     assert back.sum() == out.size
@@ -337,17 +411,45 @@ def test_maxpool2_scatter_matches_loop_oracle_on_ties(seed, n, h, w, c, dtype, d
     else:
         x = rng.integers(-2, 3, size=(n, h, w, c)).astype(dtype)
     out = tensor.maxpool2(x)
+    route = tensor.maxpool2_route(x, out)
     grad = rng.integers(-4, 5, size=out.shape).astype(dtype)
-    back = tensor.maxpool2_scatter(grad, x, out)
+    back = tensor.maxpool2_scatter(grad, route, x.shape)
     assert back.shape == x.shape and back.dtype == dtype
     for b in range(n):
         assert np.array_equal(out[b], maxpool_oracle(x[b]))
         assert np.array_equal(back[b], maxpool_scatter_oracle(grad[b], x[b]))
     assert not np.signbit(back[back == 0]).any()  # unrouted positions hold +0, never -0
-    ones = tensor.maxpool2_scatter(np.ones_like(out), x, out)
+    ones = tensor.maxpool2_scatter(np.ones_like(out), route, x.shape)
     assert ones.sum() == out.size  # exactly one unit per window
     assert np.all((ones == 0) | (ones == 1))
 
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 2),
+    h=st.integers(1, 7),
+    w=st.integers(1, 7),
+    c=st.integers(1, 3),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    values=st.sampled_from(["normal", "ties", "constant"]),
+)
+@settings(max_examples=80, deadline=None)
+def test_maxpool2_route_and_scatter_equal_the_x_out_scatter_bitwise(seed, n, h, w, c, dtype, values):
+    """The bool route and its scatter give the (x, out) scatter's bits: on odd edges, on windows that
+    tie (few values) or are all equal, and under negative and -0 gradients, whose zeros keep their sign."""
+    rng = np.random.default_rng(seed)
+    x = {"normal": rng.normal(size=(n, h, w, c)), "ties": rng.integers(-2, 3, size=(n, h, w, c)),
+         "constant": np.full((n, h, w, c), -1.5)}[values].astype(dtype)
+    out = tensor.maxpool2(x)
+    grad = rng.normal(size=out.shape).astype(dtype)
+    grad[rng.random(out.shape) < 0.3] = -0.0
+    route = tensor.maxpool2_route(x, out)
+    assert route.dtype == bool and route.shape == (n, h + h % 2, w + w % 2, c)
+    assert np.count_nonzero(route) == out.size  # one routed position per window
+    got = tensor.maxpool2_scatter(grad, route, x.shape)
+    want = maxpool2_scatter_reference(grad, x, out)
+    assert got.dtype == dtype and got.shape == x.shape and got.tobytes() == want.tobytes()
 
 
 # --- relu ------------------------------------------------------------------------
@@ -359,5 +461,5 @@ def test_relu():
 
 def test_relu_grad():
     relu = nn.ReLU()
-    relu.forward(np.array([-1.0, 0.0, 2.0]))
+    relu.forward(np.array([-1.0, 0.0, 2.0]), keep_cache=True)
     assert np.array_equal(relu.backward(np.array([3.0, 3.0, 3.0])), [0.0, 0.0, 3.0])

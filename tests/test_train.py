@@ -176,6 +176,17 @@ def test_one_history_record_per_epoch():
     assert [r.epoch for r in history] == [0, 1, 2]
 
 
+def test_trained_networks_hold_no_cache_or_gradient():
+    """The single-a and single-b networks that compare keeps for its late rows hold no layer cache and no
+    gradient once trained: each step's optimizer took the gradients it applied."""
+    trained = {}
+    model, _, _ = tr.train_paradigm("late-mean", tiny_dataset(), tr.TrainConfig(epochs=1, batch_size=8, seed=3),
+                                    trained)
+    assert [m.nets[0] for m, _, _ in trained.values()] == model.nets
+    for layer in (layer for net in model.nets for layer in net.all_layers()):
+        assert layer._cache is None and not any(name.startswith("grad_") for name in vars(layer))
+
+
 def test_late_training_keeps_modalities_isolated(monkeypatch):
     """Each late network must only ever see its own modality's channel count."""
     seen, build_model = {}, fusion.build_model
